@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race bench bench-cluster bench-faults bench-obs bench-stream bench-gen bench-shards bench-all sweep-smoke mem-smoke mem-soak golden ci
+.PHONY: build test vet race fuzz bench bench-cluster bench-faults bench-obs bench-stream bench-gen bench-all sweep-smoke mem-smoke mem-soak golden ci
 
 # Stamps the measurement provenance — commit, toolchain, machine — into
 # a freshly regenerated BENCH_*.json, so numbers from different epochs
@@ -22,16 +22,20 @@ vet:
 # Race-detector pass over the concurrent sweep engine (and the layers
 # it drives: the event engine, the cluster runtime, the autoscaled
 # path, and the observability sinks sweep workers write in parallel).
-# The serving tests include the sharded-runtime suite, so shards>1
-# engine loops run under the detector; the trailing sweep run crosses
-# sharded scenarios with parallel sweep workers end to end.
 race:
 	$(GO) test -race ./internal/sweep/... ./internal/serving/... ./internal/autoscale/... ./internal/core/... ./internal/engine/... ./internal/faults/... ./internal/obs/... ./internal/genserve/...
-	$(GO) run -race ./cmd/apparate-sweep -models resnet18,resnet50 -workloads video-0 \
-		-replicas 4 -dispatch round-robin -shards 4 -n 1500 -seed 5 -quiet >/dev/null
-	$(GO) run -race ./cmd/apparate-sweep -models resnet18,resnet50 -workloads video-0 \
-		-replicas 4 -dispatch least-loaded -shards 4 -n 1500 -seed 5 -quiet >/dev/null
-	@echo "race: clean (incl. shards=4 replay and lookahead-dispatcher loops under parallel sweep workers)"
+
+# Fuzz the scenario-spec parsers for 10s per target (go test -fuzz
+# takes one target per run). A target fails on a panic, a parsed
+# non-finite number, or a canonical form that does not parse back to
+# itself; the failing input is saved under the package's testdata/fuzz/
+# and replays in plain go test from then on.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSchedule$$' -fuzztime 10s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/autoscale
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/faults
+	$(GO) test -run '^$$' -fuzz '^FuzzParseRetry$$' -fuzztime 10s ./internal/faults
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSpeeds$$' -fuzztime 10s ./internal/serving
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
@@ -77,7 +81,7 @@ export BENCH_CLUSTER_BEFORE_ZERO_ALLOC
 
 bench-cluster:
 	$(GO) test -run '^$$' -bench BenchmarkClusterScaling -benchtime 5x . | tee /tmp/bench_cluster.txt
-	@printf '{\n  "description": "BenchmarkClusterScaling: serving.RunCluster over 100k requests at constant per-replica load (aggregate rate scales with replicas). Regenerate with make bench-cluster; before_engine_refactor preserves the pre-engine per-replica-replay numbers, before_zero_alloc the pre-pooling closure-per-event numbers. shards=4 rows run the same scenario over 4 parallel engine loops (byte-identical results; wall-clock gain needs cores).",\n' > BENCH_cluster.json
+	@printf '{\n  "description": "BenchmarkClusterScaling: serving.RunCluster over 100k requests at constant per-replica load (aggregate rate scales with replicas). Regenerate with make bench-cluster; before_engine_refactor preserves the pre-engine per-replica-replay numbers, before_zero_alloc the pre-pooling closure-per-event numbers.",\n' > BENCH_cluster.json
 	@$(call bench_meta,BENCH_cluster.json)
 	@echo "$$BENCH_CLUSTER_BEFORE" >> BENCH_cluster.json
 	@echo "$$BENCH_CLUSTER_BEFORE_ZERO_ALLOC" >> BENCH_cluster.json
@@ -230,28 +234,10 @@ bench-gen:
 	  END { printf("\n  ]\n}\n") }' /tmp/bench_gen.txt >> BENCH_gen.json
 	@echo "bench-gen: wrote BENCH_gen.json"
 
-# Shard-speedup benchmark: the cluster grid at shards=1 vs
-# shards=GOMAXPROCS for round-robin (replay mode) and least-loaded
-# (conservative-lookahead dispatcher mode), 8 replicas, 100k requests,
-# emitted as BENCH_shards.json. The cpu count is stamped as its own
-# field on top of the shared machine provenance because it is the
-# variable that decides what these rows mean: on a 1-cpu container the
-# sharded rows only show the coordination-overhead side (the
-# dispatcher's shadow simulation is extra total work that free cores
-# would absorb); the speedup side needs multi-core hardware.
-bench-shards:
-	$(GO) test -run '^$$' -bench BenchmarkShardSpeedup -benchtime 5x . | tee /tmp/bench_shards.txt
-	@printf '{\n  "description": "BenchmarkShardSpeedup: serving.RunCluster over 100k requests on 8 replicas at shards=1 vs shards=GOMAXPROCS (min 2), round-robin and least-loaded. Results are byte-identical to serial in both modes; rows measure wall-clock only. Interpret against the cpus field: 1 cpu measures coordination overhead, the speedup side needs cores. Regenerate with make bench-shards.",\n' > BENCH_shards.json
-	@printf '  "cpus": %s,\n' "$$(nproc)" >> BENCH_shards.json
-	@$(call bench_meta,BENCH_shards.json)
-	@awk 'BEGIN { printf("  \"results\": [\n") } \
-	  /^BenchmarkShardSpeedup\// { sub(/^BenchmarkShardSpeedup\//, "", $$1); sub(/-[0-9]+$$/, "", $$1); printf("%s    {\"case\": \"%s\", \"iters\": %s, \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", sep, $$1, $$2, $$3, $$5, $$7); sep=",\n" } \
-	  END { printf("\n  ]\n}\n") }' /tmp/bench_shards.txt >> BENCH_shards.json
-	@echo "bench-shards: wrote BENCH_shards.json"
-
 # Regenerate every BENCH_*.json in one shot, all stamped with the same
-# commit/machine metadata.
-bench-all: bench-cluster bench-faults bench-obs bench-stream bench-gen bench-shards
+# commit/machine metadata. BENCH_shards.json is a static record of the
+# deleted intra-scenario sharding and is not regenerated.
+bench-all: bench-cluster bench-faults bench-obs bench-stream bench-gen
 
 # A 24+-scenario mixed grid at -workers 8, then the determinism gate:
 # the same grid at -workers 1 must emit byte-identical JSON.
@@ -302,24 +288,6 @@ GENKV_OBS_FLAGS = -models t5-large -workloads cnn-dailymail,squad \
 	-kv-blocks 0,64 -prefix-hit 0,0.4 -prefill-chunk 128 \
 	-gen-n 10 -seed 8 -quiet
 
-# Sharded-execution grid (round-robin multi-replica points, exact and
-# sketch recorders): -shards 4 splits each scenario over four parallel
-# engine loops and must emit byte-identical JSON to the serial run —
-# sharding is an execution knob, never a results knob.
-SHARDS_FLAGS = -models resnet18,resnet50 -workloads video-0,video-1 \
-	-replicas 2,4 -dispatch round-robin -metrics exact,sketch \
-	-n 1500 -seed 5 -quiet
-
-# Queue-state sharded grid (least-loaded and join-shortest-queue
-# multi-replica points, homogeneous and heterogeneous): -shards 4
-# routes the vanilla run of each scenario through the conservative-
-# lookahead dispatcher (the adaptive Apparate run falls back serial)
-# and must emit byte-identical JSON to the serial run.
-SHARDS_QS_FLAGS = -models resnet18,resnet50 -workloads video-0,video-1 \
-	-replicas 2,4 -dispatch least-loaded,join-shortest-queue \
-	-hetero '1;1,0.5' -metrics exact,sketch \
-	-n 1500 -seed 5 -quiet
-
 sweep-smoke:
 	$(GO) run ./cmd/apparate-sweep $(SMOKE_FLAGS) -workers 8 -out /tmp/sweep-w8.json
 	$(GO) run ./cmd/apparate-sweep $(SMOKE_FLAGS) -workers 1 -out /tmp/sweep-w1.json >/dev/null
@@ -349,13 +317,7 @@ sweep-smoke:
 	$(GO) run ./cmd/apparate-sweep $(GENKV_OBS_FLAGS) -obs-dir /tmp/sweep-kvobs-w1 -workers 1 -out /tmp/sweep-kvobs-w1.json >/dev/null
 	cmp /tmp/sweep-kvobs-w1.json /tmp/sweep-kvobs-w8.json
 	diff -r /tmp/sweep-kvobs-w1 /tmp/sweep-kvobs-w8
-	$(GO) run ./cmd/apparate-sweep $(SHARDS_FLAGS) -workers 8 -out /tmp/sweep-sh1.json >/dev/null
-	$(GO) run ./cmd/apparate-sweep $(SHARDS_FLAGS) -shards 4 -workers 8 -out /tmp/sweep-sh4.json >/dev/null
-	cmp /tmp/sweep-sh1.json /tmp/sweep-sh4.json
-	$(GO) run ./cmd/apparate-sweep $(SHARDS_QS_FLAGS) -workers 8 -out /tmp/sweep-shqs0.json >/dev/null
-	$(GO) run ./cmd/apparate-sweep $(SHARDS_QS_FLAGS) -shards 4 -workers 8 -out /tmp/sweep-shqs4.json >/dev/null
-	cmp /tmp/sweep-shqs0.json /tmp/sweep-shqs4.json
-	@echo "sweep-smoke: deterministic across worker counts (exact + sketch, incl. autoscale, faulty, traced, generative-KV, and traced generative-KV grids) and shard counts (replay + lookahead modes)"
+	@echo "sweep-smoke: deterministic across worker counts (exact + sketch, incl. autoscale, faulty, traced, generative-KV, and traced generative-KV grids)"
 
 # Memory guard: one 10,000,000-request scheduled-rate scenario in
 # sketch mode must complete under a 256 MiB soft heap limit with a
@@ -380,4 +342,4 @@ mem-soak:
 golden:
 	$(GO) test -run TestGoldenSweep -update .
 
-ci: build test vet race sweep-smoke mem-smoke
+ci: build test vet race fuzz sweep-smoke mem-smoke

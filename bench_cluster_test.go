@@ -18,46 +18,29 @@ import (
 // fixed per-replica work; the single-pass event engine visits each
 // request once (O(trace × log replicas)). Before/after numbers live in
 // BENCH_cluster.json.
-//
-// Round-robin multi-replica cases also run with shards=4: the same
-// scenario split over four parallel engine loops with a deterministic
-// merge. Sharded results are byte-identical to serial (pinned by
-// TestShardedClusterByteIdentity); the benchmark row records what the
-// parallelism buys in wall-clock on the benchmarking machine.
 func BenchmarkClusterScaling(b *testing.B) {
 	const n = 100_000
 	m := model.ResNet18()
 	for _, disp := range []serving.Dispatch{serving.RoundRobin, serving.LeastLoaded} {
 		for _, replicas := range []int{1, 4, 16} {
-			shardCounts := []int{0}
-			if disp == serving.RoundRobin && replicas > 1 {
-				shardCounts = []int{0, 4}
-			}
-			for _, shards := range shardCounts {
-				name := fmt.Sprintf("dispatch=%s/replicas=%d", disp, replicas)
-				if shards > 0 {
-					name += fmt.Sprintf("/shards=%d", shards)
+			b.Run(fmt.Sprintf("dispatch=%s/replicas=%d", disp, replicas), func(b *testing.B) {
+				s := workload.Video(0, n, 30*float64(replicas), 9)
+				opts := serving.ClusterOptions{
+					Options:  serving.Options{Platform: serving.Clockwork, SLOms: m.SLO()},
+					Replicas: replicas,
+					Dispatch: disp,
 				}
-				b.Run(name, func(b *testing.B) {
-					s := workload.Video(0, n, 30*float64(replicas), 9)
-					opts := serving.ClusterOptions{
-						Options:  serving.Options{Platform: serving.Clockwork, SLOms: m.SLO()},
-						Replicas: replicas,
-						Dispatch: disp,
-						Shards:   shards,
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					cs := serving.RunCluster(s, func(int) serving.Handler {
+						return &serving.VanillaHandler{Model: m}
+					}, opts)
+					if cs.Merged.Total != n {
+						b.Fatalf("cluster served %d requests, want %d", cs.Merged.Total, n)
 					}
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						cs := serving.RunCluster(s, func(int) serving.Handler {
-							return &serving.VanillaHandler{Model: m}
-						}, opts)
-						if cs.Merged.Total != n {
-							b.Fatalf("cluster served %d requests, want %d", cs.Merged.Total, n)
-						}
-					}
-				})
-			}
+				}
+			})
 		}
 	}
 }

@@ -55,7 +55,6 @@ func main() {
 		chromeP   = flag.String("trace-chrome", "", "write the trace in Chrome trace-event format (open in Perfetto or chrome://tracing)")
 		timelineP = flag.String("timeline", "", "write the sampled gauge timeline as CSV to this file")
 		obsTick   = flag.Float64("obs-tick", 0, "timeline sampling period in virtual ms (0 = 100ms default)")
-		shards    = flag.Int("shards", 0, "parallel engine shards inside the scenario: round-robin clusters shard by replay, least-loaded/join-shortest-queue by the conservative-lookahead dispatcher; unsupported configs fall back serial and say so (0/1 = serial; output is byte-identical either way)")
 	)
 	flag.Parse()
 
@@ -86,7 +85,6 @@ func main() {
 		Trace:        *tracePath != "" || *chromeP != "",
 		Timeline:     *timelineP != "",
 		ObsTickMS:    *obsTick,
-		Shards:       *shards,
 	}
 	if !sc.Trace && !sc.Timeline {
 		res, err := core.RunScenario(sc)
@@ -176,13 +174,6 @@ func printResult(res *core.Result) {
 	}
 	fmt.Printf("adaptation: %d threshold tuning rounds, %d ramp adjustment rounds, %d active ramps\n",
 		res.TuneRounds, res.AdjustRounds, res.ActiveRamps)
-	// Surface how -shards actually executed: a fallback ("serial:...")
-	// must be distinguishable from a sharded run ("replay:N" /
-	// "lookahead:N"), otherwise a silent no-op looks like parallelism.
-	if sc.Shards > 1 && res.ApparateShardMode != "" {
-		fmt.Printf("shards:     requested %d — vanilla %s, apparate %s\n",
-			sc.Shards, res.VanillaShardMode, res.ApparateShardMode)
-	}
 	if res.PeakReplicas > 0 {
 		fmt.Printf("autoscale:  %d scale-ups, %d scale-downs, peak %d replicas (spec %s)\n",
 			res.ScaleUps, res.ScaleDowns, res.PeakReplicas, sc.Autoscale)

@@ -132,7 +132,6 @@ func main() {
 		only       = flag.String("only", "", "comma-separated include globs over axis tokens (e.g. 'model=resnet*,workload=video-0'); use ';' separators when a pattern contains commas (e.g. 'hetero=1,0.5;'), '|' when it contains semicolons (e.g. 'faults=mtbf:*;loss=*|')")
 		skip       = flag.String("skip", "", "comma-separated exclude globs over axis tokens; ';' separators when a pattern contains commas, '|' when it contains semicolons")
 		workers    = flag.Int("workers", 0, "concurrent scenario executions (0 = GOMAXPROCS)")
-		shards     = flag.Int("shards", 0, "parallel engine shards inside each cluster scenario (round-robin replays, least-loaded/JSQ run the lookahead dispatcher, unsupported configs fall back serial; 0/1 = serial; output is byte-identical either way)")
 		out        = flag.String("out", "", "write results to this file (format from -format)")
 		format     = flag.String("format", "json", "output format for -out: json | csv")
 		rank       = flag.String("rank", "p99", "table ranking metric: "+strings.Join(sweep.RankMetrics(), " | "))
@@ -200,11 +199,6 @@ func main() {
 	}
 	if len(scenarios) == 0 {
 		fatalf("grid expanded to zero scenarios (filters too strict?)")
-	}
-	// Shards is an execution knob, not a grid axis: it never enters a
-	// scenario's identity, so it is applied uniformly after expansion.
-	for i := range scenarios {
-		scenarios[i].Shards = *shards
 	}
 	if *list {
 		for _, sc := range scenarios {

@@ -16,6 +16,7 @@ package autoscale
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -84,13 +85,18 @@ func (c Config) Validate() error {
 		return fmt.Errorf("autoscale: max replicas %d must be >= min %d", c.Max, c.Min)
 	}
 	c = c.withDefaults()
-	if c.WindowMS <= 0 || c.CooldownMS <= 0 {
-		return fmt.Errorf("autoscale: window %gms and cooldown %gms must be positive", c.WindowMS, c.CooldownMS)
+	// The negated comparisons also reject NaN, which compares false to
+	// everything: a NaN threshold would silently never fire.
+	if !(c.WindowMS > 0) || math.IsInf(c.WindowMS, 0) || !(c.CooldownMS > 0) || math.IsInf(c.CooldownMS, 0) {
+		return fmt.Errorf("autoscale: window %gms and cooldown %gms must be positive and finite", c.WindowMS, c.CooldownMS)
 	}
-	if c.UpLatFrac <= 0 || c.DownLatFrac <= 0 || c.DownLatFrac >= c.UpLatFrac {
-		return fmt.Errorf("autoscale: need 0 < down=%g < up=%g latency fractions", c.DownLatFrac, c.UpLatFrac)
+	if !(c.DownLatFrac > 0) || !(c.DownLatFrac < c.UpLatFrac) || math.IsInf(c.UpLatFrac, 0) {
+		return fmt.Errorf("autoscale: need 0 < down=%g < up=%g latency fractions, both finite", c.DownLatFrac, c.UpLatFrac)
 	}
-	if c.DownUtil <= 0 || c.DownUtil >= 1 {
+	if !(c.UpBacklogFrac > 0) || math.IsInf(c.UpBacklogFrac, 0) {
+		return fmt.Errorf("autoscale: backlog fraction %g must be positive and finite", c.UpBacklogFrac)
+	}
+	if !(c.DownUtil > 0) || !(c.DownUtil < 1) {
 		return fmt.Errorf("autoscale: down-utilization %g must be in (0, 1)", c.DownUtil)
 	}
 	return nil

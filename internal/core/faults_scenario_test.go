@@ -3,6 +3,8 @@ package core
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/faults"
 )
 
 func TestScenarioNormalizeFaults(t *testing.T) {
@@ -30,6 +32,15 @@ func TestScenarioNormalizeFaults(t *testing.T) {
 		Faults: "crash:r0@100+50"}.Normalize()
 	if sc.Faults == "" {
 		t.Fatal("single-replica scenario lost its fault spec")
+	}
+	// The run parses the canonical spec and ignores the error, so the
+	// canonical spec must parse back or the run silently has no faults.
+	// A crash at 10^6 ms renders as 1e+06, whose exponent sign must not
+	// read as the AT+DOWN separator.
+	sc = Scenario{Model: "resnet50", Workload: "video-0", N: 100, Replicas: 2,
+		Faults: "crash:r0@1000000+5000"}.Normalize()
+	if fs, err := faults.Parse(sc.Faults); err != nil || len(fs.Crashes) != 1 {
+		t.Fatalf("canonical spec %q does not parse back to one crash: %v", sc.Faults, err)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/autoscale"
@@ -27,8 +28,8 @@ type Scenario struct {
 	Workload string `json:"workload"`
 	// Platform is "clockwork" or "tf-serve" (classification only).
 	Platform string `json:"platform"`
-	// Dispatch is "round-robin" or "least-loaded"; it only matters when
-	// Replicas > 1.
+	// Dispatch is "round-robin", "least-loaded" or
+	// "join-shortest-queue"; it only matters when Replicas > 1.
 	Dispatch string `json:"dispatch"`
 	// Replicas is the cluster width; 1 runs the single-replica simulator.
 	Replicas int `json:"replicas"`
@@ -120,16 +121,6 @@ type Scenario struct {
 	Trace     bool    `json:"trace,omitempty"`
 	Timeline  bool    `json:"timeline,omitempty"`
 	ObsTickMS float64 `json:"obs_tick_ms,omitempty"`
-	// Shards, when > 1, runs the scenario's replica groups on parallel
-	// engine loops with a deterministic merge — round-robin clusters
-	// shard by stream replay, queue-state dispatch (least-loaded / JSQ)
-	// by the conservative-lookahead dispatcher protocol. It is an
-	// execution knob, not a scenario axis: results are byte-identical
-	// at any shard count (configurations sharding cannot decompose
-	// exactly run serial, reported via Result.*ShardMode), so Shards
-	// never enters Identity or the result JSON — like Trace/Timeline it
-	// cannot shift a seed or an outcome.
-	Shards int `json:"-"`
 }
 
 // Normalize fills defaults and canonicalizes axes that a scenario class
@@ -363,18 +354,6 @@ type Result struct {
 	PrefixHits  int     `json:"prefix_hits,omitempty"`
 	Preemptions int     `json:"preemptions,omitempty"`
 	QueueMS     float64 `json:"queue_ms,omitempty"`
-
-	// VanillaShardMode and ApparateShardMode report how each
-	// classification run actually executed under Scenario.Shards
-	// (serving.ClusterStats.ShardMode): "replay:N"/"lookahead:N" when
-	// it sharded, "serial:<reason>" when it fell back. The two can
-	// differ — vanilla handlers are latency-stable so queue-state
-	// dispatch shards, while the adaptive Apparate run serializes.
-	// Excluded from JSON like Shards itself: execution mode never
-	// enters sweep output, which is what keeps sharded runs
-	// byte-identical to serial ones. Empty for generative scenarios.
-	VanillaShardMode  string `json:"-"`
-	ApparateShardMode string `json:"-"`
 }
 
 // kindFor maps a workload name to its calibration kind.
@@ -455,8 +434,17 @@ func (sc Scenario) Validate() error {
 	if sc.N <= 0 {
 		return fmt.Errorf("scenario: request count %d must be positive", sc.N)
 	}
-	if sc.RateMult <= 0 {
-		return fmt.Errorf("scenario: rate multiplier %g must be positive", sc.RateMult)
+	// The negated comparisons below also reject NaN, which compares
+	// false to everything; a NaN or infinite rate hangs the arrival
+	// source.
+	if !(sc.RateMult > 0) || math.IsInf(sc.RateMult, 0) {
+		return fmt.Errorf("scenario: rate multiplier %g must be positive and finite", sc.RateMult)
+	}
+	if !(sc.RampBudget > 0) || math.IsInf(sc.RampBudget, 0) {
+		return fmt.Errorf("scenario: ramp budget %g must be positive and finite", sc.RampBudget)
+	}
+	if !(sc.AccLoss >= 0) || math.IsInf(sc.AccLoss, 0) {
+		return fmt.Errorf("scenario: accuracy-loss constraint %g must be non-negative and finite", sc.AccLoss)
 	}
 	if sc.GenSlots < 0 || sc.GenFlush < 0 {
 		return fmt.Errorf("scenario: gen slots/flush must be non-negative (got %d/%d)", sc.GenSlots, sc.GenFlush)
@@ -465,14 +453,11 @@ func (sc Scenario) Validate() error {
 		return fmt.Errorf("scenario: kv blocks/block tokens/prefill chunk must be non-negative (got %d/%d/%d)",
 			sc.KVBlocks, sc.BlockTokens, sc.PrefillChunk)
 	}
-	if sc.PrefixHit < 0 || sc.PrefixHit > 1 {
+	if !(sc.PrefixHit >= 0) || sc.PrefixHit > 1 {
 		return fmt.Errorf("scenario: prefix-hit ratio %g must be in [0,1]", sc.PrefixHit)
 	}
-	if sc.ObsTickMS < 0 {
-		return fmt.Errorf("scenario: observability tick %g must be non-negative", sc.ObsTickMS)
-	}
-	if sc.Shards < 0 {
-		return fmt.Errorf("scenario: shard count %d must be non-negative", sc.Shards)
+	if !(sc.ObsTickMS >= 0) || math.IsInf(sc.ObsTickMS, 0) {
+		return fmt.Errorf("scenario: observability tick %g must be non-negative and finite", sc.ObsTickMS)
 	}
 	if fs, _ := faults.Parse(sc.Faults); fs != nil {
 		// A clause naming a replica the cluster can never materialize
@@ -580,11 +565,6 @@ func runClassScenario(sc Scenario, od *ObsData) (*Result, error) {
 	}
 
 	if sc.Replicas == 1 && sc.Autoscale == "" && sc.Faults == "" && sc.Retry == "" {
-		res.VanillaShardMode, res.ApparateShardMode = "serial", "serial"
-		if sc.Shards > 1 {
-			res.VanillaShardMode = "serial:single-replica"
-			res.ApparateShardMode = "serial:single-replica"
-		}
 		sys := New(m, kind, cfg)
 		res.SLOms = sys.Opts.SLOms
 		v := sys.ServeVanilla(stream)
@@ -613,7 +593,6 @@ func runClassScenario(sc Scenario, od *ObsData) (*Result, error) {
 		Replicas: sc.Replicas,
 		Dispatch: dispatch,
 		Speeds:   speeds,
-		Shards:   sc.Shards,
 	}
 	maxReplicas := sc.Replicas
 	if sc.Autoscale != "" {
@@ -663,7 +642,6 @@ func runClassScenario(sc Scenario, od *ObsData) (*Result, error) {
 		opts.Options.Trace, opts.Options.Timeline = od.Trace, od.Timeline
 	}
 	a := serving.RunCluster(stream, mkApparate, opts)
-	res.VanillaShardMode, res.ApparateShardMode = v.ShardMode, a.ShardMode
 	fillClass(res, v.Merged, a.Merged)
 	if a.Faults != nil {
 		res.Crashes = a.Faults.Crashes

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -19,6 +20,28 @@ func TestScenarioValidate(t *testing.T) {
 		{Model: "resnet50", Workload: "video-0", N: 100, ExitRule: "nope"},
 		{Model: "resnet50", Workload: "video-0", N: 0},
 		{Model: "resnet50", Workload: "video-0", N: 100, RateMult: -1},
+		// Non-finite numbers: ParseFloat accepts NaN and Inf, and NaN
+		// slips past every ordinary <= comparison. The first three
+		// hang the arrival source if they get past validation.
+		{Model: "bert-base", Workload: "amazon", N: 100, RateMult: math.NaN()},
+		{Model: "bert-base", Workload: "amazon", N: 100, RateMult: math.Inf(1)},
+		{Model: "resnet50", Workload: "video-0", N: 100, RateSchedule: "sine:NaN/1/2"},
+		{Model: "resnet50", Workload: "video-0", N: 100, RateSchedule: "phases:10xInf"},
+		{Model: "resnet50", Workload: "video-0", N: 100, RateSchedule: "square:30/0.5/4/NaN"},
+		{Model: "resnet50", Workload: "video-0", N: 100, RampBudget: math.NaN()},
+		{Model: "resnet50", Workload: "video-0", N: 100, RampBudget: -0.1},
+		{Model: "resnet50", Workload: "video-0", N: 100, AccLoss: math.NaN()},
+		{Model: "resnet50", Workload: "video-0", N: 100, AccLoss: math.Inf(1)},
+		{Model: "t5-large", Workload: "squad", N: 10, PrefixHit: math.NaN()},
+		{Model: "resnet50", Workload: "video-0", N: 100, Timeline: true, ObsTickMS: math.NaN()},
+		{Model: "resnet50", Workload: "video-0", N: 100, Timeline: true, ObsTickMS: math.Inf(1)},
+		{Model: "resnet50", Workload: "video-0", N: 100, Autoscale: "1..4/window=NaN"},
+		{Model: "resnet50", Workload: "video-0", N: 100, Autoscale: "1..4/up=NaN"},
+		{Model: "resnet50", Workload: "video-0", N: 100, Autoscale: "1..4/down=NaN"},
+		{Model: "resnet50", Workload: "video-0", N: 100, Replicas: 2, Faults: "delaydist=const:NaN"},
+		{Model: "resnet50", Workload: "video-0", N: 100, Replicas: 2, Faults: "crash:r0@NaN+5"},
+		{Model: "resnet50", Workload: "video-0", N: 100, Replicas: 2, Faults: "mtbf:Inf/5"},
+		{Model: "resnet50", Workload: "video-0", N: 100, Replicas: 2, Faults: "loss=0.1;timeout=Inf"},
 	}
 	for _, sc := range bad {
 		if err := sc.Validate(); err == nil {

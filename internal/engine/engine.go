@@ -22,9 +22,8 @@
 // Allocation is O(peak pending events), never O(events fired): events
 // are plain values in the heap slice, so the slice's spare capacity is
 // the freelist — a popped slot is reused by the next Schedule with no
-// per-event allocation. Hot actors implement Handler and schedule
-// (handler, op, arg) triples; the closure-based ScheduleFunc remains
-// for tests and cold paths but allocates an adapter per call.
+// per-event allocation. Actors implement Handler and schedule
+// (handler, op, arg) triples instead of capturing state in closures.
 package engine
 
 import "fmt"
@@ -43,15 +42,6 @@ type Class uint8
 type Handler interface {
 	OnEvent(now float64, op uint8, arg uint64)
 }
-
-// funcEvent adapts a bare closure to Handler for ScheduleFunc. It
-// allocates once per call, which is fine for tests and setup paths but
-// not for per-request scheduling.
-type funcEvent struct {
-	fn func(now float64)
-}
-
-func (f *funcEvent) OnEvent(now float64, _ uint8, _ uint64) { f.fn(now) }
 
 // Event is one scheduled dispatch. Events are values: the heap slice
 // owns them, and popped slots are recycled by later Schedules.
@@ -72,7 +62,6 @@ type Loop struct {
 	heap    []event
 	seq     uint64
 	inRun   bool
-	halted  bool
 	advance func(prev, now float64)
 }
 
@@ -103,12 +92,6 @@ func (l *Loop) Schedule(at float64, class Class, h Handler, op uint8, arg uint64
 	l.up(len(l.heap) - 1)
 }
 
-// ScheduleFunc enqueues a bare closure. It allocates a small adapter
-// per call — use Schedule with a pre-bound Handler on hot paths.
-func (l *Loop) ScheduleFunc(at float64, class Class, fn func(now float64)) {
-	l.Schedule(at, class, &funcEvent{fn: fn}, 0, 0)
-}
-
 // Process is a simulation actor: Start schedules its initial event(s).
 // It exists so composites (a cluster, a slot pool, a window tracker)
 // plug into one loop uniformly; actors interact afterwards by
@@ -131,15 +114,15 @@ func (l *Loop) Add(p Process) { p.Start(l) }
 // supported; composing is the caller's job.
 func (l *Loop) OnAdvance(fn func(prev, now float64)) { l.advance = fn }
 
-// Run pops events in deterministic order until the heap is empty (or
-// Halt is called), advancing the clock to each event's timestamp.
+// Run pops events in deterministic order until the heap is empty,
+// advancing the clock to each event's timestamp.
 func (l *Loop) Run() {
 	if l.inRun {
 		panic("engine: Run called from inside an event callback")
 	}
 	l.inRun = true
 	defer func() { l.inRun = false }()
-	for len(l.heap) > 0 && !l.halted {
+	for len(l.heap) > 0 {
 		e := l.pop()
 		if l.advance != nil && e.at > l.now {
 			l.advance(l.now, e.at)
@@ -147,54 +130,7 @@ func (l *Loop) Run() {
 		l.now = e.at
 		e.h.OnEvent(l.now, e.op, e.arg)
 	}
-	l.halted = false
 }
-
-// NextAt returns the timestamp of the earliest pending event and
-// whether one exists. Callers pacing a run in bounded slices (RunUntil)
-// peek it to aim each horizon past at least one event, so a slice never
-// spins over an idle gap in virtual time.
-func (l *Loop) NextAt() (float64, bool) {
-	if len(l.heap) == 0 {
-		return 0, false
-	}
-	return l.heap[0].at, true
-}
-
-// RunUntil pops events in exactly the order Run would, but only while
-// their timestamps are strictly below horizon, then returns leaving the
-// remaining events pending and the clock at the last fired event. This
-// is the epoch primitive of conservative-lookahead sharding: the caller
-// alternates bounded slices with cross-shard publication at each
-// horizon barrier, and because slicing never reorders, drops, or adds
-// events, any sequence of RunUntil calls that drains the heap fires the
-// exact event sequence one Run call would (pinned by
-// TestRunUntilSlicedMatchesRun). An event scheduled exactly at the
-// horizon does not fire — the horizon is exclusive, so an epoch
-// [prev, horizon) commits everything the lookahead bound proves cannot
-// be affected by later epochs. The return value reports whether events
-// remain pending.
-func (l *Loop) RunUntil(horizon float64) bool {
-	if l.inRun {
-		panic("engine: RunUntil called from inside an event callback")
-	}
-	l.inRun = true
-	defer func() { l.inRun = false }()
-	for len(l.heap) > 0 && !l.halted && l.heap[0].at < horizon {
-		e := l.pop()
-		if l.advance != nil && e.at > l.now {
-			l.advance(l.now, e.at)
-		}
-		l.now = e.at
-		e.h.OnEvent(l.now, e.op, e.arg)
-	}
-	l.halted = false
-	return len(l.heap) > 0
-}
-
-// Halt stops Run (or RunUntil) after the current callback returns,
-// leaving any remaining events pending.
-func (l *Loop) Halt() { l.halted = true }
 
 // less orders the heap by (time, class, sequence).
 func (l *Loop) less(i, j int) bool {

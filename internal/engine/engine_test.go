@@ -5,6 +5,17 @@ import (
 	"testing"
 )
 
+// funcHandler adapts a closure to Handler, so a test can schedule a
+// one-off callback without declaring a handler type for it.
+type funcHandler func(now float64)
+
+func (f funcHandler) OnEvent(now float64, _ uint8, _ uint64) { f(now) }
+
+// scheduleFunc schedules fn on l at time at in class c.
+func scheduleFunc(l *Loop, at float64, c Class, fn func(now float64)) {
+	l.Schedule(at, c, funcHandler(fn), 0, 0)
+}
+
 // TestPopOrderDeterministic pins the heap contract: events pop by time,
 // then class, then scheduling order — regardless of insertion order.
 func TestPopOrderDeterministic(t *testing.T) {
@@ -14,11 +25,11 @@ func TestPopOrderDeterministic(t *testing.T) {
 		return func(now float64) { got = append(got, fmt.Sprintf("%s@%g", tag, now)) }
 	}
 	// Insert deliberately out of order.
-	l.ScheduleFunc(5, 2, rec("wake"))
-	l.ScheduleFunc(5, 1, rec("arr-b"))
-	l.ScheduleFunc(2, 1, rec("early"))
-	l.ScheduleFunc(5, 0, rec("window"))
-	l.ScheduleFunc(5, 1, rec("arr-c")) // same time+class as arr-b: FIFO by schedule order
+	scheduleFunc(l, 5, 2, rec("wake"))
+	scheduleFunc(l, 5, 1, rec("arr-b"))
+	scheduleFunc(l, 2, 1, rec("early"))
+	scheduleFunc(l, 5, 0, rec("window"))
+	scheduleFunc(l, 5, 1, rec("arr-c")) // same time+class as arr-b: FIFO by schedule order
 	l.Run()
 	want := "early@2 window@5 arr-b@5 arr-c@5 wake@5"
 	if s := fmt.Sprint(got); s != "["+want+"]" {
@@ -33,11 +44,11 @@ func TestPopOrderDeterministic(t *testing.T) {
 func TestSameInstantSchedulingRanksByClass(t *testing.T) {
 	l := New()
 	var got []string
-	l.ScheduleFunc(3, 2, func(float64) { got = append(got, "wake") })
-	l.ScheduleFunc(3, 1, func(float64) {
+	scheduleFunc(l, 3, 2, func(float64) { got = append(got, "wake") })
+	scheduleFunc(l, 3, 1, func(float64) {
 		got = append(got, "arr-1")
 		// Scheduled later than the wake, but class 1 < 2 wins at time 3.
-		l.ScheduleFunc(3, 1, func(float64) { got = append(got, "arr-2") })
+		scheduleFunc(l, 3, 1, func(float64) { got = append(got, "arr-2") })
 	})
 	l.Run()
 	if fmt.Sprint(got) != "[arr-1 arr-2 wake]" {
@@ -51,7 +62,7 @@ func TestClockAdvancesMonotonically(t *testing.T) {
 	n := 0
 	var chain func(at float64)
 	chain = func(at float64) {
-		l.ScheduleFunc(at, 0, func(now float64) {
+		scheduleFunc(l, at, 0, func(now float64) {
 			if now < prev {
 				t.Fatalf("clock went backward: %g after %g", now, prev)
 			}
@@ -74,20 +85,20 @@ func TestClockAdvancesMonotonically(t *testing.T) {
 
 func TestSchedulePastPanics(t *testing.T) {
 	l := New()
-	l.ScheduleFunc(10, 0, func(now float64) {
+	scheduleFunc(l, 10, 0, func(now float64) {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		l.ScheduleFunc(now-1, 0, func(float64) {})
+		scheduleFunc(l, now-1, 0, func(float64) {})
 	})
 	l.Run()
 }
 
 func TestRunInsideCallbackPanics(t *testing.T) {
 	l := New()
-	l.ScheduleFunc(0, 0, func(float64) {
+	scheduleFunc(l, 0, 0, func(float64) {
 		defer func() {
 			if recover() == nil {
 				t.Error("nested Run did not panic")
@@ -96,31 +107,6 @@ func TestRunInsideCallbackPanics(t *testing.T) {
 		l.Run()
 	})
 	l.Run()
-}
-
-func TestHaltStopsEarly(t *testing.T) {
-	l := New()
-	ran := 0
-	for i := 0; i < 5; i++ {
-		l.ScheduleFunc(float64(i), 0, func(now float64) {
-			ran++
-			if now == 2 {
-				l.Halt()
-			}
-		})
-	}
-	l.Run()
-	if ran != 3 {
-		t.Fatalf("halt at t=2 ran %d events, want 3", ran)
-	}
-	if l.Pending() != 2 {
-		t.Fatalf("%d events pending after halt, want 2", l.Pending())
-	}
-	// A fresh Run drains the remainder.
-	l.Run()
-	if ran != 5 || l.Pending() != 0 {
-		t.Fatalf("resume ran %d total with %d pending, want 5 and 0", ran, l.Pending())
-	}
 }
 
 // TestFaultEventInterleaving drives the loop the way the fault-injected
@@ -147,12 +133,12 @@ func TestFaultEventInterleaving(t *testing.T) {
 		// the streaming-source shape. Arrivals every 2ms.
 		var arrive func(i int)
 		arrive = func(i int) {
-			l.ScheduleFunc(float64(2*i), 0, func(now float64) {
+			scheduleFunc(l, float64(2*i), 0, func(now float64) {
 				rec(fmt.Sprintf("arr%d", i))(now)
 				// Each arrival requests a wake (hold/timeout style) at the
 				// same instant and one 3ms out.
-				l.ScheduleFunc(now, 1, rec(fmt.Sprintf("wake%d", i)))
-				l.ScheduleFunc(now+3, 1, rec(fmt.Sprintf("hold%d", i)))
+				scheduleFunc(l, now, 1, rec(fmt.Sprintf("wake%d", i)))
+				scheduleFunc(l, now+3, 1, rec(fmt.Sprintf("hold%d", i)))
 				if i < 19 {
 					arrive(i + 1)
 				}
@@ -162,12 +148,12 @@ func TestFaultEventInterleaving(t *testing.T) {
 		// A churn process: crash/restart pairs sharing instants with
 		// arrivals (t=8 collides with arr4, t=20 with arr10).
 		for _, at := range []float64{8, 20, 32} {
-			l.ScheduleFunc(at, 2, rec(fmt.Sprintf("crash@%g", at)))
-			l.ScheduleFunc(at+4, 2, rec(fmt.Sprintf("restart@%g", at+4)))
+			scheduleFunc(l, at, 2, rec(fmt.Sprintf("crash@%g", at)))
+			scheduleFunc(l, at+4, 2, rec(fmt.Sprintf("restart@%g", at+4)))
 		}
 		// Loss-detection timeouts at the same colliding instants.
-		l.ScheduleFunc(8, 3, rec("timeout-a"))
-		l.ScheduleFunc(20, 3, rec("timeout-b"))
+		scheduleFunc(l, 8, 3, rec("timeout-a"))
+		scheduleFunc(l, 20, 3, rec("timeout-b"))
 		l.Run()
 		return trace, maxPending
 	}
@@ -217,13 +203,13 @@ type ticker struct {
 	fired  int
 }
 
-func (p *ticker) Start(l *Loop) { l.ScheduleFunc(0, 0, p.tick(l)) }
+func (p *ticker) Start(l *Loop) { scheduleFunc(l, 0, 0, p.tick(l)) }
 
 func (p *ticker) tick(l *Loop) func(float64) {
 	return func(now float64) {
 		p.fired++
 		if p.left--; p.left > 0 {
-			l.ScheduleFunc(now+p.period, 0, p.tick(l))
+			scheduleFunc(l, now+p.period, 0, p.tick(l))
 		}
 	}
 }
@@ -249,9 +235,9 @@ func TestOnAdvanceHook(t *testing.T) {
 	var steps []step
 	l.OnAdvance(func(prev, now float64) { steps = append(steps, step{prev, now}) })
 	// Two events at t=5 (same instant: one advance), then t=9.
-	l.ScheduleFunc(5, 0, func(now float64) {})
-	l.ScheduleFunc(5, 1, func(now float64) {})
-	l.ScheduleFunc(9, 0, func(now float64) {})
+	scheduleFunc(l, 5, 0, func(now float64) {})
+	scheduleFunc(l, 5, 1, func(now float64) {})
+	scheduleFunc(l, 9, 0, func(now float64) {})
 	l.Run()
 	want := []step{{0, 5}, {5, 9}}
 	if len(steps) != len(want) {
@@ -275,7 +261,7 @@ func TestOnAdvanceSeesPreAdvanceState(t *testing.T) {
 			t.Fatal("advance hook ran after the t=10 event")
 		}
 	})
-	l.ScheduleFunc(10, 0, func(now float64) { fired = true })
+	scheduleFunc(l, 10, 0, func(now float64) { fired = true })
 	l.Run()
 	if !fired {
 		t.Fatal("event did not run")
@@ -291,7 +277,7 @@ func TestOnAdvanceDoesNotPerturbOrder(t *testing.T) {
 		var order []float64
 		for _, at := range []float64{3, 1, 2, 2, 5} {
 			at := at
-			l.ScheduleFunc(at, 0, func(now float64) { order = append(order, now) })
+			scheduleFunc(l, at, 0, func(now float64) { order = append(order, now) })
 		}
 		l.Run()
 		return order
@@ -330,7 +316,7 @@ func TestHandlerSchedule(t *testing.T) {
 	h := &countHandler{l: l, left: 3}
 	l.Schedule(0, 1, h, 7, 100)
 	var closures []float64
-	l.ScheduleFunc(1, 0, func(now float64) { closures = append(closures, now) })
+	scheduleFunc(l, 1, 0, func(now float64) { closures = append(closures, now) })
 	l.Run()
 	want := []uint64{7<<32 | 100, 7<<32 | 101, 7<<32 | 102}
 	if fmt.Sprint(h.calls) != fmt.Sprint(want) {
@@ -372,99 +358,5 @@ func TestScheduleSteadyStateZeroAlloc(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("steady-state handler scheduling allocates %.1f allocs/run, want 0", avg)
-	}
-}
-
-// TestRunUntilSlicedMatchesRun is the epoch primitive's pop-order pin:
-// draining a loop through bounded RunUntil slices fires exactly the
-// event sequence — same times, same callback order — that one Run call
-// fires, for a workload whose events cross-schedule each other across
-// slice boundaries. Conservative-lookahead sharding rests on this: an
-// epoch barrier may pause the loop anywhere without perturbing results.
-func TestRunUntilSlicedMatchesRun(t *testing.T) {
-	seed := func(l *Loop, got *[]string) {
-		n := 0
-		var rec func(now float64)
-		rec = func(now float64) {
-			*got = append(*got, fmt.Sprintf("%d@%g", n, now))
-			n++
-			if n < 40 {
-				// Irregular gaps and rotating classes, so slices cut at
-				// idle stretches, same-instant runs, and class ties alike.
-				l.ScheduleFunc(now+float64((n*7)%5), Class(n%3), rec)
-			}
-		}
-		l.ScheduleFunc(0, 0, rec)
-		l.ScheduleFunc(1.5, 1, rec)
-	}
-
-	var want []string
-	l1 := New()
-	seed(l1, &want)
-	l1.Run()
-
-	var got []string
-	l2 := New()
-	seed(l2, &got)
-	for {
-		next, ok := l2.NextAt()
-		if !ok {
-			break
-		}
-		if !l2.RunUntil(next + 2.5) {
-			break
-		}
-	}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("sliced pop order diverges:\n run:      %v\n rununtil: %v", want, got)
-	}
-	if l1.Now() != l2.Now() {
-		t.Fatalf("final clocks diverge: %g vs %g", l1.Now(), l2.Now())
-	}
-}
-
-// TestRunUntilHorizonExclusive pins the barrier semantics: an event
-// scheduled exactly at the horizon does not fire (the epoch [prev, h)
-// commits only what the lookahead bound covers), the clock stays at the
-// last fired event, and the return value reports pending work.
-func TestRunUntilHorizonExclusive(t *testing.T) {
-	l := New()
-	var got []float64
-	l.ScheduleFunc(5, 0, func(now float64) { got = append(got, now) })
-	l.ScheduleFunc(10, 0, func(now float64) { got = append(got, now) })
-	if !l.RunUntil(5) {
-		t.Fatal("RunUntil(5) reported an empty heap with events at 5 and 10 pending")
-	}
-	if len(got) != 0 || l.Now() != 0 {
-		t.Fatalf("event at the horizon fired: got %v, now %g", got, l.Now())
-	}
-	if !l.RunUntil(5.1) {
-		t.Fatal("RunUntil(5.1) reported an empty heap with the event at 10 pending")
-	}
-	if fmt.Sprint(got) != "[5]" || l.Now() != 5 {
-		t.Fatalf("after RunUntil(5.1): got %v, now %g", got, l.Now())
-	}
-	if l.RunUntil(100) {
-		t.Fatal("RunUntil(100) reported pending events after draining the heap")
-	}
-	if fmt.Sprint(got) != "[5 10]" || l.Now() != 10 {
-		t.Fatalf("after draining: got %v, now %g", got, l.Now())
-	}
-}
-
-// TestNextAt pins the peek: empty loop reports none, otherwise the
-// earliest pending timestamp, without disturbing the heap.
-func TestNextAt(t *testing.T) {
-	l := New()
-	if _, ok := l.NextAt(); ok {
-		t.Fatal("NextAt on an empty loop reported a pending event")
-	}
-	l.ScheduleFunc(7, 0, func(float64) {})
-	l.ScheduleFunc(3, 0, func(float64) {})
-	if at, ok := l.NextAt(); !ok || at != 3 {
-		t.Fatalf("NextAt = %g, %v; want 3, true", at, ok)
-	}
-	if l.Pending() != 2 {
-		t.Fatalf("NextAt disturbed the heap: %d pending, want 2", l.Pending())
 	}
 }

@@ -17,9 +17,10 @@
 package faults
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -200,15 +201,16 @@ func (s *Spec) String() string {
 	if s.Empty() && (s == nil || s.TimeoutMS == 0) {
 		return ""
 	}
+	// Both orders are total, so clauses that tie on replica and time
+	// still render in one order whatever order they were written in.
 	crashes := append([]Crash(nil), s.Crashes...)
-	sort.Slice(crashes, func(i, j int) bool {
-		if crashes[i].Replica != crashes[j].Replica {
-			return crashes[i].Replica < crashes[j].Replica
-		}
-		return crashes[i].AtMS < crashes[j].AtMS
+	slices.SortFunc(crashes, func(a, b Crash) int {
+		return cmp.Or(cmp.Compare(a.Replica, b.Replica), cmp.Compare(a.AtMS, b.AtMS), cmp.Compare(a.DownMS, b.DownMS))
 	})
 	churns := append([]Churn(nil), s.Churns...)
-	sort.Slice(churns, func(i, j int) bool { return churns[i].Replica < churns[j].Replica })
+	slices.SortFunc(churns, func(a, b Churn) int {
+		return cmp.Or(cmp.Compare(a.Replica, b.Replica), cmp.Compare(a.UpMS, b.UpMS), cmp.Compare(a.DownMS, b.DownMS))
+	})
 	var parts []string
 	for _, c := range crashes {
 		parts = append(parts, fmt.Sprintf("crash:r%d@%s+%s", c.Replica, ftoa(c.AtMS), ftoa(c.DownMS)))
@@ -283,8 +285,8 @@ func Parse(spec string) (*Spec, error) {
 			s.Loss = v
 		case strings.HasPrefix(clause, "timeout="):
 			v, err := strconv.ParseFloat(strings.TrimPrefix(clause, "timeout="), 64)
-			if err != nil || !(v > 0) {
-				return nil, fmt.Errorf("faults: timeout %q must be a positive duration in ms", strings.TrimPrefix(clause, "timeout="))
+			if err != nil || !(v > 0) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("faults: timeout %q must be a positive finite duration in ms", strings.TrimPrefix(clause, "timeout="))
 			}
 			s.TimeoutMS = v
 		default:
@@ -307,16 +309,30 @@ func parseCrash(s string) (Crash, error) {
 	if err != nil {
 		return Crash{}, err
 	}
-	atS, downS, ok := strings.Cut(rest, "+")
+	atS, downS, ok := cutPlus(rest)
 	if !ok {
 		return Crash{}, fmt.Errorf("faults: crash clause %q must be r<I>@<AT>+<DOWN>", s)
 	}
 	at, err1 := strconv.ParseFloat(atS, 64)
 	down, err2 := strconv.ParseFloat(downS, 64)
-	if err1 != nil || err2 != nil || at < 0 || !(down > 0) {
-		return Crash{}, fmt.Errorf("faults: crash clause %q wants AT >= 0 and DOWN > 0 ms", s)
+	// The negated comparisons also reject NaN, which compares false to
+	// everything.
+	if err1 != nil || err2 != nil || !(at >= 0) || math.IsInf(at, 0) || !(down > 0) || math.IsInf(down, 0) {
+		return Crash{}, fmt.Errorf("faults: crash clause %q wants finite AT >= 0 and DOWN > 0 ms", s)
 	}
 	return Crash{Replica: idx, AtMS: at, DownMS: down}, nil
+}
+
+// cutPlus splits "<AT>+<DOWN>" at the first '+' that is not an exponent
+// sign, so a canonical AT such as 1e+06 (String renders times of 10^6
+// ms and up in exponent form) parses back.
+func cutPlus(s string) (before, after string, found bool) {
+	for i := 1; i < len(s); i++ {
+		if s[i] == '+' && s[i-1] != 'e' && s[i-1] != 'E' {
+			return s[:i], s[i+1:], true
+		}
+	}
+	return s, "", false
 }
 
 // parseChurn parses "<UP>/<DOWN>" or "r<I>@<UP>/<DOWN>".
@@ -339,8 +355,8 @@ func parseChurn(s string) (Churn, error) {
 	}
 	up, err1 := strconv.ParseFloat(upS, 64)
 	down, err2 := strconv.ParseFloat(downS, 64)
-	if err1 != nil || err2 != nil || !(up > 0) || !(down > 0) {
-		return Churn{}, fmt.Errorf("faults: mtbf clause %q wants positive UP and DOWN means in ms", s)
+	if err1 != nil || err2 != nil || !(up > 0) || math.IsInf(up, 0) || !(down > 0) || math.IsInf(down, 0) {
+		return Churn{}, fmt.Errorf("faults: mtbf clause %q wants positive finite UP and DOWN means in ms", s)
 	}
 	return Churn{Replica: idx, UpMS: up, DownMS: down}, nil
 }
@@ -462,6 +478,11 @@ func floats(s string) ([]float64, error) {
 		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
 		if err != nil {
 			return nil, err
+		}
+		// ParseFloat accepts NaN and Inf, which slip past every range
+		// check downstream.
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("value %q is not finite", p)
 		}
 		out = append(out, v)
 	}

@@ -20,6 +20,10 @@ func TestParseRoundTrip(t *testing.T) {
 		"loss=0.001",
 		"crash:r1@2000+500;delaydist=lognormal:5,1;loss=0.001",
 		"mtbf:8000/1000;delaydist=exp:2;loss=0.01;timeout=40",
+		// Times of 10^6 ms and up render with an exponent sign that
+		// must not be mistaken for the AT+DOWN separator.
+		"crash:r0@1e+06+1",
+		"crash:r0@1.5e+06+2e+06",
 	}
 	for _, spec := range specs {
 		s, err := Parse(spec)
@@ -53,6 +57,18 @@ func TestCanonicalOrdering(t *testing.T) {
 	}
 	if a.String() != b.String() {
 		t.Fatalf("clause order changed canonical form: %q vs %q", a.String(), b.String())
+	}
+	// Clauses that tie on replica and time order by their other fields.
+	c, err := Parse("crash:r0@5+2;crash:r0@5+1;mtbf:3/4;mtbf:1/2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := Parse("crash:r0@5+1;crash:r0@5+2;mtbf:1/2;mtbf:3/4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.String() != d.String() {
+		t.Fatalf("clause order changed canonical form of tied clauses: %q vs %q", c.String(), d.String())
 	}
 }
 

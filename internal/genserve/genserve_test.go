@@ -18,6 +18,12 @@ func t5Setup() (*Engine, *workload.GenStream) {
 	return e, s
 }
 
+// funcHandler adapts a closure to engine.Handler, for test-only
+// processes that do not need a handler type of their own.
+type funcHandler func(now float64)
+
+func (f funcHandler) OnEvent(now float64, _ uint8, _ uint64) { f(now) }
+
 func TestVanillaTPTConstant(t *testing.T) {
 	e, s := t5Setup()
 	var seqs []SeqResult
@@ -237,17 +243,17 @@ func TestRunBoundedPendingEvents(t *testing.T) {
 		g.next, g.has = r, true
 	}
 	maxPending := 0
-	var monitor func(now float64)
+	var monitor funcHandler
 	monitor = func(now float64) {
 		if p := g.loop.Pending(); p > maxPending {
 			maxPending = p
 		}
 		if g.has || g.free < e.MaxConcurrent {
-			g.loop.ScheduleFunc(now+50, 2, monitor)
+			g.loop.Schedule(now+50, 2, monitor, 0, 0)
 		}
 	}
 	g.loop.Add(g)
-	g.loop.ScheduleFunc(0, 2, monitor)
+	g.loop.Schedule(0, 2, monitor, 0, 0)
 	g.loop.Run()
 	if g.stats.Seqs != 400 {
 		t.Fatalf("served %d sequences, want 400", g.stats.Seqs)

@@ -5,7 +5,6 @@ import (
 	"math"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/autoscale"
 	"repro/internal/engine"
@@ -152,19 +151,6 @@ type ClusterOptions struct {
 	// too, untagged). Results that never reached a replica (Lost) fire
 	// Options.Observer only.
 	ReplicaObserver func(replica int, r Result)
-	// Shards, when > 1, runs the scenario's replica groups on that many
-	// independent engine loops in parallel, merged deterministically so
-	// the output is byte-identical to the serial run. Two parallel modes
-	// exist: round-robin clusters decouple completely (each shard
-	// replays the arrival stream and keeps its own targets), and
-	// queue-state dispatch (least-loaded / join-shortest-queue) over
-	// latency-stable handlers runs under a conservative-lookahead
-	// dispatcher shard that reproduces the serial decision sequence
-	// exactly. Every other configuration — autoscale, faults, retry,
-	// observability sinks, or handlers that adapt their latency online
-	// — runs serial, and ClusterStats.ShardMode reports which path ran,
-	// so Shards never changes results — it only changes wall-clock.
-	Shards int
 }
 
 // ClusterStats aggregates a cluster run.
@@ -179,14 +165,6 @@ type ClusterStats struct {
 	// Faults reports availability under the injected fault model (nil
 	// when the run had no fault mode active).
 	Faults *FaultStats
-	// ShardMode reports how the run actually executed, so a silent
-	// serial fallback is distinguishable from a sharded run: "serial"
-	// (Shards <= 1), "replay:N" (round-robin decoupled shards),
-	// "lookahead:N" (conservative-lookahead dispatcher + N worker
-	// shards), or "serial:<reason>" when Shards > 1 fell back —
-	// "serial:autoscale", "serial:faults", "serial:retry", "serial:obs",
-	// "serial:single-replica", "serial:adaptive-handler".
-	ShardMode string
 }
 
 // Event classes on the shared engine loop. Arrivals rank before replica
@@ -223,9 +201,6 @@ func (h *scaledHandler) Serve(s exitsim.Sample, b int) ramp.Outcome {
 	out.ServeMS /= h.speed
 	return out
 }
-
-// LatencyStable delegates: scaling by a constant preserves stability.
-func (h *scaledHandler) LatencyStable() bool { return latencyStable(h.Handler) }
 
 // replicaSim is one replica on the shared event loop: its own handler,
 // queue, GPU-busy horizon, and Stats. Batching policy decisions re-run
@@ -530,25 +505,10 @@ type clusterSim struct {
 	next workload.Request
 	has  bool
 
-	mk func(i int) Handler
-	// replicas[i] is replica i; in a sharded-mode worker the slice
-	// still spans every global index but foreign replicas are nil — the
-	// worker replays the full arrival stream (so the round-robin
-	// counter and the one-request lookahead match the serial run
-	// exactly) and simply skips enqueueing arrivals it does not own.
+	mk       func(i int) Handler
 	replicas []*replicaSim
 	active   int
 	rr       int // round-robin arrival counter
-
-	// asnPublish and asnNext are the conservative-lookahead dispatch
-	// hooks (both nil outside lookahead-sharded runs, so the serial hot
-	// path pays two predictable nil checks). The dispatcher shard
-	// publishes every target it picks through asnPublish; worker shards
-	// consume targets through asnNext instead of computing dispatch
-	// locally, so every worker applies exactly the dispatcher's — and
-	// therefore the serial run's — decision sequence.
-	asnPublish func(int)
-	asnNext    func() int
 
 	// fm is the fault runtime (nil for reliable runs — every fault-mode
 	// branch in the hot path is guarded on it, which is what keeps
@@ -627,14 +587,8 @@ func (c *clusterSim) onArrival(now float64) {
 	}
 	if c.fm != nil {
 		c.fm.dispatchNew(req, now)
-	} else if target := c.pickTarget(now); c.replicas[target] == nil {
-		// Sharded-mode worker: another shard owns this arrival. In
-		// replay mode the dispatch call above already advanced the
-		// round-robin counter; in lookahead mode the assignment stream
-		// consumed one decision. The stream cursor advances below —
-		// that is all the global state a foreign arrival touches in
-		// the serial run.
 	} else {
+		target := c.dispatch(now)
 		if c.tr != nil {
 			e := obs.At(now, obs.KindDispatch)
 			e.Req = req.ID
@@ -656,25 +610,6 @@ func (c *clusterSim) onArrival(now float64) {
 	if c.has {
 		c.loop.Schedule(c.next.ArrivalMS, classArrival, c, 0, 0)
 	}
-}
-
-// pickTarget resolves one arrival's dispatch target: locally via the
-// policy, or — in a lookahead-sharded worker — by consuming the
-// dispatcher shard's published decision (the worker cannot compute
-// queue-state dispatch itself, its foreign replicas are nil). The
-// dispatcher side publishes what it picked so workers replay the
-// identical sequence.
-func (c *clusterSim) pickTarget(now float64) int {
-	var target int
-	if c.asnNext != nil {
-		target = c.asnNext()
-	} else {
-		target = c.dispatch(now)
-	}
-	if c.asnPublish != nil {
-		c.asnPublish(target)
-	}
-	return target
 }
 
 // dispatch picks the target among the active replicas at time now.
@@ -872,36 +807,6 @@ func RunCluster(stream *workload.Stream, makeHandler func(i int) Handler, opts C
 	if opts.Autoscale == nil && opts.Replicas <= 0 {
 		panic("serving: RunCluster needs at least one replica")
 	}
-	mode, reason := shardPlan(opts)
-	switch mode {
-	case shardReplay:
-		return runShardedCluster(stream, makeHandler, opts)
-	case shardLookahead:
-		// Handlers are built serially in replica order before the
-		// stability check — the serial run's creation order — and
-		// whichever path runs below reuses them, so a fallback here is
-		// still byte-identical to a plain serial run.
-		handlers := make([]Handler, opts.Replicas)
-		stable := true
-		for i := range handlers {
-			handlers[i] = makeHandler(i)
-			stable = stable && latencyStable(handlers[i])
-		}
-		if stable {
-			return runLookaheadCluster(stream, handlers, opts)
-		}
-		cs := runSerialCluster(stream, func(i int) Handler { return handlers[i] }, opts)
-		cs.ShardMode = "serial:adaptive-handler"
-		return cs
-	}
-	cs := runSerialCluster(stream, makeHandler, opts)
-	cs.ShardMode = reason
-	return cs
-}
-
-// runSerialCluster is the single-loop cluster runtime — the reference
-// semantics every sharded mode must reproduce byte for byte.
-func runSerialCluster(stream *workload.Stream, makeHandler func(i int) Handler, opts ClusterOptions) *ClusterStats {
 	c := &clusterSim{
 		loop: engine.New(),
 		opts: opts,
@@ -981,128 +886,6 @@ func runSerialCluster(stream *workload.Stream, makeHandler func(i int) Handler, 
 		c.fm.finish(c.loop.Now())
 		mergeStats(merged, c.fm.st)
 		cs.Faults = c.fm.fs
-	}
-	merged.finalize()
-	merged.AvgBatch = batches.Mean()
-	cs.Merged = merged
-	return cs
-}
-
-// Shard-execution modes, as classified by shardPlan.
-const (
-	// shardSerial: run on one loop (the reason string says why).
-	shardSerial = iota
-	// shardReplay: round-robin decoupled shards — targets are a pure
-	// function of arrival index, so shards need no communication.
-	shardReplay
-	// shardLookahead: queue-state dispatch under the conservative-
-	// lookahead dispatcher protocol (still subject to the handler
-	// latency-stability check, which needs the handlers built).
-	shardLookahead
-)
-
-// shardPlan classifies how this configuration may execute, with the
-// fallback reason for the serial cases. Round-robin never reads replica
-// state, so replica groups decouple completely once each shard replays
-// the full arrival stream. Least-loaded and join-shortest-queue read
-// cross-replica queue state at every arrival, but dispatch decisions
-// happen only at arrivals and a request assigned at t cannot complete
-// before t plus the smallest batch service time — the classic
-// conservative-lookahead condition — so a dispatcher shard can resolve
-// every assignment exactly while worker shards simulate their replica
-// groups in parallel (runLookaheadCluster). The autoscaler's windows,
-// the fault arbiter, retry/hedging, and order-sensitive observer sinks
-// still couple replicas beyond what the lookahead bound covers, so
-// those configurations run serial and Shards is a no-op.
-func shardPlan(opts ClusterOptions) (int, string) {
-	switch {
-	case opts.Shards <= 1:
-		return shardSerial, "serial"
-	case opts.Autoscale != nil:
-		return shardSerial, "serial:autoscale"
-	case !opts.Faults.Empty():
-		return shardSerial, "serial:faults"
-	case opts.Retry.Enabled():
-		return shardSerial, "serial:retry"
-	case opts.Trace != nil || opts.Timeline != nil ||
-		opts.Observer != nil || opts.ReplicaObserver != nil:
-		return shardSerial, "serial:obs"
-	case opts.Replicas <= 1:
-		return shardSerial, "serial:single-replica"
-	case opts.Dispatch == RoundRobin:
-		return shardReplay, ""
-	default:
-		return shardLookahead, ""
-	}
-}
-
-// runShardedCluster is the parallel mode inside one scenario: replica
-// group g = {i : i % shards == g} runs on its own engine loop in its
-// own goroutine, each replaying the full arrival stream but enqueueing
-// only its own round-robin targets. Because round-robin targets are a
-// pure function of arrival index, every replica sees byte-for-byte the
-// event sequence it would see in the serial run, and the merge below
-// walks replicas in global index order — so the result is identical to
-// the serial run, just faster.
-func runShardedCluster(stream *workload.Stream, makeHandler func(i int) Handler, opts ClusterOptions) *ClusterStats {
-	nrep := opts.Replicas
-	shards := opts.Shards
-	if shards > nrep {
-		shards = nrep
-	}
-	base := opts.Options.withDefaults()
-	// Handlers are built serially in replica order before any shard
-	// runs: creation order matches the serial run exactly and
-	// makeHandler is never called concurrently.
-	handlers := make([]Handler, nrep)
-	for i := range handlers {
-		handlers[i] = makeHandler(i)
-	}
-	sims := make([]*clusterSim, shards)
-	var wg sync.WaitGroup
-	for g := 0; g < shards; g++ {
-		c := &clusterSim{
-			loop: engine.New(),
-			opts: opts,
-			base: base,
-			mk:   func(i int) Handler { return handlers[i] },
-			it:   stream.Iter(),
-		}
-		if r, ok := c.it.Next(); ok {
-			c.next, c.has = r, true
-		}
-		for i := 0; i < nrep; i++ {
-			if i%shards == g {
-				c.addReplica(i)
-			} else {
-				c.replicas = append(c.replicas, nil)
-			}
-		}
-		c.active = nrep
-		sims[g] = c
-		wg.Add(1)
-		go func(c *clusterSim) {
-			defer wg.Done()
-			c.loop.Add(c)
-			c.loop.Run()
-		}(c)
-	}
-	wg.Wait()
-
-	// Merge in global replica order — the same float-addition order as
-	// the serial run's merge loop, so aggregates match bit for bit.
-	cs := &ClusterStats{
-		PerReplica: make([]*Stats, nrep),
-		ShardMode:  "replay:" + strconv.Itoa(shards),
-	}
-	merged := &Stats{Lat: metrics.NewRecorder(base.Metrics, 4096)}
-	var batches metrics.Counter
-	for i := 0; i < nrep; i++ {
-		rep := sims[i%shards].replicas[i]
-		rep.st.finalize()
-		cs.PerReplica[i] = rep.st
-		mergeStats(merged, rep.st)
-		batches.Add(rep.st.AvgBatch)
 	}
 	merged.finalize()
 	merged.AvgBatch = batches.Mean()

@@ -7,27 +7,6 @@ import (
 	"repro/internal/ramp"
 )
 
-// LatencyStable is an optional Handler capability: a handler whose
-// BatchLatency is a pure function of the batch size — unaffected by
-// anything Serve does — may report true. The conservative-lookahead
-// sharded runtime requires it: the dispatcher shard freezes every
-// replica's latency table at start of run and simulates the control
-// plane against the frozen tables, which reproduces the serial decision
-// sequence only if the real handlers' latencies cannot drift during the
-// run. Handlers that adapt their worst case online (Apparate's ramp
-// adjustment) must report false; handlers that do not implement the
-// interface are treated as unstable.
-type LatencyStable interface {
-	LatencyStable() bool
-}
-
-// latencyStable reports whether h declares a Serve-independent
-// BatchLatency.
-func latencyStable(h Handler) bool {
-	ls, ok := h.(LatencyStable)
-	return ok && ls.LatencyStable()
-}
-
 // VanillaHandler serves the original model with no early exits.
 type VanillaHandler struct {
 	Model *model.Model
@@ -40,9 +19,6 @@ func (h *VanillaHandler) BatchLatency(b int) float64 { return h.Model.Latency(b)
 func (h *VanillaHandler) Serve(s exitsim.Sample, b int) ramp.Outcome {
 	return ramp.Outcome{ExitIndex: -1, ServeMS: h.Model.Latency(b), Correct: true}
 }
-
-// LatencyStable: the model's latency profile is immutable.
-func (h *VanillaHandler) LatencyStable() bool { return true }
 
 // ApparateHandler serves an EE-enabled model under Apparate's controller:
 // results exit early, inputs run to completion, and every outcome feeds
@@ -73,12 +49,6 @@ func (h *ApparateHandler) Serve(s exitsim.Sample, b int) ramp.Outcome {
 	return out
 }
 
-// LatencyStable: the worst case moves whenever ramp adjustment changes
-// the active set, and ramp adjustment is driven by Serve outcomes — so
-// the handler is stable only in the §4.5 ablation that disables it
-// (threshold tuning still runs, but thresholds never touch WorstCaseMS).
-func (h *ApparateHandler) LatencyStable() bool { return h.Ctl.Opts.DisableRampAdjust }
-
 // StaticEEHandler serves a fixed early-exit configuration with no runtime
 // adaptation — the behavior of existing EE models like BranchyNet and
 // DeeBERT (§4.4). Thresholds are whatever the configuration carries.
@@ -95,6 +65,3 @@ func (h *StaticEEHandler) BatchLatency(b int) float64 { return h.Cfg.WorstCaseMS
 func (h *StaticEEHandler) Serve(s exitsim.Sample, b int) ramp.Outcome {
 	return h.Cfg.Evaluate(s, b)
 }
-
-// LatencyStable: the configuration is fixed for the whole run.
-func (h *StaticEEHandler) LatencyStable() bool { return true }

@@ -38,20 +38,22 @@ type PhaseSchedule struct {
 }
 
 // NewPhaseSchedule builds a cycling piecewise schedule. Every phase
-// needs a positive duration and a non-negative multiplier, and at least
-// one phase must have a positive multiplier (an all-zero schedule would
-// never produce an arrival).
+// needs a positive finite duration and a non-negative finite
+// multiplier, and at least one phase must have a positive multiplier
+// (an all-zero schedule would never produce an arrival).
 func NewPhaseSchedule(phases []Phase) (*PhaseSchedule, error) {
 	if len(phases) == 0 {
 		return nil, fmt.Errorf("trace: phase schedule needs at least one phase")
 	}
 	total, positive := 0.0, false
 	for _, p := range phases {
-		if p.DurSec <= 0 {
-			return nil, fmt.Errorf("trace: phase duration %g must be positive", p.DurSec)
+		// The negated comparisons also reject NaN, which compares false
+		// to everything.
+		if !(p.DurSec > 0) || math.IsInf(p.DurSec, 0) {
+			return nil, fmt.Errorf("trace: phase duration %g must be positive and finite", p.DurSec)
 		}
-		if p.Mult < 0 {
-			return nil, fmt.Errorf("trace: phase multiplier %g must be non-negative", p.Mult)
+		if !(p.Mult >= 0) || math.IsInf(p.Mult, 0) {
+			return nil, fmt.Errorf("trace: phase multiplier %g must be non-negative and finite", p.Mult)
 		}
 		if p.Mult > 0 {
 			positive = true
@@ -240,6 +242,11 @@ func parseFloats(spec string, parts []string, min, max int) ([]float64, error) {
 		if err != nil {
 			return nil, fmt.Errorf("trace: schedule value %q: %v", p, err)
 		}
+		// ParseFloat accepts NaN and Inf; either would make the arrival
+		// source spin forever on a non-finite per-second rate.
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("trace: schedule value %q must be finite", p)
+		}
 		out[i] = v
 	}
 	return out, nil
@@ -265,8 +272,8 @@ type scheduled struct {
 // the source with an identically seeded generator replays the same
 // sequence (the restartable-Arrivals contract).
 func NewScheduled(baseQPS float64, sched Schedule, r *rng.Rand) Arrivals {
-	if baseQPS <= 0 {
-		panic("trace: Scheduled baseQPS must be positive")
+	if !(baseQPS > 0) || math.IsInf(baseQPS, 0) {
+		panic("trace: Scheduled baseQPS must be positive and finite")
 	}
 	if sched == nil {
 		panic("trace: Scheduled needs a schedule")

@@ -34,8 +34,9 @@ type fixedRate struct {
 // NewFixedRate returns a constant-rate arrival source of qps requests
 // per second (e.g., 30 fps video).
 func NewFixedRate(qps float64) Arrivals {
-	if qps <= 0 {
-		panic("trace: FixedRate qps must be positive")
+	// !(qps > 0) also rejects NaN, which compares false to everything.
+	if !(qps > 0) || math.IsInf(qps, 0) {
+		panic("trace: FixedRate qps must be positive and finite")
 	}
 	return &fixedRate{period: 1000 / qps}
 }
@@ -62,8 +63,8 @@ type poisson struct {
 // NewPoisson returns a homogeneous Poisson arrival source with the given
 // mean rate.
 func NewPoisson(qps float64, r *rng.Rand) Arrivals {
-	if qps <= 0 {
-		panic("trace: Poisson qps must be positive")
+	if !(qps > 0) || math.IsInf(qps, 0) {
+		panic("trace: Poisson qps must be positive and finite")
 	}
 	return &poisson{r: r, ratePerMS: qps / 1000}
 }
@@ -105,8 +106,8 @@ const (
 // NewMAF returns a bursty, rate-modulated arrival source in the style of
 // the Microsoft Azure Functions traces.
 func NewMAF(meanQPS float64, r *rng.Rand) Arrivals {
-	if meanQPS <= 0 {
-		panic("trace: MAF meanQPS must be positive")
+	if !(meanQPS > 0) || math.IsInf(meanQPS, 0) {
+		panic("trace: MAF meanQPS must be positive and finite")
 	}
 	// Stationary variance of the AR(1); subtracting half of it keeps the
 	// mean rate at meanQPS despite the lognormal modulation.

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -30,6 +31,35 @@ func TestFixedRatePanics(t *testing.T) {
 		}
 	}()
 	FixedRate(1, 0)
+}
+
+// TestSourcesRejectNonFiniteRate pins the constructors' guard: a rate
+// that is not positive and finite panics at once. NaN slipped past the
+// old <= 0 checks, and a NaN or infinite rate left the per-second
+// sources (MAF, scheduled) spinning forever in their fill loop.
+func TestSourcesRejectNonFiniteRate(t *testing.T) {
+	sched := &SineSchedule{PeriodSec: 60, Min: 0.5, Max: 2}
+	sources := []struct {
+		name string
+		mk   func(qps float64) Arrivals
+	}{
+		{"fixed", NewFixedRate},
+		{"poisson", func(q float64) Arrivals { return NewPoisson(q, rng.New(1)) }},
+		{"maf", func(q float64) Arrivals { return NewMAF(q, rng.New(1)) }},
+		{"scheduled", func(q float64) Arrivals { return NewScheduled(q, sched, rng.New(1)) }},
+	}
+	for _, src := range sources {
+		for _, qps := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+			t.Run(fmt.Sprintf("%s/%g", src.name, qps), func(t *testing.T) {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("%s source accepted rate %g", src.name, qps)
+					}
+				}()
+				src.mk(qps)
+			})
+		}
+	}
 }
 
 func TestPoissonMeanRate(t *testing.T) {

@@ -337,9 +337,10 @@ mem-smoke:
 mem-soak:
 	GOMEMLIMIT=256MiB APPARATE_MEM_GUARD=1 APPARATE_MEM_N=100000000 $(GO) test -run TestStreamingMillionBoundedMemory -v -timeout 30m .
 
-# Refresh the pinned golden sweep CSV (testdata/golden_sweep.csv) after
-# an intentional behavior change; review the diff like code.
+# Refresh the golden pins (testdata/golden_sweep.csv and
+# testdata/golden_tables.txt) after an intentional behavior change;
+# review the diff like code.
 golden:
-	$(GO) test -run TestGoldenSweep -update .
+	$(GO) test -run '^TestGolden(Sweep|Tables)$$' -update .
 
 ci: build test vet race fuzz sweep-smoke mem-smoke

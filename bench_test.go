@@ -2,7 +2,7 @@
 // figure of the paper's evaluation. Each benchmark regenerates the
 // artifact through internal/experiments and prints the reproduced rows
 // once, so `go test -bench=. -benchmem` doubles as the full reproduction
-// run (see EXPERIMENTS.md for the paper-vs-measured record).
+// run.
 package repro
 
 import (

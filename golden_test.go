@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/experiments"
 	"repro/internal/sweep"
 )
 
@@ -117,30 +118,61 @@ func TestGoldenSweep(t *testing.T) {
 	if err := sweep.WriteCSV(&buf, results); err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "golden_sweep.csv", buf.Bytes())
+}
 
-	path := filepath.Join("testdata", "golden_sweep.csv")
+// goldenTableIDs are the paper artifacts whose rendered tables are
+// pinned in testdata/golden_tables.txt. They are the ones built on
+// threshold-search replay: table1 and table2 tune the static-EE
+// baselines once, fig15 retunes the online-optimal baseline every chunk,
+// and all three serve Apparate's continually tuned controller beside
+// them.
+var goldenTableIDs = []string{"table1", "table2", "fig15"}
+
+// TestGoldenTables byte-compares the rendered goldenTableIDs tables
+// against testdata/golden_tables.txt; `make golden` refreshes the pin.
+func TestGoldenTables(t *testing.T) {
+	var buf bytes.Buffer
+	for _, id := range goldenTableIDs {
+		tables, err := experiments.Run(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tb := range tables {
+			buf.WriteString(tb.String())
+			buf.WriteByte('\n')
+		}
+	}
+	checkGolden(t, "golden_tables.txt", buf.Bytes())
+}
+
+// checkGolden compares got against testdata/<name>, or rewrites the file
+// under -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("wrote %s (%d scenarios)", path, len(results))
+		t.Logf("wrote %s", path)
 		return
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("reading golden file: %v (run `make golden` to create it)", err)
 	}
-	if bytes.Equal(buf.Bytes(), want) {
+	if bytes.Equal(got, want) {
 		return
 	}
-	t.Fatalf("sweep output diverged from %s:\n%s\nIf the change is intended, refresh with `make golden` and commit the diff.",
-		path, firstDiff(want, buf.Bytes()))
+	t.Fatalf("output diverged from %s:\n%s\nIf the change is intended, refresh with `make golden` and commit the diff.",
+		path, firstDiff(want, got))
 }
 
-// firstDiff renders the first differing line of the two CSV bodies.
+// firstDiff renders the first differing line of two golden bodies.
 func firstDiff(want, got []byte) string {
 	wl := bytes.Split(want, []byte("\n"))
 	gl := bytes.Split(got, []byte("\n"))

@@ -102,6 +102,23 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// MaxWindows bounds the signal windows one run may close. The cluster
+// closes every window an arrival gap spans, one at a time, so a window
+// that is tiny next to the run's length stalls the run without ever
+// failing. The benchmark and golden grids close at most 80; a million
+// windows cost ~0.3 s.
+const MaxWindows = 1e6
+
+// CheckRun returns an error if a run expected to span runMS of
+// simulated time would close more than MaxWindows signal windows.
+func (c Config) CheckRun(runMS float64) error {
+	window := c.withDefaults().WindowMS
+	if n := runMS / window; !(n <= MaxWindows) {
+		return fmt.Errorf("autoscale: a %gms window closes %.3g windows over the expected %.3gms run, above the %g limit", window, n, runMS, float64(MaxWindows))
+	}
+	return nil
+}
+
 // String returns the canonical "MIN..MAX[/key=value...]" spec,
 // omitting values that equal the defaults.
 func (c Config) String() string {

@@ -20,6 +20,9 @@ func FuzzParse(f *testing.F) {
 		"1..4/window=NaN", "1..4/up=NaN", "1..4/down=NaN", "1..4/cool=Inf",
 		"1..4/backlog=NaN", "1..4/downlat=-Inf", "1..4/up=+Inf",
 		"1..4/window=1e21/cool=5e-324", "1..4/up=1e300/down=1e-300/backlog=1e21",
+		// Parse accepts tiny windows; Config.CheckRun bounds them against
+		// the run's length.
+		"1..2/window=1e-300", "1..2/window=1e-3",
 	} {
 		f.Add(spec)
 	}

@@ -6,6 +6,7 @@
 package baselines
 
 import (
+	"repro/internal/controller"
 	"repro/internal/exitsim"
 	"repro/internal/model"
 	"repro/internal/ramp"
@@ -92,53 +93,25 @@ func StaticEE(m *model.Model, p exitsim.Profile, style ramp.Style,
 	} else {
 		tuneOn = test
 	}
+	tab := controller.NewTable(cfg, tuneOn)
 	switch variant {
 	case SharedThreshold:
-		t := tuneShared(cfg, tuneOn, accBudget)
+		t := tuneShared(cfg, tab, accBudget)
 		ts := make([]float64, len(cfg.Active))
 		for i := range ts {
 			ts[i] = t
 		}
 		cfg.SetThresholds(ts)
 	case PerRamp, OracleTuned:
-		cfg.SetThresholds(tunePerRamp(cfg, tuneOn, accBudget))
+		cfg.SetThresholds(tunePerRamp(cfg, tab, accBudget))
 	}
 	return &serving.StaticEEHandler{Cfg: cfg}
 }
 
-// replay evaluates a threshold vector over samples, returning accuracy
-// loss and mean saving fraction (mirrors the controller's evaluator but
-// works on raw samples instead of recorded windows).
-func replay(cfg *ramp.Config, samples []exitsim.Sample, thresholds []float64) (accLoss, savingFrac float64) {
-	if len(samples) == 0 {
-		return 0, 0
-	}
-	wrong := 0
-	saving := 0.0
-	allOverhead := cfg.OverheadFrac()
-	for _, s := range samples {
-		overheadUpTo := 0.0
-		for i, r := range cfg.Active {
-			overheadUpTo += r.Style.OverheadFrac
-			q := r.Style.Quality * r.Site.Quality
-			e := cfg.Profile.ErrScore(s, r.Site.Frac, q)
-			if e < thresholds[i] {
-				if !cfg.Profile.Matches(s, r.Site.Frac, q) {
-					wrong++
-				}
-				saving += (1 + allOverhead) - (r.Site.Frac + overheadUpTo)
-				break
-			}
-		}
-	}
-	n := float64(len(samples))
-	return float64(wrong) / n, saving / n
-}
-
 // tuneShared finds the largest shared threshold meeting the accuracy
-// budget on the tuning samples (savings are monotone in the threshold,
-// so largest-feasible is best).
-func tuneShared(cfg *ramp.Config, samples []exitsim.Sample, accBudget float64) float64 {
+// budget on the tuning table (savings are monotone in the threshold, so
+// largest-feasible is best).
+func tuneShared(cfg *ramp.Config, tab controller.Table, accBudget float64) float64 {
 	best := 0.0
 	ts := make([]float64, len(cfg.Active))
 	for i := 0; i <= 100; i++ {
@@ -146,8 +119,7 @@ func tuneShared(cfg *ramp.Config, samples []exitsim.Sample, accBudget float64) f
 		for j := range ts {
 			ts[j] = t
 		}
-		loss, _ := replay(cfg, samples, ts)
-		if loss <= accBudget {
+		if controller.EvalThresholds(tab, ts).AccLoss <= accBudget {
 			best = t
 		}
 	}
@@ -155,11 +127,14 @@ func tuneShared(cfg *ramp.Config, samples []exitsim.Sample, accBudget float64) f
 }
 
 // tunePerRamp greedily raises individual thresholds (coordinate ascent
-// with a fixed 0.02 step) while the accuracy budget holds.
-func tunePerRamp(cfg *ramp.Config, samples []exitsim.Sample, accBudget float64) []float64 {
+// with a fixed 0.02 step) while the accuracy budget holds on the tuning
+// table. Each candidate is evaluated in full: the += / -= 0.02 pair is
+// not an exact restore, so the drifting threshold values are part of
+// the result.
+func tunePerRamp(cfg *ramp.Config, tab controller.Table, accBudget float64) []float64 {
 	n := len(cfg.Active)
 	ts := make([]float64, n)
-	_, curSav := replay(cfg, samples, ts)
+	curSav := controller.EvalThresholds(tab, ts).SavingFrac
 	for {
 		bestRamp := -1
 		bestSav := curSav
@@ -168,10 +143,10 @@ func tunePerRamp(cfg *ramp.Config, samples []exitsim.Sample, accBudget float64) 
 				continue
 			}
 			ts[i] += 0.02
-			loss, sav := replay(cfg, samples, ts)
+			ev := controller.EvalThresholds(tab, ts)
 			ts[i] -= 0.02
-			if loss <= accBudget && sav > bestSav {
-				bestRamp, bestSav = i, sav
+			if ev.AccLoss <= accBudget && ev.SavingFrac > bestSav {
+				bestRamp, bestSav = i, ev.SavingFrac
 			}
 		}
 		if bestRamp < 0 {

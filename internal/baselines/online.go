@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"repro/internal/controller"
 	"repro/internal/exitsim"
 	"repro/internal/model"
 	"repro/internal/ramp"
@@ -13,9 +14,11 @@ import (
 // history length performs best on the upcoming chunk.
 type OnlineOptimalHandler struct {
 	Cfg *ramp.Config
-	// stream is the full sample sequence in arrival order (an oracle
-	// baseline may see it upfront).
-	stream    []exitsim.Sample
+	// tab is the replay table of the full sample sequence in arrival
+	// order (an oracle baseline may see it upfront). The active set never
+	// changes, so one table serves every retune: its past and upcoming
+	// windows are row ranges.
+	tab       controller.Table
 	idx       int
 	chunkSize int
 	histories []int
@@ -30,7 +33,7 @@ func NewOnlineOptimal(m *model.Model, p exitsim.Profile, budgetFrac float64,
 	cfg.DeployInitial(ramp.StyleDefault)
 	return &OnlineOptimalHandler{
 		Cfg:       cfg,
-		stream:    stream,
+		tab:       controller.NewTable(cfg, stream),
 		chunkSize: 64,
 		// "Past {20, 40, 80} batches of inputs" (§4.2): at the average
 		// serving batch sizes of these workloads (~6 requests), that is
@@ -56,11 +59,11 @@ func (h *OnlineOptimalHandler) Serve(s exitsim.Sample, b int) ramp.Outcome {
 
 func (h *OnlineOptimalHandler) retune() {
 	upTo := h.idx + h.chunkSize
-	if upTo > len(h.stream) {
-		upTo = len(h.stream)
+	if upTo > h.tab.Len() {
+		upTo = h.tab.Len()
 	}
-	upcoming := h.stream[h.idx:upTo]
-	if len(upcoming) == 0 {
+	upcoming := h.tab.Rows(h.idx, upTo)
+	if upcoming.Len() == 0 {
 		return
 	}
 	bestSav := -1.0
@@ -70,14 +73,14 @@ func (h *OnlineOptimalHandler) retune() {
 		if lo < 0 {
 			lo = 0
 		}
-		past := h.stream[lo:h.idx]
-		if len(past) == 0 {
+		past := h.tab.Rows(lo, h.idx)
+		if past.Len() == 0 {
 			continue
 		}
 		ts := tunePerRamp(h.Cfg, past, h.accBudget)
-		loss, sav := replay(h.Cfg, upcoming, ts)
-		if loss <= h.accBudget && sav > bestSav {
-			bestSav, bestTS = sav, ts
+		ev := controller.EvalThresholds(upcoming, ts)
+		if ev.AccLoss <= h.accBudget && ev.SavingFrac > bestSav {
+			bestSav, bestTS = ev.SavingFrac, ts
 		}
 	}
 	if bestTS != nil {
@@ -94,12 +97,12 @@ func (h *OnlineOptimalHandler) retune() {
 		if lo < 0 {
 			lo = 0
 		}
-		past := h.stream[lo:h.idx]
-		if len(past) == 0 {
+		past := h.tab.Rows(lo, h.idx)
+		if past.Len() == 0 {
 			continue
 		}
 		ts := tunePerRamp(h.Cfg, past, h.accBudget)
-		loss, _ := replay(h.Cfg, upcoming, ts)
+		loss := controller.EvalThresholds(upcoming, ts).AccLoss
 		if loss < bestLoss {
 			bestLoss, bestTS = loss, ts
 		}

@@ -23,30 +23,26 @@ type Utility struct {
 func (u Utility) Net() float64 { return u.Savings - u.Overhead }
 
 // utilities evaluates the current active set under its deployed
-// thresholds against the window.
-func (c *Controller) utilities(recs []Record) []Utility {
+// thresholds against the window's replay table, which must have been
+// built over the same active set.
+func (c *Controller) utilities(tab Table) []Utility {
 	cfg := c.Cfg
 	out := make([]Utility, len(cfg.Active))
 	base := cfg.Model.Latency(1)
 	for i, r := range cfg.Active {
 		out[i].NodeID = r.Site.NodeID
 	}
-	for _, rec := range recs {
-		exited := false
-		for i, r := range cfg.Active {
-			ob, ok := rec.Obs[r.Site.NodeID]
-			if exited {
-				break
-			}
-			if ok && ob.Err < r.Threshold {
+	for row := 0; row < tab.Len(); row++ {
+		for i, ob := range tab.row(row) {
+			r := cfg.Active[i]
+			if ob.Err < r.Threshold {
 				// Saving: the layers this input skipped.
 				out[i].Savings += base * (1 - r.Site.Frac)
 				out[i].Exits++
-				exited = true
-			} else {
-				// The ramp ran but could not exit this input.
-				out[i].Overhead += base * r.Style.OverheadFrac
+				break
 			}
+			// The ramp ran but could not exit this input.
+			out[i].Overhead += base * r.Style.OverheadFrac
 		}
 	}
 	return out
@@ -69,12 +65,12 @@ func (c *Controller) AdjustRamps() bool {
 		c.seedSentinel()
 		return true
 	}
-	recs := c.window()
-	if len(recs) < c.Opts.AccWindow {
+	if c.filled < c.Opts.AccWindow {
 		return false
 	}
 	c.AdjustRounds++
-	utils := c.utilities(recs)
+	tab := c.windowTable()
+	utils := c.utilities(tab)
 
 	anyNegative := false
 	for _, u := range utils {
@@ -88,11 +84,11 @@ func (c *Controller) AdjustRamps() bool {
 	if anyNegative {
 		// Try a fast threshold-tuning round first: thresholds may be
 		// able to make every utility positive without hurting savings.
-		before := EvalThresholds(c.Cfg, recs, c.Cfg.Thresholds())
-		tuned := GreedySearch(c.Cfg, recs, c.tuneBudget(), c.Opts.InitStep, c.Opts.MinStep)
+		before := EvalThresholds(tab, c.Cfg.Thresholds())
+		tuned := GreedySearch(tab, c.tuneBudget(), c.Opts.InitStep, c.Opts.MinStep)
 		if tuned.SavingFrac >= before.SavingFrac {
 			c.Cfg.SetThresholds(tuned.Thresholds)
-			utils = c.utilities(recs)
+			utils = c.utilities(tab)
 		}
 		// Update persistence streaks under the (possibly) new
 		// thresholds.
@@ -151,7 +147,7 @@ func (c *Controller) AdjustRamps() bool {
 		sort.Slice(deactivated, func(i, j int) bool {
 			return deactivated[i].site.Frac < deactivated[j].site.Frac
 		})
-		added := c.addAfterDeactivation(recs, deactivated)
+		added := c.addAfterDeactivation(tab.Len(), deactivated)
 		if len(c.Cfg.Active) == 0 {
 			c.seedSentinel()
 		}
@@ -190,7 +186,7 @@ func (c *Controller) seedSentinel() {
 // ramps, seed candidates at interval midpoints, and bound each
 // candidate's exit rate by the summed profiled exit rates of the next
 // deactivated ramp and all earlier deactivations.
-func (c *Controller) addAfterDeactivation(recs []Record, deactivated []deactivatedRamp) bool {
+func (c *Controller) addAfterDeactivation(windowN int, deactivated []deactivatedRamp) bool {
 	cfg := c.Cfg
 	// Depth of the latest surviving (positive) ramp.
 	lastPositive := 0.0
@@ -228,7 +224,6 @@ func (c *Controller) addAfterDeactivation(recs []Record, deactivated []deactivat
 	// exited at the next deactivated ramp downstream, plus all earlier
 	// deactivations (those inputs would have reached this depth and
 	// might have exited here).
-	windowN := len(recs)
 	upperExits := func(frac float64) int {
 		total := 0
 		seenNext := false

@@ -34,9 +34,7 @@ func TestTuneThresholdsEmptyWindow(t *testing.T) {
 func TestTuneThresholdsSingleRecordWindow(t *testing.T) {
 	cfg := newCfg()
 	ctl := New(cfg, Config{})
-	recs := makeRecords(cfg, videoSamples(1))
-	ctl.records[0] = recs[0]
-	ctl.next, ctl.filled = 1, 1
+	observeAll(ctl, cfg, videoSamples(1))
 	// One record: the train/validate split degenerates (train empty), so
 	// tuning must fall back to searching the whole window.
 	ctl.TuneThresholds()
@@ -49,11 +47,7 @@ func TestTuneThresholdsSingleRecordWindow(t *testing.T) {
 func TestTuneThresholdsNoActiveRamps(t *testing.T) {
 	cfg := newCfg()
 	ctl := New(cfg, Config{})
-	recs := makeRecords(cfg, videoSamples(64))
-	for i, r := range recs {
-		ctl.records[i] = r
-	}
-	ctl.next, ctl.filled = 64, 64
+	observeAll(ctl, cfg, videoSamples(64)) // all correct: no round fires
 	for len(cfg.Active) > 0 {
 		cfg.Deactivate(0)
 	}

@@ -15,13 +15,6 @@ import (
 	"repro/internal/ramp"
 )
 
-// Record is the per-input profiling data streamed from the GPU: one
-// observation per active ramp, keyed by the ramp site's node ID so the
-// history survives ramp-set changes.
-type Record struct {
-	Obs map[int]ramp.Observation
-}
-
 // Config holds the controller's tunables; zero fields take defaults.
 type Config struct {
 	// AccConstraint is the maximum tolerable accuracy loss relative to
@@ -72,10 +65,16 @@ type Controller struct {
 	Cfg  *ramp.Config
 	Opts Config
 
-	acc     *metrics.AccuracyWindow
-	records []Record // ring buffer
-	next    int
-	filled  int
+	acc *metrics.AccuracyWindow
+	// ring holds the recorded window, one slot per input, each tagged
+	// with the layout it was recorded under so the history survives
+	// ramp-set changes; next and filled index it as a ring buffer.
+	ring   []slot
+	next   int
+	filled int
+	lay    *layout
+	// tabBuf is the storage of the last window table.
+	tabBuf []ramp.Observation
 
 	sinceAdjust int
 
@@ -102,7 +101,7 @@ func New(cfg *ramp.Config, opts Config) *Controller {
 		Cfg:       cfg,
 		Opts:      opts,
 		acc:       metrics.NewAccuracyWindow(opts.AccWindow),
-		records:   make([]Record, opts.RecordWindow),
+		ring:      make([]slot, opts.RecordWindow),
 		negStreak: make(map[int]int),
 	}
 }
@@ -112,13 +111,11 @@ func New(cfg *ramp.Config, opts Config) *Controller {
 // loops at their respective cadences. It returns true if the exit
 // configuration changed.
 func (c *Controller) Observe(out ramp.Outcome) bool {
-	rec := Record{Obs: make(map[int]ramp.Observation, len(out.PerRamp))}
-	for i, ob := range out.PerRamp {
-		rec.Obs[c.Cfg.Active[i].Site.NodeID] = ob
-	}
-	c.records[c.next] = rec
-	c.next = (c.next + 1) % len(c.records)
-	if c.filled < len(c.records) {
+	s := &c.ring[c.next]
+	s.obs = append(s.obs[:0], out.PerRamp...)
+	s.lay = c.layoutFor(len(out.PerRamp))
+	c.next = (c.next + 1) % len(c.ring)
+	if c.filled < len(c.ring) {
 		c.filled++
 	}
 	c.acc.Observe(out.Correct)
@@ -148,25 +145,6 @@ func (c *Controller) Observe(out ramp.Outcome) bool {
 	return changed
 }
 
-// window returns the recorded window, oldest first.
-func (c *Controller) window() []Record {
-	return c.lastRecords(c.filled)
-}
-
-// lastRecords returns the most recent n records, oldest first.
-func (c *Controller) lastRecords(n int) []Record {
-	if n > c.filled {
-		n = c.filled
-	}
-	out := make([]Record, 0, n)
-	start := c.next - n
-	for i := 0; i < n; i++ {
-		idx := (start + i + len(c.records)) % len(c.records)
-		out = append(out, c.records[idx])
-	}
-	return out
-}
-
 // TuneThresholds runs one greedy tuning round and installs the resulting
 // thresholds. The search runs on the older 60% of the record window and
 // is validated on the held-out recent 40%: maximizing savings subject to
@@ -175,22 +153,22 @@ func (c *Controller) lastRecords(n int) []Record {
 // budget on held-out data are scaled down until they comply. Monotone
 // loss in thresholds guarantees convergence.
 func (c *Controller) TuneThresholds() {
-	recs := c.window()
-	if len(recs) == 0 || len(c.Cfg.Active) == 0 {
+	if c.filled == 0 || len(c.Cfg.Active) == 0 {
 		return
 	}
 	c.TuneRounds++
-	split := len(recs) * 3 / 5
-	train, validate := recs[:split], recs[split:]
-	if len(train) == 0 || len(validate) == 0 {
-		res := GreedySearch(c.Cfg, recs, c.tuneBudget(), c.Opts.InitStep, c.Opts.MinStep)
+	tab := c.windowTable()
+	split := tab.Len() * 3 / 5
+	train, validate := tab.Rows(0, split), tab.Rows(split, tab.Len())
+	if train.Len() == 0 || validate.Len() == 0 {
+		res := GreedySearch(tab, c.tuneBudget(), c.Opts.InitStep, c.Opts.MinStep)
 		c.Cfg.SetThresholds(res.Thresholds)
 		return
 	}
-	res := GreedySearch(c.Cfg, train, c.tuneBudget(), c.Opts.InitStep, c.Opts.MinStep)
+	res := GreedySearch(train, c.tuneBudget(), c.Opts.InitStep, c.Opts.MinStep)
 	ts := res.Thresholds
 	for i := 0; i < 12; i++ {
-		if EvalThresholds(c.Cfg, validate, ts).AccLoss <= c.tuneBudget() {
+		if EvalThresholds(validate, ts).AccLoss <= c.tuneBudget() {
 			break
 		}
 		for j := range ts {

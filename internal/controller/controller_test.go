@@ -19,22 +19,11 @@ func newCfg() *ramp.Config {
 	return cfg
 }
 
-// record converts an outcome into a controller Record.
-func record(cfg *ramp.Config, out ramp.Outcome) Record {
-	rec := Record{Obs: make(map[int]ramp.Observation)}
-	for i, ob := range out.PerRamp {
-		rec.Obs[cfg.Active[i].Site.NodeID] = ob
+// observeAll serves each sample through cfg and records it in ctl.
+func observeAll(ctl *Controller, cfg *ramp.Config, samples []exitsim.Sample) {
+	for _, s := range samples {
+		ctl.Observe(cfg.Evaluate(s, 1))
 	}
-	return rec
-}
-
-// makeRecords evaluates n samples from the stream through cfg.
-func makeRecords(cfg *ramp.Config, samples []exitsim.Sample) []Record {
-	recs := make([]Record, len(samples))
-	for i, s := range samples {
-		recs[i] = record(cfg, cfg.Evaluate(s, 1))
-	}
-	return recs
 }
 
 func videoSamples(n int) []exitsim.Sample {
@@ -43,8 +32,8 @@ func videoSamples(n int) []exitsim.Sample {
 
 func TestEvalZeroThresholdsNeutral(t *testing.T) {
 	cfg := newCfg()
-	recs := makeRecords(cfg, videoSamples(200))
-	res := EvalThresholds(cfg, recs, make([]float64, len(cfg.Active)))
+	tab := NewTable(cfg, videoSamples(200))
+	res := EvalThresholds(tab, make([]float64, len(cfg.Active)))
 	if res.AccLoss != 0 || res.SavingFrac != 0 {
 		t.Fatalf("zero thresholds gave loss=%v saving=%v", res.AccLoss, res.SavingFrac)
 	}
@@ -59,7 +48,7 @@ func TestEvalMonotoneInThresholds(t *testing.T) {
 	// The fundamental EE property (§3.2): raising any single threshold
 	// never decreases latency savings and never decreases accuracy loss.
 	cfg := newCfg()
-	recs := makeRecords(cfg, videoSamples(300))
+	tab := NewTable(cfg, videoSamples(300))
 	n := len(cfg.Active)
 	check := func(seed uint64) bool {
 		r := rng.New(seed)
@@ -67,12 +56,12 @@ func TestEvalMonotoneInThresholds(t *testing.T) {
 		for i := range base {
 			base[i] = r.Float64() * 0.5
 		}
-		b := EvalThresholds(cfg, recs, base)
+		b := EvalThresholds(tab, base)
 		i := r.Intn(n)
 		raised := make([]float64, n)
 		copy(raised, base)
 		raised[i] += r.Float64() * (1 - raised[i])
-		a := EvalThresholds(cfg, recs, raised)
+		a := EvalThresholds(tab, raised)
 		return a.SavingFrac >= b.SavingFrac-1e-12 && a.AccLoss >= b.AccLoss-1e-12
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
@@ -82,7 +71,7 @@ func TestEvalMonotoneInThresholds(t *testing.T) {
 
 func TestEvalEarliestRampWins(t *testing.T) {
 	cfg := newCfg()
-	recs := makeRecords(cfg, videoSamples(100))
+	tab := NewTable(cfg, videoSamples(100))
 	// With every threshold maxed, all exits should land on ramp 0 unless
 	// its error score was >= 1 (impossible since scores are clamped < 1
 	// only when threshold is 1.0 exclusive); allow ramp 0 or none.
@@ -90,7 +79,7 @@ func TestEvalEarliestRampWins(t *testing.T) {
 	for i := range ts {
 		ts[i] = 1.0
 	}
-	res := EvalThresholds(cfg, recs, ts)
+	res := EvalThresholds(tab, ts)
 	for i := 1; i < len(res.ExitCount); i++ {
 		if res.ExitCount[i] > res.ExitCount[0] {
 			t.Fatalf("deeper ramp %d captured more exits (%d) than ramp 0 (%d) at max thresholds",
@@ -101,15 +90,19 @@ func TestEvalEarliestRampWins(t *testing.T) {
 
 func TestEvalMissingObservationsNoExit(t *testing.T) {
 	cfg := newCfg()
-	recs := makeRecords(cfg, videoSamples(50))
-	// Strip ramp 0's observations: no record can exit there.
-	node0 := cfg.Active[0].Site.NodeID
-	for _, rec := range recs {
-		delete(rec.Obs, node0)
+	ctl := New(cfg, Config{AdjustEvery: 1 << 30})
+	// Record the window without ramp 0, then reactivate it: no record
+	// has an observation there, so none can exit there.
+	site0 := cfg.Active[0].Site
+	cfg.Deactivate(0)
+	observeAll(ctl, cfg, videoSamples(50))
+	if err := cfg.Activate(site0, ramp.StyleDefault); err != nil {
+		t.Fatal(err)
 	}
+	tab := ctl.windowTable()
 	ts := make([]float64, len(cfg.Active))
 	ts[0] = 1.0
-	res := EvalThresholds(cfg, recs, ts)
+	res := EvalThresholds(tab, ts)
 	if res.ExitCount[0] != 0 {
 		t.Fatal("exits attributed to a ramp with no observations")
 	}
@@ -117,9 +110,9 @@ func TestEvalMissingObservationsNoExit(t *testing.T) {
 
 func TestGreedyRespectsBudget(t *testing.T) {
 	cfg := newCfg()
-	recs := makeRecords(cfg, videoSamples(256))
+	tab := NewTable(cfg, videoSamples(256))
 	for _, budget := range []float64{0.01, 0.02, 0.05} {
-		res := GreedySearch(cfg, recs, budget, 0.1, 0.01)
+		res := GreedySearch(tab, budget, 0.1, 0.01)
 		if res.AccLoss > budget {
 			t.Fatalf("greedy violated budget %v: loss %v", budget, res.AccLoss)
 		}
@@ -128,8 +121,8 @@ func TestGreedyRespectsBudget(t *testing.T) {
 
 func TestGreedyFindsSavings(t *testing.T) {
 	cfg := newCfg()
-	recs := makeRecords(cfg, videoSamples(256))
-	res := GreedySearch(cfg, recs, 0.01, 0.1, 0.01)
+	tab := NewTable(cfg, videoSamples(256))
+	res := GreedySearch(tab, 0.01, 0.1, 0.01)
 	if res.SavingFrac <= 0 {
 		t.Fatal("greedy found no savings on an easy video workload")
 	}
@@ -143,10 +136,10 @@ func TestGreedyNearOptimal(t *testing.T) {
 	sites := cfg.Sites
 	_ = cfg.Activate(sites[2], ramp.StyleDefault)
 	_ = cfg.Activate(sites[8], ramp.StyleDefault)
-	recs := makeRecords(cfg, videoSamples(256))
+	tab := NewTable(cfg, videoSamples(256))
 
-	grid := GridSearch(cfg, recs, 0.01, 0.05)
-	greedy := GreedySearch(cfg, recs, 0.01, 0.1, 0.01)
+	grid := GridSearch(tab, 0.01, 0.05)
+	greedy := GreedySearch(tab, 0.01, 0.1, 0.01)
 	if grid.SavingFrac <= 0 {
 		t.Fatal("grid found no savings; test setup broken")
 	}
@@ -166,8 +159,8 @@ func TestGreedyFarFewerEvalsThanGrid(t *testing.T) {
 	for _, i := range []int{1, 5, 9, 13} {
 		_ = cfg.Activate(cfg.Sites[i], ramp.StyleDefault)
 	}
-	recs := makeRecords(cfg, videoSamples(128))
-	greedy := GreedySearch(cfg, recs, 0.01, 0.1, 0.01)
+	tab := NewTable(cfg, videoSamples(128))
+	greedy := GreedySearch(tab, 0.01, 0.1, 0.01)
 	// Grid with step 0.1 over 4 ramps = 11^4 = 14641 evals.
 	if greedy.Evals > 1464 {
 		t.Fatalf("greedy used %d evals, want <= 10%% of grid's 14641", greedy.Evals)
@@ -179,8 +172,8 @@ func TestGridRespectsBudget(t *testing.T) {
 	cfg := ramp.NewConfig(m, exitsim.ProfileFor(m, exitsim.KindVideo), 0.02)
 	_ = cfg.Activate(cfg.Sites[3], ramp.StyleDefault)
 	_ = cfg.Activate(cfg.Sites[9], ramp.StyleDefault)
-	recs := makeRecords(cfg, videoSamples(128))
-	res := GridSearch(cfg, recs, 0.01, 0.1)
+	tab := NewTable(cfg, videoSamples(128))
+	res := GridSearch(tab, 0.01, 0.1)
 	if res.AccLoss > 0.01 {
 		t.Fatalf("grid violated budget: %v", res.AccLoss)
 	}
@@ -283,10 +276,7 @@ func TestAblationTunesWithoutAdjusting(t *testing.T) {
 func TestUtilitiesNegativeWithoutExits(t *testing.T) {
 	cfg := newCfg() // thresholds all zero: no exits
 	ctl := New(cfg, Config{})
-	recs := makeRecords(cfg, videoSamples(128))
-	copy(ctl.records, recs)
-	ctl.filled = len(recs)
-	utils := ctl.utilities(recs)
+	utils := ctl.utilities(NewTable(cfg, videoSamples(128)))
 	for i, u := range utils {
 		if u.Net() >= 0 {
 			t.Fatalf("ramp %d utility %v not negative with zero exits", i, u.Net())
@@ -301,8 +291,7 @@ func TestUtilitiesCountExits(t *testing.T) {
 	cfg := newCfg()
 	cfg.Active[0].Threshold = 0.9 // aggressive first ramp
 	ctl := New(cfg, Config{})
-	recs := makeRecords(cfg, videoSamples(128))
-	utils := ctl.utilities(recs)
+	utils := ctl.utilities(NewTable(cfg, videoSamples(128)))
 	if utils[0].Exits == 0 {
 		t.Fatal("aggressive ramp recorded no exits")
 	}

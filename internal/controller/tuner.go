@@ -1,10 +1,6 @@
 package controller
 
-import (
-	"math"
-
-	"repro/internal/ramp"
-)
+import "math"
 
 // EvalResult summarizes a threshold configuration replayed over a record
 // window.
@@ -20,53 +16,34 @@ type EvalResult struct {
 	ExitCount []int
 }
 
-// EvalThresholds replays the window under the given thresholds and
+// EvalThresholds replays the table under the given thresholds and
 // reports accuracy and latency effects, accounting for inter-ramp
 // dependencies (an input exits at the *earliest* ramp whose score is
 // below threshold). Inputs lacking an observation for a ramp (the ramp
-// was activated after they were recorded) are treated as not exiting
-// there. No inference is required — exactly the §3.2 evaluation
-// mechanism.
-func EvalThresholds(cfg *ramp.Config, recs []Record, thresholds []float64) EvalResult {
-	res := EvalResult{ExitCount: make([]int, len(cfg.Active))}
-	if len(recs) == 0 {
+// was activated after they were recorded) never exit there. No
+// inference is required — exactly the §3.2 evaluation mechanism.
+func EvalThresholds(tab Table, thresholds []float64) EvalResult {
+	res := EvalResult{ExitCount: make([]int, tab.cols)}
+	if tab.n == 0 {
 		return res
 	}
 	wrong := 0
 	totalSaving := 0.0
-	allOverhead := cfg.OverheadFrac()
-	for _, rec := range recs {
-		exit := -1
-		overheadUpTo := 0.0
-		var exitFrac, exitOverhead float64
-		var match bool
-		for i, r := range cfg.Active {
-			overheadUpTo += r.Style.OverheadFrac
-			ob, ok := rec.Obs[r.Site.NodeID]
-			if !ok {
-				continue
-			}
+	for r := 0; r < tab.n; r++ {
+		for i, ob := range tab.row(r) {
 			if ob.Err < thresholds[i] {
-				exit = i
-				exitFrac = r.Site.Frac
-				exitOverhead = overheadUpTo
-				match = ob.Match
+				res.ExitCount[i]++
+				if !ob.Match {
+					wrong++
+				}
+				totalSaving += tab.saving[i]
 				break
 			}
-		}
-		if exit >= 0 {
-			res.ExitCount[exit]++
-			if !match {
-				wrong++
-			}
-			// Saving relative to running the full model with all ramps:
-			// forgone layers minus the overhead of ramps up to the exit.
-			totalSaving += (1 + allOverhead) - (exitFrac + exitOverhead)
 		}
 		// Non-exits save nothing (and pay all ramp overheads, already in
 		// the baseline of "serving with this ramp set").
 	}
-	n := float64(len(recs))
+	n := float64(tab.n)
 	res.AccLoss = float64(wrong) / n
 	res.SavingFrac = totalSaving / n
 	return res
@@ -90,14 +67,14 @@ type TuneResult struct {
 // productive direction and halve when a ramp oversteps the accuracy
 // boundary; the search stops when every step has collapsed to minStep
 // and no move is admissible.
-func GreedySearch(cfg *ramp.Config, recs []Record, accBudget, initStep, minStep float64) TuneResult {
-	n := len(cfg.Active)
+func GreedySearch(tab Table, accBudget, initStep, minStep float64) TuneResult {
+	n := tab.cols
 	thresholds := make([]float64, n)
 	steps := make([]float64, n)
 	for i := range steps {
 		steps[i] = initStep
 	}
-	cur := EvalThresholds(cfg, recs, thresholds)
+	cur := EvalThresholds(tab, thresholds)
 	evals := 1
 	for {
 		bestRamp := -1
@@ -116,7 +93,7 @@ func GreedySearch(cfg *ramp.Config, recs []Record, accBudget, initStep, minStep 
 			}
 			old := thresholds[i]
 			thresholds[i] = cand
-			ev := EvalThresholds(cfg, recs, thresholds)
+			ev := EvalThresholds(tab, thresholds)
 			evals++
 			thresholds[i] = old
 			if ev.AccLoss > accBudget {
@@ -165,8 +142,8 @@ func GreedySearch(cfg *ramp.Config, recs []Record, accBudget, initStep, minStep 
 // GridSearch exhaustively evaluates thresholds over a uniform grid with
 // the given step (the paper's comparison baseline, O((1/S)^R)). It
 // returns the best-saving configuration within the accuracy budget.
-func GridSearch(cfg *ramp.Config, recs []Record, accBudget, step float64) TuneResult {
-	n := len(cfg.Active)
+func GridSearch(tab Table, accBudget, step float64) TuneResult {
+	n := tab.cols
 	levels := int(math.Round(1/step)) + 1
 	thresholds := make([]float64, n)
 	best := TuneResult{Thresholds: make([]float64, n)}
@@ -174,7 +151,7 @@ func GridSearch(cfg *ramp.Config, recs []Record, accBudget, step float64) TuneRe
 	var walk func(i int)
 	walk = func(i int) {
 		if i == n {
-			ev := EvalThresholds(cfg, recs, thresholds)
+			ev := EvalThresholds(tab, thresholds)
 			evals++
 			if ev.AccLoss <= accBudget && ev.SavingFrac > best.SavingFrac {
 				copy(best.Thresholds, thresholds)

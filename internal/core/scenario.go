@@ -459,6 +459,27 @@ func (sc Scenario) Validate() error {
 	if !(sc.ObsTickMS >= 0) || math.IsInf(sc.ObsTickMS, 0) {
 		return fmt.Errorf("scenario: observability tick %g must be non-negative and finite", sc.ObsTickMS)
 	}
+	// Finite but extreme rates and windows stall a run without failing
+	// it: arrival sources buffer and sort a simulated second at a time,
+	// and the autoscaler closes one signal window at a time. Bound both
+	// by the work they imply.
+	qps, mean, peak := sc.arrivalQPS(m), 1.0, 1.0
+	if sched, _ := trace.ParseSchedule(sc.RateSchedule); sched != nil {
+		mean, peak = sched.MeanMult(), sched.PeakMult()
+	}
+	if !(qps*peak <= trace.MaxQPS) {
+		return fmt.Errorf("scenario: peak arrival rate %.3g req/s exceeds the %g req/s limit", qps*peak, float64(trace.MaxQPS))
+	}
+	runSec := float64(sc.N) / (qps * mean)
+	if !(runSec <= trace.MaxRunSec) {
+		return fmt.Errorf("scenario: %d requests at %.3g req/s span %.3g simulated seconds, above the %g s limit", sc.N, qps*mean, runSec, float64(trace.MaxRunSec))
+	}
+	if sc.Autoscale != "" {
+		cfg, _ := autoscale.Parse(sc.Autoscale)
+		if err := cfg.CheckRun(runSec * 1000); err != nil {
+			return fmt.Errorf("scenario: %w", err)
+		}
+	}
 	if fs, _ := faults.Parse(sc.Faults); fs != nil {
 		// A clause naming a replica the cluster can never materialize
 		// would silently inject nothing — a reliable run masquerading as
@@ -474,6 +495,22 @@ func (sc Scenario) Validate() error {
 		}
 	}
 	return nil
+}
+
+// arrivalQPS is the normalized scenario's mean arrival rate before any
+// rate schedule applies.
+func (sc Scenario) arrivalQPS(m *model.Model) float64 {
+	switch {
+	case sc.Generative():
+		return 2 * sc.RateMult
+	case workload.IsVideo(sc.Workload):
+		return 30 * sc.RateMult // video frame rate
+	}
+	// The trace-derived sustainable rate scales with cluster width: R
+	// replicas absorb R times the single-replica rate. Autoscaled
+	// scenarios size the rate for the min width, so schedule bursts are
+	// what force the cluster to grow.
+	return trace.TargetQPS(m) * sc.RateMult * float64(sc.Replicas)
 }
 
 // RunScenario executes one scenario end to end: vanilla baseline plus
@@ -531,16 +568,8 @@ func runClassScenario(sc Scenario, od *ObsData) (*Result, error) {
 		return nil, err
 	}
 	kind := kindFor(sc.Workload)
-	qps := 30 * sc.RateMult // video frame rate
-	if !workload.IsVideo(sc.Workload) {
-		// The trace-derived sustainable rate scales with cluster width:
-		// R replicas absorb R times the single-replica rate. Autoscaled
-		// scenarios size the rate for the min width, so schedule bursts
-		// are what force the cluster to grow.
-		qps = trace.TargetQPS(m) * sc.RateMult * float64(sc.Replicas)
-	}
 	sched, _ := trace.ParseSchedule(sc.RateSchedule)
-	stream, err := workload.ByNameSched(sc.Workload, sc.N, qps, sc.Seed, sched)
+	stream, err := workload.ByNameSched(sc.Workload, sc.N, sc.arrivalQPS(m), sc.Seed, sched)
 	if err != nil {
 		return nil, err
 	}
@@ -688,7 +717,7 @@ func runGenScenario(sc Scenario, od *ObsData) (*Result, error) {
 		return nil, err
 	}
 	kind := kindFor(sc.Workload)
-	stream, err := workload.GenByName(sc.Workload, sc.N, 2*sc.RateMult, sc.Seed)
+	stream, err := workload.GenByName(sc.Workload, sc.N, sc.arrivalQPS(m), sc.Seed)
 	if err != nil {
 		return nil, err
 	}

@@ -42,6 +42,21 @@ func TestScenarioValidate(t *testing.T) {
 		{Model: "resnet50", Workload: "video-0", N: 100, Replicas: 2, Faults: "crash:r0@NaN+5"},
 		{Model: "resnet50", Workload: "video-0", N: 100, Replicas: 2, Faults: "mtbf:Inf/5"},
 		{Model: "resnet50", Workload: "video-0", N: 100, Replicas: 2, Faults: "loss=0.1;timeout=Inf"},
+		// Finite but extreme. A per-second arrival mean above
+		// trace.MaxQPS: 1e300 overflows rng.Poisson's int, 1e6 buffers
+		// and insertion-sorts millions of arrivals per simulated second.
+		{Model: "bert-base", Workload: "amazon", N: 100, RateMult: 1e300},
+		{Model: "bert-base", Workload: "amazon", N: 100, RateMult: 1e6},
+		{Model: "resnet50", Workload: "video-0", N: 100, RateSchedule: "phases:10x1/10x1e9"},
+		{Model: "t5-large", Workload: "squad", N: 10, RateMult: 1e300},
+		// An expected run longer than trace.MaxRunSec: the sources step
+		// through every simulated second, arrivals or not.
+		{Model: "bert-base", Workload: "amazon", N: 100, RateMult: 1e-300},
+		{Model: "resnet50", Workload: "video-0", N: 100, RateSchedule: "phases:10x1e-9"},
+		// More autoscale windows over the expected run than
+		// autoscale.MaxWindows: the cluster closes them one at a time.
+		{Model: "resnet50", Workload: "video-0", N: 100, Autoscale: "1..2/window=1e-300"},
+		{Model: "resnet50", Workload: "video-0", N: 8000, Autoscale: "1..2/window=1e-3"},
 	}
 	for _, sc := range bad {
 		if err := sc.Validate(); err == nil {

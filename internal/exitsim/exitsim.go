@@ -1,6 +1,6 @@
 // Package exitsim models the semantic behavior of early-exit ramps
-// without executing real DNNs. It is the substitution layer documented in
-// DESIGN.md: every quantity Apparate's algorithms consume — a ramp's
+// without executing real DNNs. It is the simulator's substitution layer:
+// every quantity Apparate's algorithms consume — a ramp's
 // error/entropy score for an input, and whether the ramp's top prediction
 // matches the original model's output — is produced by a calibrated
 // stochastic model that preserves the structural properties the paper's

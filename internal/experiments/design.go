@@ -49,8 +49,7 @@ func fig8() []Table {
 		for _, style := range c.styles {
 			cfg := ramp.NewConfig(c.m, prof, 0.02)
 			cfg.DeployInitial(style)
-			recs := recordsFor(cfg, stream)
-			res := controller.GreedySearch(cfg, recs, 0.01, 0.1, 0.01)
+			res := controller.GreedySearch(controller.NewTable(cfg, stream), 0.01, 0.1, 0.01)
 			cfg.SetThresholds(res.Thresholds)
 			med := medianServeMS(cfg, stream)
 			t.Rows = append(t.Rows, []string{
@@ -80,7 +79,7 @@ func fig9() []Table {
 	_ = cfg.Activate(cfg.Sites[2], ramp.StyleDefault)
 	_ = cfg.Activate(cfg.Sites[8], ramp.StyleDefault)
 	samples := cvStream(0, 9).SamplePrefix(2000)
-	recs := recordsFor(cfg, samples)
+	tab := controller.NewTable(cfg, samples)
 
 	grid := Table{
 		ID:     "fig9",
@@ -91,7 +90,7 @@ func fig9() []Table {
 	for _, t1 := range levels {
 		row := []string{f1(t1)}
 		for _, t2 := range levels {
-			ev := controller.EvalThresholds(cfg, recs, []float64{t1, t2})
+			ev := controller.EvalThresholds(tab, []float64{t1, t2})
 			if ev.AccLoss > 0.01 {
 				row = append(row, "-")
 			} else {
@@ -106,7 +105,7 @@ func fig9() []Table {
 		Title:  "Hill-climbing result on the same window",
 		Header: []string{"t_ramp1", "t_ramp2", "latency_win", "acc_loss", "evals"},
 	}
-	res := controller.GreedySearch(cfg, recs, 0.01, 0.1, 0.01)
+	res := controller.GreedySearch(tab, 0.01, 0.1, 0.01)
 	path.Rows = append(path.Rows, []string{
 		f2(res.Thresholds[0]), f2(res.Thresholds[1]),
 		pct(res.SavingFrac * 100), pct(res.AccLoss * 100), fmt.Sprint(res.Evals),
@@ -132,14 +131,14 @@ func fig10() []Table {
 			idx := (2*i + 1) * len(cfg.Sites) / (2 * n)
 			_ = cfg.Activate(cfg.Sites[idx], ramp.StyleDefault)
 		}
-		recs := recordsFor(cfg, samples[:128])
+		tab := controller.NewTable(cfg, samples[:128])
 
 		start := time.Now()
-		greedy := controller.GreedySearch(cfg, recs, 0.01, 0.1, 0.01)
+		greedy := controller.GreedySearch(tab, 0.01, 0.1, 0.01)
 		greedyMS := float64(time.Since(start).Microseconds()) / 1000
 
 		start = time.Now()
-		grid := controller.GridSearch(cfg, recs, 0.01, 0.1)
+		grid := controller.GridSearch(tab, 0.01, 0.1)
 		gridMS := float64(time.Since(start).Microseconds()) / 1000
 
 		gap := 0.0

@@ -4,7 +4,7 @@
 // whose rows mirror what the paper reports. Absolute numbers come from
 // the simulator substrate and are not expected to match the authors'
 // testbed; the shapes — who wins, by roughly what factor, where
-// crossovers fall — are the reproduction target (see EXPERIMENTS.md).
+// crossovers fall — are the reproduction target.
 package experiments
 
 import (

@@ -142,8 +142,8 @@ func fig5() []Table {
 		changes := 0
 		var prev []float64
 		for i := 0; i < nChunks; i++ {
-			recs := recordsFor(cfg, samples[i*chunk:(i+1)*chunk])
-			res := controller.GreedySearch(cfg, recs, 0.01, 0.1, 0.01)
+			tab := controller.NewTable(cfg, samples[i*chunk:(i+1)*chunk])
+			res := controller.GreedySearch(tab, 0.01, 0.1, 0.01)
 			if prev != nil && !thresholdsEqual(prev, res.Thresholds) {
 				changes++
 			}
@@ -165,21 +165,6 @@ func thresholdsEqual(a, b []float64) bool {
 		}
 	}
 	return true
-}
-
-// recordsFor evaluates samples through the configuration and converts
-// the outcomes into controller records.
-func recordsFor(cfg *ramp.Config, samples []exitsim.Sample) []controller.Record {
-	recs := make([]controller.Record, len(samples))
-	for i, s := range samples {
-		out := cfg.Evaluate(s, 1)
-		rec := controller.Record{Obs: make(map[int]ramp.Observation, len(out.PerRamp))}
-		for j, ob := range out.PerRamp {
-			rec.Obs[cfg.Active[j].Site.NodeID] = ob
-		}
-		recs[i] = rec
-	}
-	return recs
 }
 
 // table1 reproduces Table 1: one-time threshold tuning loses accuracy

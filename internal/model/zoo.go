@@ -237,15 +237,27 @@ func Llama213B() *Model {
 	return buildTransformer("llama2-13b", FamilyLlama, 40, 13_000_000_000, 38.0, 0.08, true)
 }
 
+// zoo lists every model's name and constructor, in zoo order. All and
+// ByName both read it; each name must be the Name its constructor sets.
+var zoo = []struct {
+	name  string
+	build func() *Model
+}{
+	{"resnet18", ResNet18}, {"resnet50", ResNet50}, {"resnet101", ResNet101},
+	{"vgg11", VGG11}, {"vgg13", VGG13}, {"vgg16", VGG16},
+	{"distilbert-base", Distilbert}, {"bert-base", BERTBase},
+	{"bert-large", BERTLarge}, {"gpt2-medium", GPT2Medium},
+	{"bert-base-int8", QuantizedBERTBase}, {"bert-large-int8", QuantizedBERTLarge},
+	{"t5-large", T5Large}, {"llama2-7b", Llama27B}, {"llama2-13b", Llama213B},
+}
+
 // All returns a fresh instance of every model in the zoo.
 func All() []*Model {
-	return []*Model{
-		ResNet18(), ResNet50(), ResNet101(),
-		VGG11(), VGG13(), VGG16(),
-		Distilbert(), BERTBase(), BERTLarge(), GPT2Medium(),
-		QuantizedBERTBase(), QuantizedBERTLarge(),
-		T5Large(), Llama27B(), Llama213B(),
+	out := make([]*Model, len(zoo))
+	for i, z := range zoo {
+		out[i] = z.build()
 	}
+	return out
 }
 
 // ClassificationModels returns the 10 classification models of §4.1.
@@ -257,11 +269,12 @@ func ClassificationModels() []*Model {
 	}
 }
 
-// ByName returns a fresh instance of the named model.
+// ByName returns a fresh instance of the named model, building only
+// that model.
 func ByName(name string) (*Model, error) {
-	for _, m := range All() {
-		if m.Name == name {
-			return m, nil
+	for _, z := range zoo {
+		if z.name == name {
+			return z.build(), nil
 		}
 	}
 	return nil, fmt.Errorf("model: unknown model %q", name)

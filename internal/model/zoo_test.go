@@ -2,6 +2,7 @@ package model
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -147,6 +148,20 @@ func TestQuantizedFasterThanBase(t *testing.T) {
 	}
 	if QuantizedBERTLarge().Latency(1) >= BERTLarge().Latency(1) {
 		t.Error("int8 bert-large not faster than fp32")
+	}
+}
+
+// TestByNameMatchesAll pins the zoo table: looking a model up by the
+// name its constructor sets builds the same model All builds.
+func TestByNameMatchesAll(t *testing.T) {
+	for _, m := range All() {
+		got, err := ByName(m.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, m) {
+			t.Errorf("ByName(%q) differs from the All() instance", m.Name)
+		}
 	}
 }
 

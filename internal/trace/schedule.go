@@ -20,6 +20,10 @@ import (
 type Schedule interface {
 	// Rate returns the rate multiplier at time t in seconds (>= 0).
 	Rate(tSec float64) float64
+	// MeanMult returns the time-averaged multiplier (> 0).
+	MeanMult() float64
+	// PeakMult returns the largest multiplier Rate reaches.
+	PeakMult() float64
 	// String returns the canonical spec the schedule parses back from.
 	String() string
 }
@@ -93,6 +97,15 @@ func (s *PhaseSchedule) MeanMult() float64 {
 	return sum / s.total
 }
 
+// PeakMult returns the largest phase multiplier.
+func (s *PhaseSchedule) PeakMult() float64 {
+	peak := 0.0
+	for _, p := range s.Phases {
+		peak = math.Max(peak, p.Mult)
+	}
+	return peak
+}
+
 // String returns the canonical "phases:DURxMULT/..." spec.
 func (s *PhaseSchedule) String() string {
 	var b strings.Builder
@@ -123,6 +136,9 @@ func (s *SineSchedule) Rate(tSec float64) float64 {
 // MeanMult returns the mean multiplier over one period.
 func (s *SineSchedule) MeanMult() float64 { return (s.Min + s.Max) / 2 }
 
+// PeakMult returns Max.
+func (s *SineSchedule) PeakMult() float64 { return s.Max }
+
 // String returns the canonical "sine:PERIOD/MIN/MAX" spec.
 func (s *SineSchedule) String() string {
 	return fmt.Sprintf("sine:%g/%g/%g", s.PeriodSec, s.Min, s.Max)
@@ -152,6 +168,9 @@ func (s *SquareSchedule) Rate(tSec float64) float64 {
 func (s *SquareSchedule) MeanMult() float64 {
 	return s.Duty*s.Hi + (1-s.Duty)*s.Lo
 }
+
+// PeakMult returns the larger of the two levels.
+func (s *SquareSchedule) PeakMult() float64 { return math.Max(s.Lo, s.Hi) }
 
 // String returns the canonical "square:PERIOD/LO/HI/DUTY" spec.
 func (s *SquareSchedule) String() string {

@@ -103,6 +103,19 @@ const (
 	mafSpikeMul = 3.0  // burst magnitude
 )
 
+// Bounds on what a scenario may ask of an arrival source. The MAF and
+// scheduled sources draw and sort each simulated second's arrivals in
+// one batch, so the per-second mean sets their memory and quadratic
+// insertion-sort work, and they step through every simulated second,
+// arrivals or not, so a vanishing rate stalls them. The benchmark and
+// golden grids peak at ~930 req/s and span at most 2000 s. At MaxQPS
+// the sort adds ~3 µs per arrival; stepping MaxRunSec empty seconds
+// takes ~1.5 s.
+const (
+	MaxQPS    = 2e4
+	MaxRunSec = 1e7
+)
+
 // NewMAF returns a bursty, rate-modulated arrival source in the style of
 // the Microsoft Azure Functions traces.
 func NewMAF(meanQPS float64, r *rng.Rand) Arrivals {

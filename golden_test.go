@@ -122,12 +122,14 @@ func TestGoldenSweep(t *testing.T) {
 }
 
 // goldenTableIDs are the paper artifacts whose rendered tables are
-// pinned in testdata/golden_tables.txt. They are the ones built on
-// threshold-search replay: table1 and table2 tune the static-EE
+// pinned in testdata/golden_tables.txt. table1, table2 and fig15 are
+// built on threshold-search replay: table1 and table2 tune the static-EE
 // baselines once, fig15 retunes the online-optimal baseline every chunk,
 // and all three serve Apparate's continually tuned controller beside
-// them.
-var goldenTableIDs = []string{"table1", "table2", "fig15"}
+// them. fig18 pins the generative policies: T5-large under FREE,
+// Apparate and the optimal oracle on cnn-dailymail and squad, and
+// Llama-2 7B/13B under Apparate and optimal on squad.
+var goldenTableIDs = []string{"table1", "table2", "fig15", "fig18"}
 
 // TestGoldenTables byte-compares the rendered goldenTableIDs tables
 // against testdata/golden_tables.txt; `make golden` refreshes the pin.

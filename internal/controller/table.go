@@ -35,11 +35,8 @@ func NewTable(cfg *ramp.Config, samples []exitsim.Sample) Table {
 	t.obs = make([]ramp.Observation, 0, t.n*t.cols)
 	for _, s := range samples {
 		for _, r := range cfg.Active {
-			q := r.Style.Quality * r.Site.Quality
-			t.obs = append(t.obs, ramp.Observation{
-				Err:   cfg.Profile.ErrScore(s, r.Site.Frac, q),
-				Match: cfg.Profile.Matches(s, r.Site.Frac, q),
-			})
+			err, match := cfg.Profile.Observe(s, r.Point)
+			t.obs = append(t.obs, ramp.Observation{Err: err, Match: match})
 		}
 	}
 	return t

@@ -77,11 +77,37 @@ func (p Profile) Capability(depth, quality float64) float64 {
 
 func logistic(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 
+// Point is a ramp position as the profile sees it: the depth fraction
+// and the capability there. A ramp's point is fixed for its lifetime, so
+// callers that observe many inputs at one ramp compute it once with At
+// and pass it to Observe, instead of re-deriving the capability per input.
+type Point struct{ Depth, Cap float64 }
+
+// At returns the point of a ramp at the given depth fraction and
+// quality multiplier.
+func (p Profile) At(depth, quality float64) Point {
+	return Point{Depth: depth, Cap: p.Capability(depth, quality)}
+}
+
+// Observe returns what the ramp at pt reports for the sample: its error
+// score and whether its prediction matches the original model. It is
+// (ErrScore, Matches) at the point's depth and quality, bit for bit, with
+// the latent error evaluated once for both.
+func (p Profile) Observe(s Sample, pt Point) (err float64, match bool) {
+	te := p.trueErr(s, pt)
+	return p.errScore(s, pt.Depth, te), matches(s, te)
+}
+
 // TrueErr returns the latent error of a ramp at the given depth for the
 // sample: the probability that the ramp's top prediction disagrees with
 // the original model, before miscalibration bias.
 func (p Profile) TrueErr(s Sample, depth, quality float64) float64 {
-	return logistic(p.Steep * (s.Difficulty - p.Capability(depth, quality)))
+	return p.trueErr(s, p.At(depth, quality))
+}
+
+// trueErr is TrueErr at pt.
+func (p Profile) trueErr(s Sample, pt Point) float64 {
+	return logistic(p.Steep * (s.Difficulty - pt.Cap))
 }
 
 // splitmix is the SplitMix64 finalizer used for deterministic
@@ -110,7 +136,12 @@ func hashNorm(key uint64, depth float64) float64 {
 // (§2.2). It is the true error plus bounded observation noise, clamped to
 // [0, 1], and is deterministic for a given sample.
 func (p Profile) ErrScore(s Sample, depth, quality float64) float64 {
-	e := p.TrueErr(s, depth, quality) + p.NoiseSigma*hashNorm(s.NoiseKey, depth)
+	return p.errScore(s, depth, p.TrueErr(s, depth, quality))
+}
+
+// errScore is ErrScore given the sample's true error te at depth.
+func (p Profile) errScore(s Sample, depth, te float64) float64 {
+	e := te + p.NoiseSigma*hashNorm(s.NoiseKey, depth)
 	if e < 0 {
 		return 0
 	}
@@ -125,7 +156,12 @@ func (p Profile) ErrScore(s Sample, depth, quality float64) float64 {
 // for fixed sample and quality, Matches(d1) implies Matches(d2) for all
 // d2 >= d1.
 func (p Profile) Matches(s Sample, depth, quality float64) bool {
-	prob := 1 - p.TrueErr(s, depth, quality) - s.Bias
+	return matches(s, p.TrueErr(s, depth, quality))
+}
+
+// matches is Matches given the sample's true error te.
+func matches(s Sample, te float64) bool {
+	prob := 1 - te - s.Bias
 	if prob < 0 {
 		prob = 0
 	}

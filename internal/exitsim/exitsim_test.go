@@ -246,3 +246,86 @@ func TestKindStrings(t *testing.T) {
 		t.Fatal("IsGenerative misclassifies kinds")
 	}
 }
+
+// TestObserveMatchesWrappers pins Observe at At's point to ErrScore and
+// Matches bit for bit, over random samples, depths and qualities plus
+// samples built to hit both score clamps and a negative match
+// probability.
+func TestObserveMatchesWrappers(t *testing.T) {
+	r := rng.New(5)
+	samples := []Sample{
+		{Difficulty: 0, MatchU: 0.5, NoiseKey: 1},   // score clamps at 0
+		{Difficulty: 5, MatchU: 0.5, NoiseKey: 2},   // score clamps at 1
+		{Difficulty: 1.2, MatchU: 0, Bias: 1.5},     // match probability < 0
+		{Difficulty: 0.3, MatchU: 0.999, Bias: 0.9}, // probability < 0 on shallow ramps only
+		{Difficulty: 0.5, MatchU: 0.5, NoiseKey: 1 << 63},
+	}
+	for i := 0; i < 4000; i++ {
+		samples = append(samples, sampleFrom(r))
+	}
+	clamped := map[string]bool{}
+	for i, s := range samples {
+		d := r.Float64()
+		if i%50 == 49 {
+			d = 0 // zero depth: zero capability
+		}
+		q := 0.9 + 0.2*r.Float64()
+		for _, p := range []Profile{testProfile, {CMax: 0.96, Gamma: 0.22, Steep: 25, NoiseSigma: 0.02}} {
+			err, match := p.Observe(s, p.At(d, q))
+			wantErr, wantMatch := p.ErrScore(s, d, q), p.Matches(s, d, q)
+			if err != wantErr || match != wantMatch {
+				t.Fatalf("sample %d depth %v quality %v: Observe = (%v, %v), ErrScore/Matches = (%v, %v)",
+					i, d, q, err, match, wantErr, wantMatch)
+			}
+			switch {
+			case err == 0:
+				clamped["score 0"] = true
+			case err == 1:
+				clamped["score 1"] = true
+			}
+			if 1-p.TrueErr(s, d, q)-s.Bias < 0 {
+				clamped["prob < 0"] = true
+			}
+		}
+	}
+	for _, c := range []string{"score 0", "score 1", "prob < 0"} {
+		if !clamped[c] {
+			t.Fatalf("no sample reached %s", c)
+		}
+	}
+}
+
+// Benchmark sinks, so the compiler cannot drop the observations.
+var (
+	sinkErr   float64
+	sinkMatch bool
+)
+
+// BenchmarkObserve times observing one input at one ramp: Observe at a
+// precomputed point against the ErrScore+Matches pair it replaces.
+func BenchmarkObserve(b *testing.B) {
+	p := ProfileFor(model.T5Large(), KindCNNDailyMail)
+	r := rng.New(1)
+	samples := make([]Sample, 1024)
+	for i := range samples {
+		samples[i] = sampleFrom(r)
+	}
+	const depth, quality = 0.3, 1.0
+	b.Run("observe", func(b *testing.B) {
+		b.ReportAllocs()
+		pt := p.At(depth, quality)
+		for i := 0; b.Loop(); i++ {
+			e, m := p.Observe(samples[i%len(samples)], pt)
+			sinkErr += e
+			sinkMatch = sinkMatch != m
+		}
+	})
+	b.Run("errscore+matches", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; b.Loop(); i++ {
+			s := samples[i%len(samples)]
+			sinkErr += p.ErrScore(s, depth, quality)
+			sinkMatch = sinkMatch != p.Matches(s, depth, quality)
+		}
+	})
+}

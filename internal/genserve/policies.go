@@ -1,6 +1,8 @@
 package genserve
 
 import (
+	"math"
+
 	"repro/internal/exitsim"
 	"repro/internal/model"
 	"repro/internal/ramp"
@@ -121,6 +123,10 @@ func (f *FREEGen) Decide(s exitsim.Sample) (bool, float64, float64, bool) {
 // ObserveFlush is a no-op: FREE collects no runtime feedback.
 func (f *FREEGen) ObserveFlush() {}
 
+// feedbackWindow is the number of tokens ApparateGen's feedback window
+// holds, and the cadence of its adaptation rounds.
+const feedbackWindow = 192
+
 // tokenObs is one token's feedback at the active ramp.
 type tokenObs struct {
 	err   float64
@@ -138,6 +144,12 @@ type tokenObs struct {
 // parallel-decoding instance is truncated at the first token whose exit
 // deviates from the original model, since later comparisons may reflect
 // cascading errors (§3.4).
+//
+// The feedback window is a fixed ring of the last feedbackWindow tokens,
+// allocated once: once it is full each new token overwrites the oldest,
+// and a ramp move empties it. Tuning and the utility estimate only count
+// over the window, so the order of its slots never matters, and Decide
+// allocates nothing.
 type ApparateGen struct {
 	Model     *model.Model
 	Profile   exitsim.Profile
@@ -147,9 +159,9 @@ type ApparateGen struct {
 	Overhead  float64
 	AccBudget float64
 
-	window      []tokenObs
-	windowCap   int
-	adjustEvery int
+	window      []tokenObs // feedback ring; slots [0, filled) are live
+	head        int        // slot the next feedback token overwrites
+	filled      int
 	sinceAdjust int
 	divergence  bool
 
@@ -162,6 +174,9 @@ type ApparateGen struct {
 	// TuneRounds and MoveRounds count adaptation actions.
 	TuneRounds int
 	MoveRounds int
+
+	// pt is the active site's exitsim point, recomputed on every move.
+	pt exitsim.Point
 }
 
 // NewApparateGen starts with the ramp mid-model and no exiting.
@@ -182,76 +197,108 @@ func NewApparateGen(m *model.Model, p exitsim.Profile, accBudget float64) *Appar
 	}
 	a := &ApparateGen{
 		Model: m, Profile: p, Sites: sites,
-		Overhead:    ramp.StyleDefault.OverheadFrac,
-		AccBudget:   TokenBudget(accBudget),
-		windowCap:   192,
-		adjustEvery: 192,
-		candidates:  cands,
-		ewma:        make([]float64, len(cands)),
-		visited:     make([]bool, len(cands)),
+		Overhead:   ramp.StyleDefault.OverheadFrac,
+		AccBudget:  TokenBudget(accBudget),
+		window:     make([]tokenObs, feedbackWindow),
+		candidates: cands,
+		ewma:       make([]float64, len(cands)),
+		visited:    make([]bool, len(cands)),
 	}
 	// Start the sweep at the middle candidate.
-	a.cur = len(cands) / 2
-	a.SiteIdx = cands[a.cur]
+	a.moveTo(len(cands) / 2)
 	return a
 }
 
-func (a *ApparateGen) depth() float64 { return a.Sites[a.SiteIdx].Frac }
+// moveTo places the ramp at candidate i with an empty feedback window.
+func (a *ApparateGen) moveTo(i int) {
+	a.cur = i
+	a.SiteIdx = a.candidates[i]
+	site := a.Sites[a.SiteIdx]
+	a.pt = a.Profile.At(site.Frac, site.Quality)
+	a.head, a.filled = 0, 0
+}
 
 // Decide evaluates the token at the active ramp, records feedback, and
 // runs the adaptation loops on their cadences.
 func (a *ApparateGen) Decide(s exitsim.Sample) (bool, float64, float64, bool) {
-	q := a.Sites[a.SiteIdx].Quality
-	e := a.Profile.ErrScore(s, a.depth(), q)
-	match := a.Profile.Matches(s, a.depth(), q)
+	e, match := a.Profile.Observe(s, a.pt)
 	exit := e < a.Threshold
 
 	// Token-level feedback, truncated at the first in-instance
 	// divergence.
 	if !a.divergence {
-		a.window = append(a.window, tokenObs{err: e, match: match})
-		if len(a.window) > a.windowCap {
-			a.window = a.window[len(a.window)-a.windowCap:]
-		}
+		a.record(tokenObs{err: e, match: match})
 		if exit && !match {
 			a.divergence = true
 		}
 	}
 
 	a.sinceAdjust++
-	if a.sinceAdjust >= a.adjustEvery {
+	if a.sinceAdjust >= feedbackWindow {
 		a.sinceAdjust = 0
 		a.adapt()
 	}
-	return exit, a.depth(), a.Overhead, !exit || match
+	return exit, a.pt.Depth, a.Overhead, !exit || match
 }
 
 // ObserveFlush closes a parallel-decoding instance, re-arming feedback.
 func (a *ApparateGen) ObserveFlush() { a.divergence = false }
 
-// tune picks the largest threshold whose windowed loss fits the budget.
+// record adds one token's feedback to the window ring.
+func (a *ApparateGen) record(o tokenObs) {
+	a.window[a.head] = o
+	a.head++
+	if a.head == len(a.window) {
+		a.head = 0
+	}
+	if a.filled < len(a.window) {
+		a.filled++
+	}
+}
+
+// tune picks the largest grid threshold ti/100 whose windowed loss fits
+// the budget. One pass buckets each mismatch at the first threshold that
+// exits it; a walk up the grid then keeps a running count of exiting
+// mismatches and stops at the first threshold over budget.
 func (a *ApparateGen) tune() {
-	best := 0.0
-	n := float64(len(a.window))
-	if n == 0 {
+	if a.filled == 0 {
 		return
 	}
-	for ti := 0; ti <= 100; ti++ {
-		t := float64(ti) / 100
-		wrong := 0
-		for _, o := range a.window {
-			if o.err < t && !o.match {
-				wrong++
-			}
+	var wrongAt [102]int // wrongAt[101]: mismatches no grid threshold exits
+	for _, o := range a.window[:a.filled] {
+		if !o.match {
+			wrongAt[gridBucket(o.err)]++
 		}
+	}
+	n := float64(a.filled)
+	best, wrong := 0.0, 0
+	for ti := 0; ti <= 100; ti++ {
+		wrong += wrongAt[ti]
 		if float64(wrong)/n <= a.AccBudget {
-			best = t
+			best = float64(ti) / 100
 		} else {
 			break // monotone in t
 		}
 	}
 	a.Threshold = best
 	a.TuneRounds++
+}
+
+// gridBucket returns the first grid index ti in [0, 100] whose threshold
+// float64(ti)/100 err is strictly below, or 101 if there is none. The
+// scan starts at int(err*100), which never passes the answer: err below
+// ti/100 keeps err*100 below ti+1 even after rounding. It then steps up
+// with the exact comparison tune's grid makes, so rounding in ti/100 or
+// err*100 cannot move a token to another bucket.
+func gridBucket(err float64) int {
+	ti := 0
+	if err > 0 {
+		ti = int(math.Min(err*100, 101))
+	}
+	for ti <= 100 && !(err < float64(ti)/100) {
+		ti++
+	}
+	return ti
 }
 
 // adapt retunes the threshold, folds the window's utility into the
@@ -264,17 +311,17 @@ func (a *ApparateGen) tune() {
 func (a *ApparateGen) adapt() {
 	a.tune()
 	exits := 0
-	for _, o := range a.window {
+	for _, o := range a.window[:a.filled] {
 		if o.err < a.Threshold {
 			exits++
 		}
 	}
-	n := len(a.window)
+	n := a.filled
 	if n == 0 {
 		return
 	}
 	base := a.Model.BaseLatencyMS
-	utility := (float64(exits)*(1-a.depth())*base - float64(n-exits)*a.Overhead*base) / float64(n)
+	utility := (float64(exits)*(1-a.pt.Depth)*base - float64(n-exits)*a.Overhead*base) / float64(n)
 
 	if a.visited[a.cur] {
 		a.ewma[a.cur] = 0.6*a.ewma[a.cur] + 0.4*utility
@@ -308,10 +355,8 @@ func (a *ApparateGen) adapt() {
 		}
 	}
 	if next != a.cur {
-		a.cur = next
-		a.SiteIdx = a.candidates[next]
+		a.moveTo(next)
 		a.MoveRounds++
-		a.window = a.window[:0]
 	}
 }
 

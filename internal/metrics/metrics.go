@@ -98,7 +98,9 @@ func NewRecorder(m Mode, capacity int) Recorder {
 // batch of adds sorts just the tail and merges it into the run —
 // O(k log k + n) for k pending adds instead of the O(n log n) full
 // re-sort per query that interleaved add/query workloads used to pay
-// (see BenchmarkDistInterleaved).
+// (see BenchmarkDistInterleaved). The capacity hint presizes the tail,
+// where a streaming recorder's adds land, and the first query sorts the
+// tail in place and makes it the run.
 type Dist struct {
 	sorted  []float64 // sorted run
 	pending []float64 // unsorted recent adds
@@ -107,7 +109,7 @@ type Dist struct {
 
 // NewDist returns an empty distribution with the given capacity hint.
 func NewDist(capacity int) *Dist {
-	return &Dist{sorted: make([]float64, 0, capacity)}
+	return &Dist{pending: make([]float64, 0, capacity)}
 }
 
 // Add appends one sample.
@@ -143,6 +145,10 @@ func (d *Dist) ensureSorted() {
 		return
 	}
 	sort.Float64s(d.pending)
+	if len(d.sorted) == 0 {
+		d.sorted, d.pending = d.pending, d.sorted[:0]
+		return
+	}
 	d.sorted = mergeSorted(d.sorted, d.pending)
 	d.pending = d.pending[:0]
 }
@@ -151,9 +157,6 @@ func (d *Dist) ensureSorted() {
 // reusing a's backing array when capacity allows.
 func mergeSorted(a, b []float64) []float64 {
 	n, m := len(a), len(b)
-	if n == 0 {
-		return append(a, b...)
-	}
 	a = append(a, b...) // grow; the tail is overwritten by the merge
 	i, j := n-1, m-1
 	for k := n + m - 1; j >= 0; k-- {

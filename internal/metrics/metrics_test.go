@@ -132,6 +132,32 @@ func TestAddAfterQuery(t *testing.T) {
 	}
 }
 
+// distSink keeps the recorders below on the heap, as in real use.
+var distSink *Dist
+
+// TestDistCapacityHintUsed pins that the capacity hint holds a streaming
+// recorder's adds: filling a NewDist(n) with n samples and querying it
+// allocates nothing beyond the constructor.
+func TestDistCapacityHintUsed(t *testing.T) {
+	const n = 4096
+	vals := make([]float64, n)
+	r := rng.New(3)
+	for i := range vals {
+		vals[i] = r.Float64() * 100
+	}
+	ctor := testing.AllocsPerRun(10, func() { distSink = NewDist(n) })
+	full := testing.AllocsPerRun(10, func() {
+		distSink = NewDist(n)
+		for _, v := range vals {
+			distSink.Add(v)
+		}
+		distSink.Percentile(99)
+	})
+	if full != ctor {
+		t.Fatalf("NewDist(%d) + %d adds + a query allocated %v times, the constructor alone %v", n, n, full, ctor)
+	}
+}
+
 func TestCDFShape(t *testing.T) {
 	d := NewDist(0)
 	for i := 0; i < 1000; i++ {

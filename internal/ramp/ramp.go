@@ -52,6 +52,10 @@ type Ramp struct {
 	Site      model.RampSite
 	Style     Style
 	Threshold float64
+	// Point is the ramp's exitsim point under its configuration's
+	// profile, computed once by Activate: every input observed at this
+	// ramp goes through Profile.Observe at it.
+	Point exitsim.Point
 }
 
 // Config is a model's early-exit configuration: the active ramps (sorted
@@ -134,7 +138,8 @@ func (c *Config) Activate(site model.RampSite, s Style) error {
 	if !c.WithinBudget(s) {
 		return fmt.Errorf("ramp: activating at node %d exceeds budget %.3f", site.NodeID, c.BudgetFrac)
 	}
-	c.Active = append(c.Active, &Ramp{Site: site, Style: s})
+	pt := c.Profile.At(site.Frac, s.Quality*site.Quality)
+	c.Active = append(c.Active, &Ramp{Site: site, Style: s, Point: pt})
 	sort.Slice(c.Active, func(i, j int) bool { return c.Active[i].Site.Frac < c.Active[j].Site.Frac })
 	return nil
 }
@@ -227,9 +232,7 @@ func (c *Config) Evaluate(s exitsim.Sample, batch int) Outcome {
 	}
 	state := rule.NewState()
 	for i, r := range c.Active {
-		q := r.Style.Quality * r.Site.Quality
-		errScore := c.Profile.ErrScore(s, r.Site.Frac, q)
-		match := c.Profile.Matches(s, r.Site.Frac, q)
+		errScore, match := c.Profile.Observe(s, r.Point)
 		out.PerRamp[i] = Observation{Err: errScore, Match: match}
 		overheadMS += r.Style.OverheadFrac * modelLat
 		if out.ExitIndex < 0 && state.Decide(errScore, r.Threshold) {

@@ -192,6 +192,34 @@ func TestEvaluateRecordsAllRamps(t *testing.T) {
 	}
 }
 
+// TestEvaluateObservesAtEachRampsSite pins each ramp's stored point to
+// its site and style, in the original and in a clone: every
+// observation equals ErrScore and Matches at the ramp's depth and
+// quality, bit for bit, for ramps of mixed styles.
+func TestEvaluateObservesAtEachRampsSite(t *testing.T) {
+	c := testConfig(t)
+	c.BudgetFrac = 0.05
+	for i, st := range []Style{StyleDefault, StyleConvAugmented, StyleDefault, StyleTwoFC} {
+		if err := c.Activate(c.Sites[(2*i+1)*len(c.Sites)/8], st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := rng.New(11)
+	for _, cfg := range []*Config{c, c.Clone()} {
+		for n := 0; n < 500; n++ {
+			s := exitsim.Sample{Difficulty: r.Float64() * 1.2, MatchU: r.Float64(), Bias: r.Float64() * 0.05, NoiseKey: r.Uint64()}
+			out := cfg.Evaluate(s, 1)
+			for i, rp := range cfg.Active {
+				q := rp.Style.Quality * rp.Site.Quality
+				want := Observation{Err: cfg.Profile.ErrScore(s, rp.Site.Frac, q), Match: cfg.Profile.Matches(s, rp.Site.Frac, q)}
+				if out.PerRamp[i] != want {
+					t.Fatalf("ramp %d: observed %+v, want %+v", i, out.PerRamp[i], want)
+				}
+			}
+		}
+	}
+}
+
 func TestEvaluateErrScoresDecreaseWithDepth(t *testing.T) {
 	c := testConfig(t)
 	c.DeployInitial(StyleDefault)
@@ -291,5 +319,23 @@ func TestWorstCaseWithinBudget(t *testing.T) {
 	worst := c.WorstCaseMS(8)
 	if worst > vanilla*(1+c.BudgetFrac)+1e-9 {
 		t.Fatalf("worst case %v exceeds vanilla+budget %v", worst, vanilla*(1+c.BudgetFrac))
+	}
+}
+
+// BenchmarkEvaluate times one input through resnet50's initial 5-ramp
+// deployment, thresholds set so some inputs exit.
+func BenchmarkEvaluate(b *testing.B) {
+	m := model.ResNet50()
+	c := NewConfig(m, exitsim.ProfileFor(m, exitsim.KindVideo), 0.02)
+	c.DeployInitial(StyleDefault)
+	c.SetThresholds([]float64{0.05, 0.1, 0.15, 0.2, 0.25})
+	r := rng.New(1)
+	samples := make([]exitsim.Sample, 1024)
+	for i := range samples {
+		samples[i] = exitsim.Sample{Difficulty: r.Float64() * 1.2, MatchU: r.Float64(), NoiseKey: r.Uint64()}
+	}
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		c.Evaluate(samples[i%len(samples)], 1)
 	}
 }

@@ -324,11 +324,14 @@ sweep-smoke:
 # bounded live heap — the streaming pipeline's O(1)-memory claim,
 # enforced at 10x the original 1M gate (the zero-alloc hot path made
 # the extra requests nearly free in both time and allocator pressure),
-# including the time-varying arrival source. Override the request count
-# with APPARATE_MEM_N (e.g. APPARATE_MEM_N=100000000 for a 100M soak).
+# including the time-varying arrival source. The traced twin runs the
+# same scenario with the lifecycle trace and gauge timeline streamed
+# into a byte counter under the same ceiling: a traced run keeps no
+# trace in memory. Override the request count with APPARATE_MEM_N (e.g.
+# APPARATE_MEM_N=100000000 for a 100M soak).
 APPARATE_MEM_N ?= 10000000
 mem-smoke:
-	GOMEMLIMIT=256MiB APPARATE_MEM_GUARD=1 APPARATE_MEM_N=$(APPARATE_MEM_N) $(GO) test -run TestStreamingMillionBoundedMemory -v .
+	GOMEMLIMIT=256MiB APPARATE_MEM_GUARD=1 APPARATE_MEM_N=$(APPARATE_MEM_N) $(GO) test -run '^TestStreaming(Million|Traced)BoundedMemory$$' -v .
 
 # The 100M-request soak named in ROADMAP item 4: the same bounded-heap
 # assertion as mem-smoke at 10x the requests (~9 min on the bench

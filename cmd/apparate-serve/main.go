@@ -86,33 +86,59 @@ func main() {
 		Timeline:     *timelineP != "",
 		ObsTickMS:    *obsTick,
 	}
-	if !sc.Trace && !sc.Timeline {
-		res, err := core.RunScenario(sc)
+	if err := sc.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	if *chromeP != "" {
+		// The Chrome sink makes two passes over the events, so only it
+		// needs the trace buffered in memory.
+		res, od, err := core.RunScenarioObs(sc)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		printResult(res)
+		if *tracePath != "" {
+			writeSink(*tracePath, od.Trace.WriteJSONL)
+		}
+		writeSink(*chromeP, od.Trace.WriteChrome)
+		if *timelineP != "" {
+			writeSink(*timelineP, od.Timeline.WriteCSV)
+		}
+		reportObs(od, *tracePath, *chromeP, *timelineP)
 		return
 	}
-	res, od, err := core.RunScenarioObs(sc)
+	// Everything else streams into its file while the run goes.
+	traceF, timelineF := create(*tracePath), create(*timelineP)
+	res, od, err := core.RunScenarioTo(sc, traceF, timelineF)
+	for _, f := range []io.WriteCloser{traceF, timelineF} {
+		if f == nil {
+			continue
+		}
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	printResult(res)
-	if *tracePath != "" {
-		writeSink(*tracePath, od.Trace.WriteJSONL)
-		fmt.Fprintf(os.Stderr, "trace: wrote %s (%d events, JSONL)\n", *tracePath, od.Trace.Len())
+	reportObs(od, *tracePath, "", *timelineP)
+}
+
+// create opens path for a streamed sink; an empty path is no sink.
+func create(path string) io.WriteCloser {
+	if path == "" {
+		return nil
 	}
-	if *chromeP != "" {
-		writeSink(*chromeP, od.Trace.WriteChrome)
-		fmt.Fprintf(os.Stderr, "trace: wrote %s (Chrome trace-event; open in Perfetto)\n", *chromeP)
+	f, err := os.Create(path)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	if *timelineP != "" {
-		writeSink(*timelineP, od.Timeline.WriteCSV)
-		fmt.Fprintf(os.Stderr, "timeline: wrote %s (%d rows)\n", *timelineP, len(od.Timeline.Rows))
-	}
+	return f
 }
 
 func writeSink(path string, write func(io.Writer) error) {
@@ -126,6 +152,20 @@ func writeSink(path string, write func(io.Writer) error) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
+	}
+}
+
+// reportObs names the observability files written, with their event
+// and row counts.
+func reportObs(od *core.ObsData, tracePath, chromePath, timelinePath string) {
+	if tracePath != "" {
+		fmt.Fprintf(os.Stderr, "trace: wrote %s (%d events, JSONL)\n", tracePath, od.Trace.Len())
+	}
+	if chromePath != "" {
+		fmt.Fprintf(os.Stderr, "trace: wrote %s (Chrome trace-event; open in Perfetto)\n", chromePath)
+	}
+	if timelinePath != "" {
+		fmt.Fprintf(os.Stderr, "timeline: wrote %s (%d rows)\n", timelinePath, od.Timeline.Len())
 	}
 }
 

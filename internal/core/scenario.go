@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"strings"
 
@@ -110,9 +111,10 @@ type Scenario struct {
 	Retry string `json:"retry,omitempty"`
 	// Trace records the Apparate run's full request lifecycle (arrival,
 	// dispatch, queueing, service, completion, and every fault-path
-	// event) into an obs.Tracer, retrievable via RunScenarioObs.
-	// Timeline additionally samples cluster gauges every ObsTickMS
-	// virtual milliseconds (0 = obs.DefaultTickMS) into an obs.Timeline.
+	// event) into an obs.Tracer, buffered by RunScenarioObs or streamed
+	// by RunScenarioTo. Timeline additionally samples cluster gauges
+	// every ObsTickMS virtual milliseconds (0 = obs.DefaultTickMS) into
+	// an obs.Timeline.
 	// Observability knobs never enter Identity — attaching a tracer
 	// must not shift a scenario's derived seed or any simulated
 	// outcome. Generative scenarios trace sequence lifecycles
@@ -519,16 +521,8 @@ func (sc Scenario) arrivalQPS(m *model.Model) float64 {
 // always yields an identical Result, with no shared state between calls,
 // so scenarios are safe to run concurrently.
 func RunScenario(sc Scenario) (*Result, error) {
-	// Validate before Normalize: canonicalization collapses axes (e.g.
-	// dispatch at one replica) and must not mask a caller's bad value.
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	sc = sc.Normalize()
-	if sc.Generative() {
-		return runGenScenario(sc, nil)
-	}
-	return runClassScenario(sc, nil)
+	res, _, err := run(sc, noSinks)
+	return res, err
 }
 
 // ObsData is the observability output of a traced scenario run: the
@@ -539,39 +533,100 @@ type ObsData struct {
 	Timeline *obs.Timeline
 }
 
+// openSinks builds the Apparate run's observability sinks for the
+// normalized scenario, once the run knows the timeline's goodput SLO.
+type openSinks func(sc Scenario, sloMS float64) ObsData
+
+// noSinks builds none: an untraced run.
+func noSinks(Scenario, float64) ObsData { return ObsData{} }
+
 // RunScenarioObs runs the scenario exactly like RunScenario and also
-// returns its observability output. Only the Apparate run is traced —
-// the trace answers "what did Apparate's cluster do", and interleaving
-// the vanilla baseline into the same file would make every track
-// ambiguous. The Result is identical to an untraced run's: the sinks
-// observe the simulation without perturbing it.
+// returns its observability output, buffered in memory. Only the
+// Apparate run is traced — the trace answers "what did Apparate's
+// cluster do", and interleaving the vanilla baseline into the same file
+// would make every track ambiguous. The Result is identical to an
+// untraced run's: the sinks observe the simulation without perturbing
+// it. Callers that only write the trace out as JSONL or the timeline as
+// CSV should use RunScenarioTo, which keeps neither in memory.
 func RunScenarioObs(sc Scenario) (*Result, *ObsData, error) {
-	if err := sc.Validate(); err != nil {
+	res, od, err := run(sc, func(sc Scenario, sloMS float64) (od ObsData) {
+		if sc.Trace {
+			od.Trace = obs.NewTracer()
+		}
+		if sc.Timeline {
+			od.Timeline = obs.NewTimeline(sc.ObsTickMS, sloMS)
+		}
+		return od
+	})
+	if err != nil {
 		return nil, nil, err
 	}
-	sc = sc.Normalize()
-	od := &ObsData{}
-	if sc.Generative() {
-		res, err := runGenScenario(sc, od)
-		return res, od, err
-	}
-	res, err := runClassScenario(sc, od)
-	return res, od, err
+	return res, &od, nil
 }
 
-// runClassScenario runs a classification scenario; when od is non-nil
-// it attaches the observability sinks the scenario asks for to the
-// Apparate run.
-func runClassScenario(sc Scenario, od *ObsData) (*Result, error) {
+// RunScenarioTo runs the scenario like RunScenarioObs, but streams the
+// Apparate run's lifecycle trace as JSONL into traceW and its gauge
+// timeline as CSV into timelineW while the run goes, keeping neither in
+// memory; the bytes equal what the buffered sinks' WriteJSONL and
+// WriteCSV write. A sink runs when the scenario's knob (Trace, Timeline)
+// asks for it and its writer is non-nil, so RunScenarioTo(sc, nil, nil)
+// is RunScenario(sc). The returned ObsData holds the flushed streaming
+// sinks, whose Len counts the events and rows written. A failing writer
+// does not stop the simulation: the Result comes back with the first
+// write error.
+func RunScenarioTo(sc Scenario, traceW, timelineW io.Writer) (*Result, *ObsData, error) {
+	res, od, err := run(sc, func(sc Scenario, sloMS float64) (od ObsData) {
+		if sc.Trace && traceW != nil {
+			od.Trace = obs.NewTracerTo(traceW)
+		}
+		if sc.Timeline && timelineW != nil {
+			od.Timeline = obs.NewTimelineTo(timelineW, sc.ObsTickMS, sloMS)
+		}
+		return od
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	if od.Trace != nil {
+		if ferr := od.Trace.Flush(); ferr != nil {
+			err = fmt.Errorf("trace sink: %w", ferr)
+		}
+	}
+	if od.Timeline != nil {
+		if ferr := od.Timeline.Flush(); ferr != nil && err == nil {
+			err = fmt.Errorf("timeline sink: %w", ferr)
+		}
+	}
+	return res, &od, err
+}
+
+// run validates, normalizes and runs the scenario, attaching the sinks
+// open builds to the Apparate run.
+func run(sc Scenario, open openSinks) (*Result, ObsData, error) {
+	// Validate before Normalize: canonicalization collapses axes (e.g.
+	// dispatch at one replica) and must not mask a caller's bad value.
+	if err := sc.Validate(); err != nil {
+		return nil, ObsData{}, err
+	}
+	sc = sc.Normalize()
+	if sc.Generative() {
+		return runGenScenario(sc, open)
+	}
+	return runClassScenario(sc, open)
+}
+
+// runClassScenario runs a classification scenario, attaching the
+// observability sinks open builds to the Apparate run.
+func runClassScenario(sc Scenario, open openSinks) (*Result, ObsData, error) {
 	m, err := model.ByName(sc.Model)
 	if err != nil {
-		return nil, err
+		return nil, ObsData{}, err
 	}
 	kind := kindFor(sc.Workload)
 	sched, _ := trace.ParseSchedule(sc.RateSchedule)
 	stream, err := workload.ByNameSched(sc.Workload, sc.N, sc.arrivalQPS(m), sc.Seed, sched)
 	if err != nil {
-		return nil, err
+		return nil, ObsData{}, err
 	}
 
 	mode, _ := metrics.ParseMode(sc.Metrics)
@@ -583,33 +638,23 @@ func runClassScenario(sc Scenario, od *ObsData) (*Result, error) {
 	}
 	cfg.Platform, _ = serving.ParsePlatform(sc.Platform)
 	res := &Result{Scenario: sc, Requests: stream.Len()}
-
-	if od != nil {
-		if sc.Trace {
-			od.Trace = obs.NewTracer()
-		}
-		if sc.Timeline {
-			od.Timeline = obs.NewTimeline(sc.ObsTickMS, m.SLO())
-		}
-	}
+	od := open(sc, m.SLO())
 
 	if sc.Replicas == 1 && sc.Autoscale == "" && sc.Faults == "" && sc.Retry == "" {
 		sys := New(m, kind, cfg)
 		res.SLOms = sys.Opts.SLOms
 		v := sys.ServeVanilla(stream)
-		if od != nil {
-			// Attach the sinks after the vanilla baseline so only the
-			// Apparate run is observed; Opts is a value, so this never
-			// leaks into a later ServeVanilla.
-			sys.Opts.Trace, sys.Opts.Timeline = od.Trace, od.Timeline
-		}
+		// Attach the sinks after the vanilla baseline so only the
+		// Apparate run is observed; Opts is a value, so this never leaks
+		// into a later ServeVanilla.
+		sys.Opts.Trace, sys.Opts.Timeline = od.Trace, od.Timeline
 		a := sys.Serve(stream)
 		fillClass(res, v, a)
 		ctl := sys.Controller()
 		res.TuneRounds = ctl.TuneRounds
 		res.AdjustRounds = ctl.AdjustRounds
 		res.ActiveRamps = len(sys.Handler.Cfg.Active)
-		return res, nil
+		return res, od, nil
 	}
 
 	dispatch, _ := serving.ParseDispatch(sc.Dispatch)
@@ -665,11 +710,9 @@ func runClassScenario(sc Scenario, od *ObsData) (*Result, error) {
 		return &serving.VanillaHandler{Model: mm}
 	}
 	v := serving.RunCluster(stream, mkVanilla, opts)
-	if od != nil {
-		// The vanilla baseline above ran with the zero-valued sinks, so
-		// only the Apparate cluster is traced.
-		opts.Options.Trace, opts.Options.Timeline = od.Trace, od.Timeline
-	}
+	// The vanilla baseline above ran with the zero-valued sinks, so only
+	// the Apparate cluster is traced.
+	opts.Options.Trace, opts.Options.Timeline = od.Trace, od.Timeline
 	a := serving.RunCluster(stream, mkApparate, opts)
 	fillClass(res, v.Merged, a.Merged)
 	if a.Faults != nil {
@@ -696,7 +739,7 @@ func runClassScenario(sc Scenario, od *ObsData) (*Result, error) {
 		res.AdjustRounds += h.Ctl.AdjustRounds
 		res.ActiveRamps += len(h.Cfg.Active)
 	}
-	return res, nil
+	return res, od, nil
 }
 
 func fillClass(res *Result, v, a *serving.Stats) {
@@ -711,15 +754,17 @@ func fillClass(res *Result, v, a *serving.Stats) {
 	fillWins(res)
 }
 
-func runGenScenario(sc Scenario, od *ObsData) (*Result, error) {
+// runGenScenario runs a generative scenario, attaching the
+// observability sinks open builds to the Apparate run.
+func runGenScenario(sc Scenario, open openSinks) (*Result, ObsData, error) {
 	m, err := model.ByName(sc.Model)
 	if err != nil {
-		return nil, err
+		return nil, ObsData{}, err
 	}
 	kind := kindFor(sc.Workload)
 	stream, err := workload.GenByName(sc.Workload, sc.N, sc.arrivalQPS(m), sc.Seed)
 	if err != nil {
-		return nil, err
+		return nil, ObsData{}, err
 	}
 	mode, _ := metrics.ParseMode(sc.Metrics)
 	cfg := Config{
@@ -736,17 +781,11 @@ func runGenScenario(sc Scenario, od *ObsData) (*Result, error) {
 	}
 	g := NewGen(m, kind, cfg)
 	v := g.ServeVanilla(stream)
-	if od != nil {
-		// Attach the sinks after the vanilla baseline so only the
-		// Apparate run is observed, exactly like the cluster path.
-		if sc.Trace {
-			od.Trace = obs.NewTracer()
-		}
-		if sc.Timeline {
-			od.Timeline = obs.NewTimeline(sc.ObsTickMS, 0)
-		}
-		g.Engine.Trace, g.Engine.Timeline = od.Trace, od.Timeline
-	}
+	// Attach the sinks after the vanilla baseline so only the Apparate
+	// run is observed, exactly like the cluster path. The generative
+	// timeline counts every completion as goodput.
+	od := open(sc, 0)
+	g.Engine.Trace, g.Engine.Timeline = od.Trace, od.Timeline
 	a := g.Serve(stream)
 
 	res := &Result{Scenario: sc, Generative: true, Requests: stream.Len()}
@@ -769,7 +808,7 @@ func runGenScenario(sc Scenario, od *ObsData) (*Result, error) {
 	res.TuneRounds = g.Policy.TuneRounds
 	res.AdjustRounds = g.Policy.MoveRounds
 	res.ActiveRamps = 1 // generative serving uses a single adjustable ramp (§4.4)
-	return res, nil
+	return res, od, nil
 }
 
 func fillWins(res *Result) {

@@ -19,6 +19,14 @@
 // Sinks: JSONL (one event per line, streamable into anything) and the
 // Chrome trace-event format (load the file at ui.perfetto.dev — one
 // track per replica, plus a dispatcher track with outage spans).
+//
+// Each recorder comes in two forms. A buffered Tracer or Timeline
+// (NewTracer, NewTimeline) keeps every event or row, so its memory is
+// O(run length); the Chrome sink needs one, because it makes two passes
+// over the events. A streaming one (NewTracerTo, NewTimelineTo) encodes
+// each event or row into its writer as it is emitted and keeps nothing,
+// so a traced run holds the same bounded memory as an untraced one.
+// Both forms share one encoder per format and write identical bytes.
 package obs
 
 import (
@@ -162,34 +170,101 @@ func At(tMS float64, kind Kind) Event {
 	return Event{TMS: tMS, Kind: kind, Req: -1, Replica: -1}
 }
 
-// Tracer buffers lifecycle events in emission order. It is not
+// Tracer records lifecycle events in emission order. It is not
 // concurrency-safe — one tracer belongs to one (single-threaded)
-// simulation run, exactly like the engine loop it observes. Memory is
-// O(events); tracing is opt-in, and runs that need bounded memory
-// (mem-smoke) leave it off.
+// simulation run, exactly like the engine loop it observes. A buffered
+// tracer (NewTracer) keeps every event in Events, so its memory is
+// O(events); a streaming tracer (NewTracerTo) writes each event as JSONL
+// when it is emitted and keeps none, so its memory is O(1) and a traced
+// run stays inside the same bounded heap as an untraced one (the traced
+// mem-smoke guard).
 type Tracer struct {
+	// Events holds a buffered tracer's events; a streaming tracer
+	// leaves it empty.
 	Events []Event
+
+	out *sink // the streaming destination; nil when buffered
+	n   int   // events streamed into out
 }
 
-// NewTracer returns an empty tracer.
+// NewTracer returns an empty buffered tracer.
 func NewTracer() *Tracer { return &Tracer{} }
 
-// Emit appends one event.
-func (t *Tracer) Emit(e Event) { t.Events = append(t.Events, e) }
+// NewTracerTo returns a streaming tracer: every emitted event is
+// written to w as one JSONL line, byte-identical to what WriteJSONL
+// would write for a buffered tracer. Writes go through a bufio.Writer;
+// call Flush when the run ends.
+func NewTracerTo(w io.Writer) *Tracer { return &Tracer{out: newSink(w)} }
 
-// Len reports the number of buffered events.
-func (t *Tracer) Len() int { return len(t.Events) }
+// Emit records one event: appended to Events on a buffered tracer,
+// encoded into the writer on a streaming one.
+func (t *Tracer) Emit(e Event) {
+	if t.out == nil {
+		t.Events = append(t.Events, e)
+		return
+	}
+	t.n++
+	t.out.buf = append(appendJSON(t.out.buf[:0], e), '\n')
+	t.out.put()
+}
+
+// Len reports the number of events emitted so far.
+func (t *Tracer) Len() int {
+	if t.out != nil {
+		return t.n
+	}
+	return len(t.Events)
+}
+
+// Flush writes out what a streaming tracer still buffers and returns
+// its first write error; events after a failed write are counted but
+// not written. On a buffered tracer it does nothing.
+func (t *Tracer) Flush() error {
+	if t.out == nil {
+		return nil
+	}
+	return t.out.flush()
+}
+
+// sink is the write-through half of a streaming Tracer or Timeline:
+// each record is encoded into one reused buffer and handed to a
+// bufio.Writer, and nothing is kept. The bufio.Writer makes the first
+// write error sticky: it accepts no more data and returns that error
+// from every later Write and from Flush. The buffered writers
+// (WriteJSONL, WriteCSV) drain through a sink too, so both forms share
+// the encoders and the error handling.
+type sink struct {
+	bw  *bufio.Writer
+	buf []byte
+}
+
+// newSink wraps w. The encode buffer starts at 512 bytes, more than
+// any event encodes to; a timeline row wide enough to need more grows it
+// once, and after that encoding never allocates.
+func newSink(w io.Writer) *sink {
+	return &sink{bw: bufio.NewWriter(w), buf: make([]byte, 0, 512)}
+}
+
+// put writes the encoded record in buf. Its error is dropped here
+// because the bufio.Writer keeps it for flush to return.
+func (s *sink) put() { s.bw.Write(s.buf) }
+
+// flush drains the bufio.Writer and returns the first write error.
+func (s *sink) flush() error { return s.bw.Flush() }
 
 // ftoa renders a float in the shortest exact form — the same byte-stable
 // formatting the sweep CSVs use, so trace output never depends on
 // printf rounding.
 func ftoa(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
+// appendFloat appends ftoa's bytes without building the string.
+func appendFloat(buf []byte, v float64) []byte { return strconv.AppendFloat(buf, v, 'g', -1, 64) }
+
 // appendJSON renders one event as a compact JSON object with a fixed
 // key order, omitting inapplicable fields.
 func appendJSON(buf []byte, e Event) []byte {
 	buf = append(buf, `{"t":`...)
-	buf = append(buf, ftoa(e.TMS)...)
+	buf = appendFloat(buf, e.TMS)
 	buf = append(buf, `,"kind":"`...)
 	buf = append(buf, e.Kind...)
 	buf = append(buf, '"')
@@ -211,31 +286,27 @@ func appendJSON(buf []byte, e Event) []byte {
 	}
 	if e.DurMS != 0 {
 		buf = append(buf, `,"dur_ms":`...)
-		buf = append(buf, ftoa(e.DurMS)...)
+		buf = appendFloat(buf, e.DurMS)
 	}
 	if e.LatMS != 0 {
 		buf = append(buf, `,"lat_ms":`...)
-		buf = append(buf, ftoa(e.LatMS)...)
+		buf = appendFloat(buf, e.LatMS)
 	}
 	buf = append(buf, '}')
 	return buf
 }
 
-// WriteJSONL writes the trace as JSON Lines in emission order. The
+// WriteJSONL writes a buffered trace as JSON Lines in emission order. The
 // encoding is byte-stable: fixed key order, shortest-exact floats, no
 // map iteration anywhere — two runs of the same simulation produce
 // identical bytes.
 func (t *Tracer) WriteJSONL(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	var buf []byte
+	s := newSink(w)
 	for _, e := range t.Events {
-		buf = appendJSON(buf[:0], e)
-		buf = append(buf, '\n')
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
+		s.buf = append(appendJSON(s.buf[:0], e), '\n')
+		s.put()
 	}
-	return bw.Flush()
+	return s.flush()
 }
 
 // Chrome trace-event constants: timestamps are microseconds, and every
@@ -260,7 +331,7 @@ func (t *Tracer) genTrace() bool {
 	return len(t.Events) > 0 && t.Events[0].Kind == KindSeqArrive
 }
 
-// WriteChrome writes the trace in the Chrome trace-event JSON format
+// WriteChrome writes a buffered trace in the Chrome trace-event JSON format
 // (viewable at ui.perfetto.dev or chrome://tracing): batches render as
 // duration slices on their replica's track, crash/restart and
 // outage_start/outage_end pairs render as "down"/"outage" spans, and

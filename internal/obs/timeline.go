@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bufio"
 	"io"
 	"strconv"
 
@@ -60,7 +59,10 @@ type Row struct {
 
 // Timeline samples simulator gauges at a fixed virtual-time tick and
 // accumulates per-window latency stats, emitting one Row per tick. Like
-// Tracer it is single-threaded and belongs to one run.
+// Tracer it is single-threaded and belongs to one run, and it comes in
+// the same two forms: a buffered timeline (NewTimeline) keeps its rows
+// in Rows for WriteCSV, a streaming one (NewTimelineTo) writes each row
+// as CSV when it is emitted and keeps none.
 //
 // It is deliberately NOT an engine process: scheduling tick events on
 // the loop would advance the clock past the last real event and perturb
@@ -78,12 +80,18 @@ type Timeline struct {
 	// it attaches the timeline.
 	Gen bool
 
+	// Rows holds a buffered timeline's rows; a streaming timeline
+	// leaves it empty.
 	Rows []Row
 
 	nextTick float64
 	winLat   *metrics.Sketch
 	winDone  int
 	winGood  int
+
+	out    *sink // the streaming destination; nil when buffered
+	n      int   // rows streamed into out
+	headed bool  // out has its CSV header
 }
 
 // DefaultTickMS is the sampling period when none is configured.
@@ -97,6 +105,61 @@ func NewTimeline(tickMS, sloMS float64) *Timeline {
 		tickMS = DefaultTickMS
 	}
 	return &Timeline{TickMS: tickMS, SLOms: sloMS, winLat: metrics.NewSketch()}
+}
+
+// NewTimelineTo returns a streaming timeline with NewTimeline's
+// sampling: every emitted row is written to w as one CSV line,
+// byte-identical to what WriteCSV would write for a buffered timeline.
+// The header is written with the first row, or by Flush for a row-less
+// run, so a simulator may still set Gen after construction. Writes go
+// through a bufio.Writer; call Flush when the run ends.
+func NewTimelineTo(w io.Writer, tickMS, sloMS float64) *Timeline {
+	tl := NewTimeline(tickMS, sloMS)
+	tl.out = newSink(w)
+	return tl
+}
+
+// Len reports the number of rows emitted so far.
+func (tl *Timeline) Len() int {
+	if tl.out != nil {
+		return tl.n
+	}
+	return len(tl.Rows)
+}
+
+// Flush writes out what a streaming timeline still buffers — the header
+// alone when no row was emitted — and returns its first write error;
+// rows after a failed write are counted but not written. On a buffered
+// timeline it does nothing.
+func (tl *Timeline) Flush() error {
+	if tl.out == nil {
+		return nil
+	}
+	tl.out.buf = tl.head(tl.out.buf[:0])
+	tl.out.put() // empty once the header is out
+	return tl.out.flush()
+}
+
+// emit records one row: appended to Rows on a buffered timeline,
+// encoded into the writer on a streaming one.
+func (tl *Timeline) emit(r Row) {
+	if tl.out == nil {
+		tl.Rows = append(tl.Rows, r)
+		return
+	}
+	tl.n++
+	tl.out.buf = tl.appendRow(tl.head(tl.out.buf[:0]), r)
+	tl.out.put()
+}
+
+// head appends the CSV header the first time a streaming timeline
+// writes, and nothing after that.
+func (tl *Timeline) head(buf []byte) []byte {
+	if tl.headed {
+		return buf
+	}
+	tl.headed = true
+	return append(buf, tl.header()...)
 }
 
 // Observe records one completed request into the current window.
@@ -124,7 +187,7 @@ func (tl *Timeline) CatchUp(nowMS float64, snap func(tMS float64) Gauges) {
 			row.WinP99MS = tl.winLat.Percentile(99)
 			row.WinGoodputQPS = float64(tl.winGood) / tl.TickMS * 1000
 		}
-		tl.Rows = append(tl.Rows, row)
+		tl.emit(row)
 		tl.winDone, tl.winGood = 0, 0
 		tl.winLat.Reset()
 		tl.nextTick += tl.TickMS
@@ -144,7 +207,7 @@ func (tl *Timeline) Finish(nowMS float64, snap func(tMS float64) Gauges) {
 	if span := nowMS - (tl.nextTick - tl.TickMS); span > 0 {
 		row.WinGoodputQPS = float64(tl.winGood) / span * 1000
 	}
-	tl.Rows = append(tl.Rows, row)
+	tl.emit(row)
 	tl.winDone, tl.winGood = 0, 0
 	tl.winLat.Reset()
 }
@@ -155,89 +218,91 @@ const csvHeader = "t_ms,replicas,live,queued,inflight,parked,win_done,win_p99_ms
 // genCSVHeader is the generative column set, selected by Timeline.Gen.
 const genCSVHeader = "t_ms,running,queued,kv_free,kv_held,kv_util,kv_block_ms,preempts,win_done,win_p99_ms,win_goodput_qps\n"
 
-// WriteCSV writes the timeline with a fixed header. Per-replica queue
-// depths are semicolon-joined in the final column so the row count stays
-// stable when autoscaling changes the replica count mid-run. Generative
-// timelines (Gen set) swap the replica gauges for the KV-pool column
-// set. Floats use the shortest exact representation; output is
-// byte-stable.
-func (tl *Timeline) WriteCSV(w io.Writer) error {
+// header returns the CSV header of the timeline's column set.
+func (tl *Timeline) header() string {
 	if tl.Gen {
-		return tl.writeGenCSV(w)
+		return genCSVHeader
 	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(csvHeader); err != nil {
-		return err
-	}
-	var buf []byte
-	for _, r := range tl.Rows {
-		buf = buf[:0]
-		buf = append(buf, ftoa(r.TMS)...)
-		buf = append(buf, ',')
-		buf = strconv.AppendInt(buf, int64(r.Gauges.Replicas), 10)
-		buf = append(buf, ',')
-		buf = strconv.AppendInt(buf, int64(r.Gauges.Live), 10)
-		buf = append(buf, ',')
-		buf = strconv.AppendInt(buf, int64(r.Gauges.Queued), 10)
-		buf = append(buf, ',')
-		buf = strconv.AppendInt(buf, int64(r.Gauges.Inflight), 10)
-		buf = append(buf, ',')
-		buf = strconv.AppendInt(buf, int64(r.Gauges.Parked), 10)
-		buf = append(buf, ',')
-		buf = strconv.AppendInt(buf, int64(r.WinDone), 10)
-		buf = append(buf, ',')
-		buf = append(buf, ftoa(r.WinP99MS)...)
-		buf = append(buf, ',')
-		buf = append(buf, ftoa(r.WinGoodputQPS)...)
-		buf = append(buf, ',')
-		for i, d := range r.Gauges.QueueDepths {
-			if i > 0 {
-				buf = append(buf, ';')
-			}
-			buf = strconv.AppendInt(buf, int64(d), 10)
-		}
-		buf = append(buf, '\n')
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return csvHeader
 }
 
-// writeGenCSV emits the generative column set (see genCSVHeader).
-func (tl *Timeline) writeGenCSV(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(genCSVHeader); err != nil {
-		return err
+// appendRow encodes one row, newline included, in the timeline's
+// column set.
+func (tl *Timeline) appendRow(buf []byte, r Row) []byte {
+	if tl.Gen {
+		return appendGenRow(buf, r)
 	}
-	var buf []byte
+	return appendClassRow(buf, r)
+}
+
+// WriteCSV writes a buffered timeline with a fixed header. Per-replica
+// queue depths are semicolon-joined in the final column so the row count
+// stays stable when autoscaling changes the replica count mid-run.
+// Generative timelines (Gen set) swap the replica gauges for the KV-pool
+// column set. Floats use the shortest exact representation; output is
+// byte-stable.
+func (tl *Timeline) WriteCSV(w io.Writer) error {
+	s := newSink(w)
+	s.buf = append(s.buf[:0], tl.header()...)
+	s.put()
 	for _, r := range tl.Rows {
-		buf = buf[:0]
-		buf = append(buf, ftoa(r.TMS)...)
-		buf = append(buf, ',')
-		buf = strconv.AppendInt(buf, int64(r.Gauges.Running), 10)
-		buf = append(buf, ',')
-		buf = strconv.AppendInt(buf, int64(r.Gauges.Queued), 10)
-		buf = append(buf, ',')
-		buf = strconv.AppendInt(buf, int64(r.Gauges.KVFree), 10)
-		buf = append(buf, ',')
-		buf = strconv.AppendInt(buf, int64(r.Gauges.KVHeld), 10)
-		buf = append(buf, ',')
-		buf = append(buf, ftoa(r.Gauges.KVUtil)...)
-		buf = append(buf, ',')
-		buf = append(buf, ftoa(r.Gauges.KVBlockMS)...)
-		buf = append(buf, ',')
-		buf = strconv.AppendInt(buf, int64(r.Gauges.Preempts), 10)
-		buf = append(buf, ',')
-		buf = strconv.AppendInt(buf, int64(r.WinDone), 10)
-		buf = append(buf, ',')
-		buf = append(buf, ftoa(r.WinP99MS)...)
-		buf = append(buf, ',')
-		buf = append(buf, ftoa(r.WinGoodputQPS)...)
-		buf = append(buf, '\n')
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
+		s.buf = tl.appendRow(s.buf[:0], r)
+		s.put()
 	}
-	return bw.Flush()
+	return s.flush()
+}
+
+// appendClassRow encodes one row in the csvHeader column set.
+func appendClassRow(buf []byte, r Row) []byte {
+	buf = appendFloat(buf, r.TMS)
+	buf = append(buf, ',')
+	buf = strconv.AppendInt(buf, int64(r.Gauges.Replicas), 10)
+	buf = append(buf, ',')
+	buf = strconv.AppendInt(buf, int64(r.Gauges.Live), 10)
+	buf = append(buf, ',')
+	buf = strconv.AppendInt(buf, int64(r.Gauges.Queued), 10)
+	buf = append(buf, ',')
+	buf = strconv.AppendInt(buf, int64(r.Gauges.Inflight), 10)
+	buf = append(buf, ',')
+	buf = strconv.AppendInt(buf, int64(r.Gauges.Parked), 10)
+	buf = append(buf, ',')
+	buf = strconv.AppendInt(buf, int64(r.WinDone), 10)
+	buf = append(buf, ',')
+	buf = appendFloat(buf, r.WinP99MS)
+	buf = append(buf, ',')
+	buf = appendFloat(buf, r.WinGoodputQPS)
+	buf = append(buf, ',')
+	for i, d := range r.Gauges.QueueDepths {
+		if i > 0 {
+			buf = append(buf, ';')
+		}
+		buf = strconv.AppendInt(buf, int64(d), 10)
+	}
+	return append(buf, '\n')
+}
+
+// appendGenRow encodes one row in the genCSVHeader column set.
+func appendGenRow(buf []byte, r Row) []byte {
+	buf = appendFloat(buf, r.TMS)
+	buf = append(buf, ',')
+	buf = strconv.AppendInt(buf, int64(r.Gauges.Running), 10)
+	buf = append(buf, ',')
+	buf = strconv.AppendInt(buf, int64(r.Gauges.Queued), 10)
+	buf = append(buf, ',')
+	buf = strconv.AppendInt(buf, int64(r.Gauges.KVFree), 10)
+	buf = append(buf, ',')
+	buf = strconv.AppendInt(buf, int64(r.Gauges.KVHeld), 10)
+	buf = append(buf, ',')
+	buf = appendFloat(buf, r.Gauges.KVUtil)
+	buf = append(buf, ',')
+	buf = appendFloat(buf, r.Gauges.KVBlockMS)
+	buf = append(buf, ',')
+	buf = strconv.AppendInt(buf, int64(r.Gauges.Preempts), 10)
+	buf = append(buf, ',')
+	buf = strconv.AppendInt(buf, int64(r.WinDone), 10)
+	buf = append(buf, ',')
+	buf = appendFloat(buf, r.WinP99MS)
+	buf = append(buf, ',')
+	buf = appendFloat(buf, r.WinGoodputQPS)
+	return append(buf, '\n')
 }

@@ -181,3 +181,39 @@ func TestObsDirUnsetSkipsWriting(t *testing.T) {
 		t.Fatalf("Requests = %d, want 300", results[0].Requests)
 	}
 }
+
+// TestFailedTracedScenarioLeavesNoFiles: a traced scenario that fails
+// leaves no trace or timeline file, whether it is rejected before the
+// run (an invalid spec) or fails after its trace file was created (the
+// timeline file cannot be created). A good scenario in the same sweep
+// still writes both.
+func TestFailedTracedScenarioLeavesNoFiles(t *testing.T) {
+	good := core.Scenario{Model: "resnet18", Workload: "video-0", N: 300, Seed: 1, Trace: true, Timeline: true}
+	invalid := good
+	invalid.Faults = "crash:r9@-5"
+	blocked := good
+	blocked.Seed = 2
+	dir := t.TempDir()
+	// A directory squatting on scenario 2's timeline name makes creating
+	// that file fail after its trace file already exists.
+	if err := os.Mkdir(filepath.Join(dir, "timeline_002.csv"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	results := Run([]core.Scenario{good, invalid, blocked}, Options{Workers: 1, ObsDir: dir})
+	if results[0].Err != "" {
+		t.Fatalf("good scenario failed: %s", results[0].Err)
+	}
+	if results[1].Err == "" || results[2].Err == "" {
+		t.Fatalf("failing scenarios reported no error: %q, %q", results[1].Err, results[2].Err)
+	}
+	for _, name := range []string{"trace_000.jsonl", "timeline_000.csv"} {
+		if fi, err := os.Stat(filepath.Join(dir, name)); err != nil || fi.Size() == 0 {
+			t.Fatalf("good scenario's %s missing or empty (err %v)", name, err)
+		}
+	}
+	for _, name := range []string{"trace_001.jsonl", "timeline_001.csv", "trace_002.jsonl"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Errorf("failed scenario left %s behind (stat err %v)", name, err)
+		}
+	}
+}

@@ -34,7 +34,11 @@ type Options struct {
 	// Timeline knob is set, where <idx> is the scenario's position in
 	// the expanded (identity-sorted) slice. Index naming keeps the
 	// filenames — and, with the per-scenario seeds, the file bytes —
-	// identical for any worker count. The directory must exist.
+	// identical for any worker count. The files are written during the
+	// run, event by event and row by row, so a traced scenario holds no
+	// trace in memory; a scenario that fails (an invalid spec, a write
+	// error, a panic) leaves neither file behind. The directory must
+	// exist.
 	ObsDir string
 }
 
@@ -84,14 +88,29 @@ func Run(scenarios []core.Scenario, opts Options) []Result {
 
 // runOne executes a single scenario, converting panics into per-scenario
 // errors so one pathological grid point cannot take down a sweep. When
-// the scenario asks for observability and obsDir is set, the sinks are
-// written as idx-named files alongside the run.
+// the scenario asks for observability and obsDir is set, the sinks
+// stream into idx-named files while it runs; a scenario that fails
+// removes the files it created.
 func runOne(sc core.Scenario, idx int, obsDir string) (out Result) {
+	var files []*os.File
 	defer func() {
 		if r := recover(); r != nil {
 			out = Result{Result: core.Result{Scenario: sc}, Err: fmt.Sprintf("panic: %v", r)}
 		}
+		for _, f := range files {
+			if err := f.Close(); err != nil && out.Err == "" {
+				out.Err = err.Error()
+			}
+		}
+		if out.Err != "" {
+			for _, f := range files {
+				// Best effort: the row already reports the failure.
+				os.Remove(f.Name())
+			}
+		}
 	}()
+	// An untraced scenario creates no file, so RunScenario's own
+	// validation is all it needs.
 	if obsDir == "" || (!sc.Trace && !sc.Timeline) {
 		res, err := core.RunScenario(sc)
 		if err != nil {
@@ -99,42 +118,37 @@ func runOne(sc core.Scenario, idx int, obsDir string) (out Result) {
 		}
 		return Result{Result: *res}
 	}
-	res, od, err := core.RunScenarioObs(sc)
+	// Validate before creating any file: a scenario rejected up front
+	// must not leave an empty trace behind.
+	if err := sc.Validate(); err != nil {
+		return Result{Result: core.Result{Scenario: sc}, Err: err.Error()}
+	}
+	create := func(on bool, pattern string) (io.Writer, error) {
+		if !on {
+			return nil, nil
+		}
+		f, err := os.Create(filepath.Join(obsDir, fmt.Sprintf(pattern, idx)))
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+		return f, nil
+	}
+	traceW, err := create(sc.Trace, "trace_%03d.jsonl")
 	if err != nil {
 		return Result{Result: core.Result{Scenario: sc}, Err: err.Error()}
 	}
-	if err := writeObs(od, obsDir, idx); err != nil {
+	timelineW, err := create(sc.Timeline, "timeline_%03d.csv")
+	if err != nil {
+		return Result{Result: core.Result{Scenario: sc}, Err: err.Error()}
+	}
+	res, _, err := core.RunScenarioTo(sc, traceW, timelineW)
+	switch {
+	case res == nil:
+		return Result{Result: core.Result{Scenario: sc}, Err: err.Error()}
+	case err != nil:
+		// The simulation completed, but a sink's file failed.
 		return Result{Result: *res, Err: err.Error()}
 	}
 	return Result{Result: *res}
-}
-
-// writeObs writes a scenario's observability sinks into dir under
-// deterministic index-derived names.
-func writeObs(od *core.ObsData, dir string, idx int) error {
-	if od.Trace != nil {
-		name := filepath.Join(dir, fmt.Sprintf("trace_%03d.jsonl", idx))
-		if err := writeSink(name, od.Trace.WriteJSONL); err != nil {
-			return err
-		}
-	}
-	if od.Timeline != nil {
-		name := filepath.Join(dir, fmt.Sprintf("timeline_%03d.csv", idx))
-		if err := writeSink(name, od.Timeline.WriteCSV); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func writeSink(name string, write func(io.Writer) error) error {
-	f, err := os.Create(name)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -36,7 +36,7 @@ func main() {
 		replicas  = flag.Int("replicas", 1, "replica count (replicas > 1 runs the cluster simulator)")
 		rate      = flag.Float64("rate", 1, "arrival-rate multiplier over the workload's native rate (video: 30fps × rate)")
 		budget    = flag.Float64("ramp-budget", 0.02, "ramp budget (fraction of worst-case latency)")
-		accLoss   = flag.Float64("acc-loss", 0.01, "tolerable accuracy loss")
+		accLoss   = flag.Float64("acc-loss", 0.01, "tolerable accuracy loss (a fraction in [0,1])")
 		exitRule  = flag.String("exit-rule", "", "exit rule override: entropy | windowed-K | patience-P")
 		genSlots  = flag.Int("gen-slots", 0, "generative continuous-batching slots (0 = engine default)")
 		genFlush  = flag.Int("gen-flush", 0, "generative pending-token flush threshold (0 = engine default)")

@@ -11,6 +11,7 @@ import (
 	"repro/internal/exitrule"
 	"repro/internal/exitsim"
 	"repro/internal/faults"
+	"repro/internal/genserve"
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/obs"
@@ -408,6 +409,11 @@ func (sc Scenario) Validate() error {
 	if _, err := faults.ParseRetry(sc.Retry); err != nil {
 		return err
 	}
+	// Normalize turns any non-positive replica count into one; only 0
+	// means unset.
+	if sc.Replicas < 0 {
+		return fmt.Errorf("scenario: replica count %d must be non-negative (0 = one replica)", sc.Replicas)
+	}
 	sc = sc.Normalize()
 	m, err := model.ByName(sc.Model)
 	if err != nil {
@@ -445,8 +451,10 @@ func (sc Scenario) Validate() error {
 	if !(sc.RampBudget > 0) || math.IsInf(sc.RampBudget, 0) {
 		return fmt.Errorf("scenario: ramp budget %g must be positive and finite", sc.RampBudget)
 	}
-	if !(sc.AccLoss >= 0) || math.IsInf(sc.AccLoss, 0) {
-		return fmt.Errorf("scenario: accuracy-loss constraint %g must be non-negative and finite", sc.AccLoss)
+	// An accuracy budget is a fraction of the original model's accuracy;
+	// generative runs would silently cap one above 1 in TokenBudget.
+	if !(sc.AccLoss >= 0 && sc.AccLoss <= 1) {
+		return fmt.Errorf("scenario: accuracy-loss constraint %g must be a fraction in [0,1]", sc.AccLoss)
 	}
 	if sc.GenSlots < 0 || sc.GenFlush < 0 {
 		return fmt.Errorf("scenario: gen slots/flush must be non-negative (got %d/%d)", sc.GenSlots, sc.GenFlush)
@@ -780,26 +788,17 @@ func runGenScenario(sc Scenario, open openSinks) (*Result, ObsData, error) {
 		Metrics:            mode,
 	}
 	g := NewGen(m, kind, cfg)
-	v := g.ServeVanilla(stream)
+	res := &Result{Scenario: sc, Generative: true, Requests: stream.Len()}
+	// Each run is summarized before the next starts, so at most one
+	// exact TPT recorder (every token of a run) is live at a time.
+	res.Vanilla = genSummary(g.ServeVanilla(stream))
 	// Attach the sinks after the vanilla baseline so only the Apparate
 	// run is observed, exactly like the cluster path. The generative
 	// timeline counts every completion as goodput.
 	od := open(sc, 0)
 	g.Engine.Trace, g.Engine.Timeline = od.Trace, od.Timeline
 	a := g.Serve(stream)
-
-	res := &Result{Scenario: sc, Generative: true, Requests: stream.Len()}
-	// A token-free run (empty stream, or every sequence at GenLen 0) has
-	// no TPT distribution to summarize — Percentile on an empty recorder
-	// is pinned as a panic, so the summaries stay zero.
-	if v.TotalTokens > 0 {
-		res.Vanilla = summaryFromDist(v.TPT())
-	}
-	if a.TotalTokens > 0 {
-		res.Apparate = summaryFromDist(a.TPT())
-	}
-	res.Vanilla.Accuracy, res.Apparate.Accuracy = v.MeanScore, a.MeanScore
-	res.Vanilla.Throughput, res.Apparate.Throughput = v.TokensPerSec, a.TokensPerSec
+	res.Apparate = genSummary(a)
 	res.KVUtil = a.KVUtil
 	res.PrefixHits = a.PrefixHits
 	res.Preemptions = a.Preemptions
@@ -809,6 +808,20 @@ func runGenScenario(sc Scenario, open openSinks) (*Result, ObsData, error) {
 	res.AdjustRounds = g.Policy.MoveRounds
 	res.ActiveRamps = 1 // generative serving uses a single adjustable ramp (§4.4)
 	return res, od, nil
+}
+
+// genSummary reports a generative run's TPT percentiles, sequence score
+// and token throughput. A token-free run (empty stream, or every
+// sequence at GenLen 0) has no TPT distribution to summarize —
+// Percentile on an empty recorder is pinned as a panic — so its
+// percentiles stay zero.
+func genSummary(st *genserve.Stats) RunSummary {
+	var sum RunSummary
+	if st.TotalTokens > 0 {
+		sum = summaryFromDist(st.TPT())
+	}
+	sum.Accuracy, sum.Throughput = st.MeanScore, st.TokensPerSec
+	return sum
 }
 
 func fillWins(res *Result) {

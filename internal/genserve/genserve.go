@@ -8,14 +8,19 @@
 //
 // Like the classification simulator, the engine streams — sequences are
 // pulled from the workload iterator one at a time and every token's TPT
-// is folded into a metrics.Recorder, so a run's memory is bounded by one
-// sequence, independent of stream length — and it runs on the shared
+// is folded into a metrics.Recorder — and it runs on the shared
 // discrete-event core (internal/engine): decode-slot completions are
 // events on the same kind of clock that drives the cluster simulator.
+// A sequence's state lives only while it is in flight, and its token
+// buffer is reused by later sequences. The recorder is what grows with
+// the stream: a sketch is O(1), but exact mode keeps every token's TPT,
+// in one allocation sized to the stream's total generation length
+// (GenStream.Tokens).
 package genserve
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/engine"
 	"repro/internal/exitsim"
@@ -42,7 +47,9 @@ type SeqResult struct {
 	Request workload.GenRequest
 	StartMS float64
 	DoneMS  float64
-	Tokens  []TokenResult
+	// Tokens is the sequence's own copy of its per-token results; the
+	// engine reuses its token buffers, never this slice.
+	Tokens []TokenResult
 	// MatchRate is the fraction of released tokens agreeing with the
 	// original model — the proxy behind the ROUGE-L / F1 sequence
 	// scores.
@@ -137,7 +144,9 @@ type Engine struct {
 	// Metrics selects the TPT recorder implementation (exact | sketch).
 	Metrics metrics.Mode
 	// OnSeq, when non-nil, receives every completed sequence in
-	// completion order; the engine itself retains none of them.
+	// completion order; the engine itself retains none of them. Each
+	// result's Tokens is a fresh copy the callee may keep, made only
+	// when OnSeq is set.
 	OnSeq func(SeqResult)
 
 	// Trace, when non-nil, receives sequence-lifecycle events
@@ -192,17 +201,29 @@ func (e *Engine) prefillMS(promptLen int) float64 {
 	return e.Model.BaseLatencyMS * (0.5 + float64(promptLen)/512)
 }
 
-// decodeSequence simulates one sequence under the policy, returning the
-// per-token results and the total decode duration.
-func (e *Engine) decodeSequence(req workload.GenRequest, pol Policy) ([]TokenResult, float64) {
-	sampler := workload.NewTokenSampler(req)
+// decodeSequence simulates one sequence under the policy, appending the
+// per-token results to tokens and returning them with the total decode
+// duration. tokens is grown to GenLen up front, so a caller's reused
+// buffer reallocates only when a longer sequence arrives.
+func (e *Engine) decodeSequence(req workload.GenRequest, pol Policy, tokens []TokenResult) ([]TokenResult, float64) {
+	// VanillaGen ignores its sample, so its tokens decide on the zero
+	// sample and draw nothing. The sampler is seeded per sequence from
+	// req.SeqSeed, so skipping it moves no other random stream. Only the
+	// exact type qualifies: a wrapping policy may read its samples.
+	var sampler *workload.TokenSampler
+	if _, vanilla := pol.(VanillaGen); !vanilla {
+		sampler = workload.NewTokenSampler(req)
+	}
 	step := e.stepMS()
-	tokens := make([]TokenResult, 0, req.GenLen)
+	tokens = slices.Grow(tokens, req.GenLen)
 	pending := 0 // exited tokens awaiting their remaining layers
 	var pendingDepth float64
 	total := 0.0
 	for i := 0; i < req.GenLen; i++ {
-		s := sampler.Next()
+		var s exitsim.Sample
+		if sampler != nil {
+			s = sampler.Next()
+		}
 		exit, depth, ohFrac, match := pol.Decide(s)
 		var tpt float64
 		if exit {
@@ -276,6 +297,10 @@ type genSim struct {
 	// scheduled, or pending events would grow with the stream instead
 	// of staying bounded by the slot count.
 	armAt float64
+
+	// tokens is the decode buffer every sequence reuses: admit folds a
+	// sequence's tokens into the aggregates before the next one decodes.
+	tokens []TokenResult
 
 	stats        *Stats
 	sumRate      float64
@@ -406,7 +431,8 @@ func (g *genSim) admit(req workload.GenRequest, now float64) {
 	if g.slots != nil {
 		arg = uint64(g.claimSlot(req, now))
 	}
-	tokens, decodeMS := g.e.decodeSequence(req, g.pol)
+	tokens, decodeMS := g.e.decodeSequence(req, g.pol, g.tokens[:0])
+	g.tokens = tokens
 	done := now + g.e.prefillMS(req.PromptLen) + decodeMS
 	g.loop.Schedule(done, classSlotFree, g, opSlotFree, arg)
 	match := 0
@@ -430,9 +456,20 @@ func (g *genSim) admit(req workload.GenRequest, now float64) {
 	if g.e.OnSeq != nil {
 		g.e.OnSeq(SeqResult{
 			Request: req, StartMS: now, DoneMS: done,
-			Tokens: tokens, MatchRate: rate,
+			Tokens: slices.Clone(tokens), MatchRate: rate,
 		})
 	}
+}
+
+// newStats returns a run's empty Stats. An exact TPT recorder is sized
+// to the stream's total generation length, so it never regrows; a
+// sketch needs no size, and the stream is not walked for one.
+func (e *Engine) newStats(stream *workload.GenStream) *Stats {
+	capacity := 0
+	if e.Metrics == metrics.ModeExact {
+		capacity = stream.Tokens()
+	}
+	return &Stats{TPTRec: metrics.NewRecorder(e.Metrics, capacity)}
 }
 
 // Run serves the generative stream with the policy on the shared
@@ -454,7 +491,7 @@ func (e *Engine) Run(stream *workload.GenStream, pol Policy) *Stats {
 		it:    stream.Iter(),
 		free:  e.MaxConcurrent,
 		armAt: math.Inf(1),
-		stats: &Stats{TPTRec: metrics.NewRecorder(e.Metrics, 4096)},
+		stats: e.newStats(stream),
 	}
 	if r, ok := g.it.Next(); ok {
 		g.next, g.has = r, true

@@ -170,7 +170,7 @@ func TestFlushBoundsPending(t *testing.T) {
 	e.FlushCount = 4
 	req := workload.GenRequest{ID: 0, GenLen: 16, SeqSeed: 1, BaseDifficulty: 0.1}
 	pol := &alwaysExit{depth: 0.3}
-	tokens, _ := e.decodeSequence(req, pol)
+	tokens, _ := e.decodeSequence(req, pol, nil)
 	if pol.flushes != 4 {
 		t.Fatalf("saw %d flushes for 16 always-exit tokens with FlushCount 4", pol.flushes)
 	}

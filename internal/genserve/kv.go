@@ -1,8 +1,9 @@
 package genserve
 
 import (
+	"slices"
+
 	"repro/internal/engine"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/workload"
@@ -98,6 +99,11 @@ type kvSim struct {
 	utilInt  float64 // ∫ used dt, folded at every pool transition
 	utilLast float64
 
+	// bufs is the free list of token buffers: a sequence takes one at
+	// its first admission and returns it at completion, so buffers
+	// number at most the sequences decided but not yet complete.
+	bufs [][]TokenResult
+
 	stats        *Stats
 	sumRate      float64
 	sumScore     float64
@@ -128,7 +134,7 @@ func (e *Engine) runKV(stream *workload.GenStream, pol Policy) *Stats {
 		slots:       make([]*kvSeq, e.MaxConcurrent),
 		slotEpoch:   make([]uint32, e.MaxConcurrent),
 		freeSlots:   e.MaxConcurrent,
-		stats:       &Stats{TPTRec: metrics.NewRecorder(e.Metrics, 4096)},
+		stats:       e.newStats(stream),
 	}
 	if k.blockTokens <= 0 {
 		k.blockTokens = DefaultBlockTokens
@@ -277,8 +283,12 @@ func (k *kvSim) admit(s *kvSeq, now float64) {
 	if !s.started {
 		s.started = true
 		s.startMS = now
+		var buf []TokenResult
+		if n := len(k.bufs); n > 0 {
+			buf, k.bufs = k.bufs[n-1], k.bufs[:n-1]
+		}
 		var total float64
-		s.tokens, total = k.e.decodeSequence(s.req, k.pol)
+		s.tokens, total = k.e.decodeSequence(s.req, k.pol, buf)
 		for _, tk := range s.tokens {
 			total -= tk.TPTms
 		}
@@ -509,9 +519,10 @@ func (k *kvSim) complete(s *kvSeq, now float64) {
 	if k.e.OnSeq != nil {
 		k.e.OnSeq(SeqResult{
 			Request: s.req, StartMS: s.startMS, DoneMS: now,
-			Tokens: s.tokens, MatchRate: s.matchRate,
+			Tokens: slices.Clone(s.tokens), MatchRate: s.matchRate,
 		})
 	}
+	k.bufs = append(k.bufs, s.tokens[:0])
 }
 
 // foldUtil integrates the pool occupancy up to now.

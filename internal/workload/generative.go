@@ -78,6 +78,18 @@ func (s *GenStream) Prefix(n int) []GenRequest {
 	return out
 }
 
+// Tokens returns the stream's total generation length, the sum of GenLen
+// over every request, from one pass of the generator: the exact size of
+// a run's per-token record.
+func (s *GenStream) Tokens() int {
+	total := 0
+	next := s.gen()
+	for i := 0; i < s.n; i++ {
+		total += next(i).GenLen
+	}
+	return total
+}
+
 // Materialize generates the full request slice (compatibility shim).
 func (s *GenStream) Materialize() []GenRequest { return s.Prefix(s.n) }
 

@@ -286,6 +286,24 @@ func TestGenStreams(t *testing.T) {
 	}
 }
 
+// TestGenStreamTokens: Tokens is the GenLen sum over a full pass, for a
+// generated stream, an empty one and an explicit slice.
+func TestGenStreamTokens(t *testing.T) {
+	for _, s := range []*GenStream{
+		CNNDailyMail(300, 2, 5),
+		SQuAD(0, 2, 5),
+		GenFromSlice("lens", exitsim.KindSQuAD, []GenRequest{{GenLen: 3}, {ID: 1}, {ID: 2, GenLen: 9}}),
+	} {
+		want := 0
+		for _, r := range s.Prefix(s.Len()) {
+			want += r.GenLen
+		}
+		if got := s.Tokens(); got != want {
+			t.Fatalf("%s (n=%d): Tokens() = %d, want the GenLen sum %d", s.Name, s.Len(), got, want)
+		}
+	}
+}
+
 func TestSQuADShorterThanCNN(t *testing.T) {
 	cnn := CNNDailyMail(2000, 2, 7)
 	sq := SQuAD(2000, 2, 7)

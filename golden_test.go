@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/experiments"
@@ -121,31 +122,51 @@ func TestGoldenSweep(t *testing.T) {
 	checkGolden(t, "golden_sweep.csv", buf.Bytes())
 }
 
-// goldenTableIDs are the paper artifacts whose rendered tables are
-// pinned in testdata/golden_tables.txt. table1, table2 and fig15 are
-// built on threshold-search replay: table1 and table2 tune the static-EE
-// baselines once, fig15 retunes the online-optimal baseline every chunk,
-// and all three serve Apparate's continually tuned controller beside
-// them. fig18 pins the generative policies: T5-large under FREE,
-// Apparate and the optimal oracle on cnn-dailymail and squad, and
-// Llama-2 7B/13B under Apparate and optimal on squad.
-var goldenTableIDs = []string{"table1", "table2", "fig15", "fig18"}
+// wallClockColumns names, per table ID, the columns whose cells time the
+// host (fig10 races greedy against grid search on the wall clock). They
+// are blanked before rendering: String sizes each column from its
+// longest cell, so blanking after rendering would still leak the
+// timings into the padding.
+var wallClockColumns = map[string][]string{
+	"fig10": {"greedy_ms", "grid_ms", "speedup"},
+}
 
-// TestGoldenTables byte-compares the rendered goldenTableIDs tables
-// against testdata/golden_tables.txt; `make golden` refreshes the pin.
+// TestGoldenTables pins every paper artifact apparate-bench renders: one
+// parallel subtest per experiments.IDs() entry byte-compares the
+// artifact's rendered tables against testdata/tables/<id>.txt, so a
+// failure names the artifact. Only the wallClockColumns cells are left
+// out. `make golden` refreshes the pins.
 func TestGoldenTables(t *testing.T) {
-	var buf bytes.Buffer
-	for _, id := range goldenTableIDs {
-		tables, err := experiments.Run(id)
-		if err != nil {
-			t.Fatal(err)
+	for _, id := range experiments.IDs() {
+		t.Run(id, func(t *testing.T) {
+			t.Parallel()
+			tables, err := experiments.Run(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			for _, tb := range tables {
+				blankColumns(&tb, wallClockColumns[tb.ID])
+				buf.WriteString(tb.String())
+				buf.WriteByte('\n')
+			}
+			checkGolden(t, filepath.Join("tables", id+".txt"), buf.Bytes())
+		})
+	}
+}
+
+// blankColumns empties every row's cells under the named header columns.
+func blankColumns(tb *experiments.Table, names []string) {
+	for i, h := range tb.Header {
+		if !slices.Contains(names, h) {
+			continue
 		}
-		for _, tb := range tables {
-			buf.WriteString(tb.String())
-			buf.WriteByte('\n')
+		for _, row := range tb.Rows {
+			if i < len(row) {
+				row[i] = ""
+			}
 		}
 	}
-	checkGolden(t, "golden_tables.txt", buf.Bytes())
 }
 
 // checkGolden compares got against testdata/<name>, or rewrites the file
@@ -154,7 +175,7 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	t.Helper()
 	path := filepath.Join("testdata", name)
 	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
 		if err := os.WriteFile(path, got, 0o644); err != nil {

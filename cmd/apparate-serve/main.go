@@ -33,7 +33,7 @@ func main() {
 		n         = flag.Int("n", 12000, "number of requests (sequences for generative)")
 		platform  = flag.String("platform", "clockwork", "serving platform: clockwork | tf-serve")
 		dispatch  = flag.String("dispatch", "round-robin", "cluster dispatch policy: round-robin | least-loaded | join-shortest-queue")
-		replicas  = flag.Int("replicas", 1, "replica count (replicas > 1 runs the cluster simulator)")
+		replicas  = flag.Int("replicas", 1, "replica count; every width runs on the same cluster runtime (classification only)")
 		rate      = flag.Float64("rate", 1, "arrival-rate multiplier over the workload's native rate (video: 30fps × rate)")
 		budget    = flag.Float64("ramp-budget", 0.02, "ramp budget (fraction of worst-case latency)")
 		accLoss   = flag.Float64("acc-loss", 0.01, "tolerable accuracy loss (a fraction in [0,1])")

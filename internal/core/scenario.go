@@ -33,7 +33,8 @@ type Scenario struct {
 	// Dispatch is "round-robin", "least-loaded" or
 	// "join-shortest-queue"; it only matters when Replicas > 1.
 	Dispatch string `json:"dispatch"`
-	// Replicas is the cluster width; 1 runs the single-replica simulator.
+	// Replicas is the cluster width (default 1). Every width runs on the
+	// same cluster runtime.
 	Replicas int `json:"replicas"`
 	// N is the request count (sequences for generative workloads).
 	N    int    `json:"n"`
@@ -638,40 +639,14 @@ func runClassScenario(sc Scenario, open openSinks) (*Result, ObsData, error) {
 	}
 
 	mode, _ := metrics.ParseMode(sc.Metrics)
-	cfg := Config{
-		AccuracyConstraint: sc.AccLoss,
-		RampBudget:         sc.RampBudget,
-		ExitRule:           sc.ExitRule,
-		Metrics:            mode,
-	}
-	cfg.Platform, _ = serving.ParsePlatform(sc.Platform)
+	platform, _ := serving.ParsePlatform(sc.Platform)
 	res := &Result{Scenario: sc, Requests: stream.Len()}
 	od := open(sc, m.SLO())
-
-	if sc.Replicas == 1 && sc.Autoscale == "" && sc.Faults == "" && sc.Retry == "" {
-		sys := New(m, kind, cfg)
-		res.SLOms = sys.Opts.SLOms
-		v := sys.ServeVanilla(stream)
-		// Attach the sinks after the vanilla baseline so only the
-		// Apparate run is observed; Opts is a value, so this never leaks
-		// into a later ServeVanilla.
-		sys.Opts.Trace, sys.Opts.Timeline = od.Trace, od.Timeline
-		a := sys.Serve(stream)
-		fillClass(res, v, a)
-		ctl := sys.Controller()
-		res.TuneRounds = ctl.TuneRounds
-		res.AdjustRounds = ctl.AdjustRounds
-		res.ActiveRamps = len(sys.Handler.Cfg.Active)
-		return res, od, nil
-	}
 
 	dispatch, _ := serving.ParseDispatch(sc.Dispatch)
 	speeds, _ := serving.ParseSpeeds(sc.Hetero)
 	opts := serving.ClusterOptions{
-		Options: serving.Options{
-			Platform: cfg.Platform, SLOms: m.SLO(),
-			MaxBatch: cfg.MaxBatch, Metrics: cfg.Metrics,
-		},
+		Options:  serving.Options{Platform: platform, SLOms: m.SLO(), Metrics: mode},
 		Replicas: sc.Replicas,
 		Dispatch: dispatch,
 		Speeds:   speeds,
@@ -702,12 +677,11 @@ func runClassScenario(sc Scenario, open openSinks) (*Result, ObsData, error) {
 	handlers := make([]*serving.ApparateHandler, maxReplicas)
 	mkApparate := func(i int) serving.Handler {
 		mm, _ := model.ByName(sc.Model)
-		h := serving.NewApparate(mm, exitsim.ProfileFor(mm, kind), cfg.RampBudget, controller.Config{
-			AccConstraint:     cfg.AccuracyConstraint,
-			DisableRampAdjust: cfg.DisableRampAdjust,
+		h := serving.NewApparate(mm, exitsim.ProfileFor(mm, kind), sc.RampBudget, controller.Config{
+			AccConstraint: sc.AccLoss,
 		})
-		if cfg.ExitRule != "" {
-			rule, _ := exitrule.ByName(cfg.ExitRule)
+		if sc.ExitRule != "" {
+			rule, _ := exitrule.ByName(sc.ExitRule)
 			h.Cfg.Rule = rule
 		}
 		handlers[i] = h

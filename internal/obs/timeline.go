@@ -17,7 +17,7 @@ type Gauges struct {
 	Live int
 	// Queued is the total number of requests waiting in replica queues.
 	Queued int
-	// Inflight is the number of batches executing right now.
+	// Inflight is the number of requests in batches executing right now.
 	Inflight int
 	// Parked is the number of arrivals held at the dispatcher because no
 	// replica is live.

@@ -18,14 +18,14 @@ import (
 // per-event allocation — which costs O(requests) — trips them
 // immediately.
 
-// TestRunSteadyStateAllocBudget pins the single-replica Run hot path in
-// sketch mode: the per-request cost must be zero allocations, so the
-// whole 2000-request run stays within a fixed setup-only budget.
+// TestRunSteadyStateAllocBudget pins Run, the cluster runtime at width
+// one, in sketch mode: the per-request cost must be zero allocations, so
+// the whole 2000-request run stays within a fixed setup-only budget.
 func TestRunSteadyStateAllocBudget(t *testing.T) {
 	m := model.ResNet50()
 	s := workload.Video(1, 2000, 60, 91)
 	opts := Options{Platform: Clockwork, SLOms: m.SLO(), Metrics: metrics.ModeSketch}
-	const budget = 50 // measured: 14
+	const budget = 50 // measured: 27
 	avg := testing.AllocsPerRun(5, func() {
 		Run(s.Iter(), &VanillaHandler{Model: m}, opts)
 	})

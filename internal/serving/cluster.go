@@ -169,9 +169,8 @@ type ClusterStats struct {
 
 // Event classes on the shared engine loop. Arrivals rank before replica
 // wakes at the same instant, so every request that has arrived by time
-// t is enqueued before any replica forms a batch at t — the event-heap
-// form of the single-replica simulator's "admit everything that has
-// arrived by now" loop.
+// t is enqueued before any replica forms a batch at t: a batch formed at
+// t can take every request that has arrived by t.
 const (
 	classArrival engine.Class = iota
 	classWake
@@ -203,12 +202,10 @@ func (h *scaledHandler) Serve(s exitsim.Sample, b int) ramp.Outcome {
 }
 
 // replicaSim is one replica on the shared event loop: its own handler,
-// queue, GPU-busy horizon, and Stats. Batching policy decisions re-run
-// the exact logic of the single-replica simulator (clockworkPick /
-// tfservePick plus clockwork's catch-up hold), restructured as an
-// event-driven state machine: enqueue on arrival, wake at batch
-// completion / hold expiry / batch-timeout, re-evaluate the policy at
-// each wake.
+// queue, GPU-busy horizon, and Stats. It is an event-driven state
+// machine: enqueue on arrival, wake at batch completion / hold expiry /
+// batch timeout, and at each wake re-evaluate the platform's batching
+// policy (clockworkPick or tfservePick, plus Clockwork's catch-up hold).
 type replicaSim struct {
 	c   *clusterSim
 	idx int
@@ -382,9 +379,9 @@ func (r *replicaSim) onWake(now float64) {
 		// arrival forms a larger batch whose amortization drains the
 		// backlog (§2.1). The hold is admitted only while serving the
 		// grown batch would still meet the oldest request's SLO; the
-		// next arrival re-triggers this evaluation, growing the batch
-		// one admission at a time exactly like the single-replica
-		// simulator's catch-up loop.
+		// next arrival re-triggers this evaluation, so the batch grows
+		// one admission at a time until it is full, the stream ends, or
+		// holding for the next arrival would miss that SLO.
 		if len(rest) == 0 && len(batch) < r.opts.MaxBatch {
 			oldestWait := now - batch[0].ArrivalMS
 			if oldestWait > 0.25*r.opts.SLOms {
@@ -407,7 +404,7 @@ func (r *replicaSim) onWake(now float64) {
 		r.serve(batch, now)
 	case TFServe:
 		tNext, more := r.c.nextArrival()
-		batch, rest, _ := tfservePick(r.q(), now, more, tNext, r.opts)
+		batch, rest := tfservePick(r.q(), now, more, r.opts)
 		if batch == nil {
 			// Waiting: wake at the head's batch-timeout deadline or the
 			// next arrival, whichever comes first.
@@ -555,9 +552,8 @@ func (c *clusterSim) Start(l *engine.Loop) {
 
 // nextArrival exposes the source's one-request lookahead: the arrival
 // time of the next request not yet dispatched, if any. Replicas consult
-// it for clockwork's catch-up hold and TF-Serving's batch-timeout wait
-// — the same single request of future the single-replica simulator
-// peeks at.
+// it for Clockwork's catch-up hold and TF-Serving's batch-timeout wait;
+// it is the only future the batching policies ever see.
 func (c *clusterSim) nextArrival() (float64, bool) {
 	return c.next.ArrivalMS, c.has
 }
@@ -802,8 +798,14 @@ func (c *clusterSim) addReplica(i int) {
 // to them. The run is a pure function of (stream, handlers, options):
 // event order is deterministic, so sweeps stay byte-identical at any
 // worker count, and memory is bounded by queue depths — independent of
-// trace length.
+// trace length. Run is this runtime at one replica.
 func RunCluster(stream *workload.Stream, makeHandler func(i int) Handler, opts ClusterOptions) *ClusterStats {
+	return runCluster(stream.Iter(), makeHandler, opts)
+}
+
+// runCluster is RunCluster over an arrival iterator; Run calls it at
+// width one.
+func runCluster(it *workload.Iter, makeHandler func(i int) Handler, opts ClusterOptions) *ClusterStats {
 	if opts.Autoscale == nil && opts.Replicas <= 0 {
 		panic("serving: RunCluster needs at least one replica")
 	}
@@ -812,7 +814,7 @@ func RunCluster(stream *workload.Stream, makeHandler func(i int) Handler, opts C
 		opts: opts,
 		base: opts.Options.withDefaults(),
 		mk:   makeHandler,
-		it:   stream.Iter(),
+		it:   it,
 	}
 	c.tr, c.tl = c.base.Trace, c.base.Timeline
 	if r, ok := c.it.Next(); ok {
@@ -878,8 +880,8 @@ func RunCluster(stream *workload.Stream, makeHandler func(i int) Handler, opts C
 		rep.st.finalize()
 		cs.PerReplica[i] = rep.st
 		mergeStats(merged, rep.st)
-		// AvgBatch averages the per-replica batch means, matching the
-		// single-replica definition per slice.
+		// AvgBatch is the mean over replicas of each replica's mean
+		// batch size.
 		batches.Add(rep.st.AvgBatch)
 	}
 	if c.fm != nil {

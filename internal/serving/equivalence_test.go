@@ -9,6 +9,7 @@ import (
 	"repro/internal/exitsim"
 	"repro/internal/metrics"
 	"repro/internal/model"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -30,14 +31,17 @@ func statsFingerprint(s *Stats) string {
 	return fp
 }
 
-// TestClusterSingleReplicaEquivalence is the engine refactor's anchor:
-// for Replicas=1 without autoscale, the event-driven RunCluster must
-// reproduce the single-replica Run byte-for-byte — identical Stats,
-// identical recorder output, and an identical per-request Result stream
-// — across both platforms, both metrics modes, both handler kinds, and
-// both workload families. The single-replica simulator is the reference
-// semantics; the cluster runtime is the same machine restructured as
-// events on the shared engine clock.
+// TestClusterSingleReplicaEquivalence pins Run, and RunCluster at one
+// replica, to refRun, the time-stepped single-replica loop Run used to
+// be: identical Stats, identical recorder output, and an identical
+// per-request Result stream from Run, from the cluster's one replica and
+// from its merged view — across both platforms, both metrics modes,
+// both handler kinds, and both workload families, each at a light rate
+// with default batching and overloaded (3× trace.TargetQPS, max batch 4,
+// batch timeout 5 ms, queue cap 8). The overloaded cases are where the
+// policies' drop, queue-cap and batch-forming paths run: the test also
+// asserts the matrix reached a TF-Serve queue-cap rejection and a video
+// batch above 1.
 func TestClusterSingleReplicaEquivalence(t *testing.T) {
 	type handlerCase struct {
 		name string
@@ -56,54 +60,88 @@ func TestClusterSingleReplicaEquivalence(t *testing.T) {
 		m      *model.Model
 		kind   exitsim.Kind
 		stream *workload.Stream
+		opts   Options
 	}
+	overload := Options{MaxBatch: 4, BatchTimeoutMS: 5, QueueCap: 8}
+	resnet, bert := model.ResNet50(), model.BERTBase()
 	workloads := []wlCase{
-		{"video", model.ResNet50(), exitsim.KindVideo, workload.Video(1, 4000, 45, 71)},
-		{"amazon", model.BERTBase(), exitsim.KindAmazon, workload.Amazon(4000, 40, 72)},
+		{"video", resnet, exitsim.KindVideo, workload.Video(1, 4000, 45, 71), Options{}},
+		{"amazon", bert, exitsim.KindAmazon, workload.Amazon(4000, 40, 72), Options{}},
+		{"video-overload", resnet, exitsim.KindVideo, workload.Video(1, 4000, 3*trace.TargetQPS(resnet), 73), overload},
+		{"amazon-overload", bert, exitsim.KindAmazon, workload.Amazon(4000, 3*trace.TargetQPS(bert), 74), overload},
 	}
+	var tfCapDrops, videoBatched bool
 	for _, wl := range workloads {
 		for _, platform := range []Platform{Clockwork, TFServe} {
 			for _, mode := range []metrics.Mode{metrics.ModeExact, metrics.ModeSketch} {
 				for _, hc := range handlers {
 					name := fmt.Sprintf("%s/%s/%s/%s", wl.name, platform, mode, hc.name)
 					t.Run(name, func(t *testing.T) {
-						opts := Options{Platform: platform, SLOms: wl.m.SLO(), Metrics: mode}
+						opts := wl.opts
+						opts.Platform, opts.SLOms, opts.Metrics = platform, wl.m.SLO(), mode
+						observed := func() (Options, *[]Result) {
+							var rs []Result
+							o := opts
+							o.Observer = func(r Result) { rs = append(rs, r) }
+							return o, &rs
+						}
 
-						var runResults []Result
-						runOpts := opts
-						runOpts.Observer = func(r Result) { runResults = append(runResults, r) }
+						refOpts, refResults := observed()
+						ref := refRun(wl.stream.Iter(), hc.mk(wl.m, wl.kind), refOpts)
+						runOpts, runResults := observed()
 						single := Run(wl.stream.Iter(), hc.mk(wl.m, wl.kind), runOpts)
-
-						var clusterResults []Result
-						copts := ClusterOptions{Options: opts, Replicas: 1, Dispatch: RoundRobin}
-						copts.Observer = func(r Result) { clusterResults = append(clusterResults, r) }
-						cluster := RunCluster(wl.stream, func(int) Handler { return hc.mk(wl.m, wl.kind) }, copts)
+						clusterOpts, clusterResults := observed()
+						cluster := RunCluster(wl.stream, func(int) Handler { return hc.mk(wl.m, wl.kind) },
+							ClusterOptions{Options: clusterOpts, Replicas: 1, Dispatch: RoundRobin})
 
 						if len(cluster.PerReplica) != 1 {
 							t.Fatalf("single-replica cluster built %d replicas", len(cluster.PerReplica))
 						}
-						want, got := statsFingerprint(single), statsFingerprint(cluster.PerReplica[0])
-						if want != got {
-							t.Fatalf("replica stats diverge from Run:\n run:     %s\n cluster: %s", want, got)
-						}
-						// Merged stats re-derive the same aggregates from the
-						// one replica.
-						if mw := statsFingerprint(cluster.Merged); mw != want {
-							t.Fatalf("merged stats diverge from Run:\n run:    %s\n merged: %s", want, mw)
-						}
-						if !reflect.DeepEqual(runResults, clusterResults) {
-							if len(runResults) != len(clusterResults) {
-								t.Fatalf("result streams differ in length: %d vs %d", len(runResults), len(clusterResults))
+						want := statsFingerprint(ref)
+						for _, got := range []struct {
+							name string
+							st   *Stats
+						}{{"Run", single}, {"replica 0", cluster.PerReplica[0]}, {"merged", cluster.Merged}} {
+							if fp := statsFingerprint(got.st); fp != want {
+								t.Fatalf("%s stats diverge from refRun:\n ref: %s\n got: %s", got.name, want, fp)
 							}
-							for i := range runResults {
-								if runResults[i] != clusterResults[i] {
-									t.Fatalf("result %d diverges:\n run:     %+v\n cluster: %+v", i, runResults[i], clusterResults[i])
-								}
-							}
+						}
+						sameResults(t, "Run", *refResults, *runResults)
+						sameResults(t, "RunCluster", *refResults, *clusterResults)
+
+						t.Logf("drops %d of %d, avg batch %.2f", ref.Drops, ref.Total, ref.AvgBatch)
+						if platform == TFServe && ref.Drops > 0 {
+							tfCapDrops = true
+						}
+						if wl.kind == exitsim.KindVideo && ref.AvgBatch > 1 {
+							videoBatched = true
 						}
 					})
 				}
 			}
+		}
+	}
+	if !tfCapDrops {
+		t.Error("no case rejected a request at TF-Serve's queue cap")
+	}
+	if !videoBatched {
+		t.Error("no video case formed a batch above 1")
+	}
+}
+
+// sameResults fails on the first result where got's stream departs from
+// want's.
+func sameResults(t *testing.T, name string, want, got []Result) {
+	t.Helper()
+	if reflect.DeepEqual(want, got) {
+		return
+	}
+	if len(want) != len(got) {
+		t.Fatalf("%s result stream has %d results, refRun %d", name, len(got), len(want))
+	}
+	for i := range want {
+		if want[i] != got[i] {
+			t.Fatalf("%s result %d diverges:\n ref: %+v\n got: %+v", name, i, want[i], got[i])
 		}
 	}
 }

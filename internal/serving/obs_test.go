@@ -8,6 +8,7 @@ import (
 	"repro/internal/autoscale"
 	"repro/internal/model"
 	"repro/internal/obs"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -231,43 +232,71 @@ func TestAutoscaleTraceRecordsScaleDecisions(t *testing.T) {
 	}
 }
 
-// TestSingleReplicaRunTrace exercises the Run (non-cluster) path: every
-// request arrives and terminates exactly once, and the timeline rows
-// cover the run.
+// TestSingleReplicaRunTrace checks Run's trace and timeline on both
+// platforms at 3× the sustainable rate with small batches and a short
+// queue, where requests queue, batch and drop: every request's events read arrive → dispatch → [enqueue] →
+// complete|drop, with exactly one terminal event, and the timeline rows
+// cover the run, count every completion, and see batches in flight.
 func TestSingleReplicaRunTrace(t *testing.T) {
-	m := model.ResNet50()
-	tr := obs.NewTracer()
-	tl := obs.NewTimeline(100, m.SLO())
-	s := workload.Video(0, 1000, 40, 87)
-	st := Run(s.Iter(), &VanillaHandler{Model: m}, Options{
-		Platform: Clockwork, SLOms: m.SLO(), Trace: tr, Timeline: tl,
-	})
-	arrivals, terminals := 0, 0
-	for _, e := range tr.Events {
-		if e.Kind == obs.KindArrive {
-			arrivals++
-		}
-		if isTerminal(e.Kind) {
-			terminals++
-		}
+	m := model.BERTBase()
+	s := workload.Amazon(1000, 3*trace.TargetQPS(m), 87)
+	for _, p := range []Platform{Clockwork, TFServe} {
+		t.Run(p.String(), func(t *testing.T) {
+			tr := obs.NewTracer()
+			tl := obs.NewTimeline(100, m.SLO())
+			st := Run(s.Iter(), &VanillaHandler{Model: m}, Options{
+				Platform: p, SLOms: m.SLO(), MaxBatch: 4, BatchTimeoutMS: 5, QueueCap: 8,
+				Trace: tr, Timeline: tl,
+			})
+			if st.Total != 1000 {
+				t.Fatalf("Total = %d, want 1000", st.Total)
+			}
+			if st.Drops == 0 {
+				t.Fatal("no request dropped: the drop lifecycle went unchecked")
+			}
+			life := map[int][]obs.Kind{}
+			for _, e := range tr.Events {
+				if e.Req >= 0 {
+					life[e.Req] = append(life[e.Req], e.Kind)
+				}
+			}
+			if len(life) != 1000 {
+				t.Fatalf("traced %d requests, want 1000", len(life))
+			}
+			for id, ks := range life {
+				if !servedOnce(ks) {
+					t.Fatalf("request %d traced %v, want arrive → dispatch → [enqueue] → complete|drop", id, ks)
+				}
+			}
+			if len(tl.Rows) == 0 {
+				t.Fatal("timeline emitted no rows")
+			}
+			if tl.Rows[0].TMS != 0 {
+				t.Fatalf("first timeline row at %g, want 0", tl.Rows[0].TMS)
+			}
+			done, inflight := 0, false
+			for _, r := range tl.Rows {
+				done += r.WinDone
+				inflight = inflight || r.Gauges.Inflight > 0
+			}
+			if done != st.Delivered {
+				t.Fatalf("timeline windows saw %d completions, Stats.Delivered = %d", done, st.Delivered)
+			}
+			if !inflight {
+				t.Fatal("no timeline row saw a batch in flight")
+			}
+		})
 	}
-	if arrivals != 1000 || terminals != 1000 {
-		t.Fatalf("traced %d arrivals / %d terminals, want 1000/1000", arrivals, terminals)
+}
+
+// servedOnce reports whether one request's trace events read
+// arrive → dispatch → [enqueue] → complete|drop.
+func servedOnce(ks []obs.Kind) bool {
+	if len(ks) < 3 || ks[0] != obs.KindArrive || ks[1] != obs.KindDispatch {
+		return false
 	}
-	if st.Total != 1000 {
-		t.Fatalf("Total = %d, want 1000", st.Total)
+	if ks[2] == obs.KindEnqueue {
+		ks = ks[1:]
 	}
-	if len(tl.Rows) == 0 {
-		t.Fatal("timeline emitted no rows")
-	}
-	if tl.Rows[0].TMS != 0 {
-		t.Fatalf("first timeline row at %g, want 0", tl.Rows[0].TMS)
-	}
-	done := 0
-	for _, r := range tl.Rows {
-		done += r.WinDone
-	}
-	if done != st.Delivered {
-		t.Fatalf("timeline windows saw %d completions, Stats.Delivered = %d", done, st.Delivered)
-	}
+	return len(ks) == 3 && (ks[2] == obs.KindComplete || ks[2] == obs.KindDrop)
 }

@@ -1,7 +1,8 @@
 // Package serving is a discrete-event simulator of GPU model-serving
-// platforms (§2.1): requests arrive on a trace, are queued, batched under
-// a platform policy, and executed on a single-replica GPU whose batch
-// latency comes from the model's profile. Two policies are provided:
+// platforms (§2.1): requests arrive on a trace, are dispatched to one of
+// the platform's replicas, queued, batched under a platform policy, and
+// executed on the replica's GPU, whose batch latency comes from the
+// model's profile. Two policies are provided:
 //
 //   - Clockwork-style: work-conserving and SLO-aware — each scheduling
 //     decision picks the largest batch whose completion keeps the oldest
@@ -15,11 +16,13 @@
 // baseline share the same queueing machinery, so latency differences come
 // only from exiting behavior.
 //
-// The simulator is streaming end to end: requests are pulled from a
-// RequestSource one at a time (plus one request of lookahead for the
-// scheduling policies) and outcomes are folded into aggregate Stats and
-// a metrics.Recorder as they happen, so memory is bounded by the queue
-// depth — independent of trace length.
+// One runtime serves every width: RunCluster simulates a pool of
+// replicas on one event-driven clock, and Run is the same runtime at one
+// replica. It is streaming end to end: requests are pulled from a
+// workload.Iter one at a time (plus one request of lookahead for the
+// batching policies) and outcomes are folded into aggregate Stats and a
+// metrics.Recorder as they happen, so memory is bounded by queue depths
+// — independent of trace length.
 package serving
 
 import (
@@ -66,12 +69,6 @@ func ParsePlatform(name string) (Platform, error) {
 	return 0, fmt.Errorf("serving: unknown platform %q (want clockwork | tf-serve)", name)
 }
 
-// RequestSource yields requests in arrival order; workload.Iter is the
-// canonical implementation.
-type RequestSource interface {
-	Next() (workload.Request, bool)
-}
-
 // Options configures a serving run.
 type Options struct {
 	Platform Platform
@@ -96,9 +93,10 @@ type Options struct {
 	// here.
 	Observer func(Result)
 	// Trace, when non-nil, collects the request lifecycle (arrive,
-	// enqueue, serve_start, complete, drop — plus the fault and
-	// autoscale kinds on cluster runs) as typed events on the virtual
-	// clock. Nil costs one pointer check per site on the hot path.
+	// dispatch, enqueue, serve_start, complete, drop — plus the fault
+	// and autoscale kinds when those are on) as typed events on the
+	// virtual clock. Nil costs one pointer check per site on the hot
+	// path.
 	Trace *obs.Tracer
 	// Timeline, when non-nil, samples queue/throughput gauges at its
 	// tick. Nil costs one pointer check per site, like Trace.
@@ -251,242 +249,12 @@ func (s *Stats) finalize() {
 	}
 }
 
-// lookahead wraps a RequestSource with a one-request peek buffer — all
-// the future the scheduling policies ever need.
-type lookahead struct {
-	src RequestSource
-	buf workload.Request
-	has bool
-	eof bool
-}
-
-func (l *lookahead) peek() (workload.Request, bool) {
-	if l.has {
-		return l.buf, true
-	}
-	if l.eof {
-		return workload.Request{}, false
-	}
-	r, ok := l.src.Next()
-	if !ok {
-		l.eof = true
-		return workload.Request{}, false
-	}
-	l.buf, l.has = r, true
-	return r, true
-}
-
-func (l *lookahead) pop() (workload.Request, bool) {
-	r, ok := l.peek()
-	l.has = false
-	return r, ok
-}
-
-// Run simulates serving the request stream with the handler.
-func Run(src RequestSource, h Handler, opts Options) *Stats {
-	opts = opts.withDefaults()
-	st := &Stats{Lat: metrics.NewRecorder(opts.Metrics, 4096)}
-	in := &lookahead{src: src}
-
-	now := 0.0 // GPU-free time
-	// queue[qhead:] is the live queue. Consumption advances qhead
-	// instead of re-slicing the front off (which would strand the
-	// array's spare capacity and cost one allocation per request); the
-	// dead prefix is compacted back to the front at the top of the loop
-	// once it outgrows the live tail.
-	queue := make([]workload.Request, 0, opts.MaxBatch*4)
-	qhead := 0
-
-	tr, tl := opts.Trace, opts.Timeline
-	rec := func(r Result) {
-		st.record(r, opts.Observer)
-		if tr != nil && r.Dropped {
-			e := obs.At(now, obs.KindDrop)
-			e.Req = r.ID
-			tr.Emit(e)
-		}
-	}
-	// admit traces one arrival joining the queue (or, during catch-up
-	// batching, the forming batch) on the single replica's track.
-	admit := func(req workload.Request, depth int) {
-		if tr == nil {
-			return
-		}
-		e := obs.At(req.ArrivalMS, obs.KindArrive)
-		e.Req = req.ID
-		tr.Emit(e)
-		e.Kind = obs.KindEnqueue
-		e.Replica = 0
-		e.Val = depth
-		tr.Emit(e)
-	}
-
-	// snap is the timeline's gauge callback, bound once: it reads the
-	// loop variables through the closure, and each emitted row gets its
-	// own one-element depth slice (rows retain their slices).
-	var snap func(float64) obs.Gauges
-	if tl != nil {
-		snap = func(float64) obs.Gauges {
-			d := len(queue) - qhead
-			return obs.Gauges{Replicas: 1, Live: 1, Queued: d, QueueDepths: []int{d}}
-		}
-	}
-
-	for {
-		// No batch aliases the dead prefix at the top of the loop, so
-		// reclaim it here: rewind when empty, compact once the prefix
-		// outgrows the live tail (amortized O(1) per request).
-		if qhead == len(queue) {
-			queue, qhead = queue[:0], 0
-		} else if qhead > len(queue)-qhead {
-			n := copy(queue, queue[qhead:])
-			queue, qhead = queue[:n], 0
-		}
-		if tl != nil {
-			tl.CatchUp(now, snap)
-		}
-		// Admit every request that has arrived by `now`.
-		for {
-			next, ok := in.peek()
-			if !ok || next.ArrivalMS > now {
-				break
-			}
-			in.pop()
-			st.noteArrival(next)
-			if opts.Platform == TFServe && len(queue)-qhead >= opts.QueueCap {
-				if tr != nil {
-					e := obs.At(next.ArrivalMS, obs.KindArrive)
-					e.Req = next.ID
-					tr.Emit(e)
-				}
-				rec(Result{
-					ID: next.ID, ArrivalMS: next.ArrivalMS,
-					Dropped: true, SLOMiss: true, ExitIndex: -1,
-				})
-			} else {
-				queue = append(queue, next)
-				admit(next, len(queue)-qhead)
-			}
-		}
-		if len(queue)-qhead == 0 {
-			next, ok := in.peek()
-			if !ok {
-				break // stream exhausted and nothing queued: done
-			}
-			// Idle: jump to the next arrival.
-			now = next.ArrivalMS
-			continue
-		}
-
-		var batch []workload.Request
-		switch opts.Platform {
-		case Clockwork:
-			var rest []workload.Request
-			batch, rest = clockworkPick(queue[qhead:], rec, now, h, opts)
-			qhead = len(queue) - len(rest)
-			if batch == nil {
-				// Everything queued was dropped; loop to admit more.
-				continue
-			}
-			// Catch-up batching: when the backlog is real (the oldest
-			// request has already burned a quarter of its SLO), briefly
-			// holding the GPU for imminent arrivals forms a larger batch
-			// whose amortization drains the backlog — larger batches
-			// have far lower per-request cost (§2.1). The hold is
-			// admitted only while the oldest request still meets its
-			// SLO.
-			if len(rest) == 0 { // the batch took the whole queue
-				oldestWait := now - batch[0].ArrivalMS
-				if oldestWait > 0.25*opts.SLOms {
-					// The batch is the tail of the queue's array, so it
-					// grows in place by appending to the queue and
-					// re-slicing — no copy.
-					bstart := len(queue) - len(batch)
-					for len(batch) < opts.MaxBatch {
-						nreq, ok := in.peek()
-						if !ok {
-							break
-						}
-						next := nreq.ArrivalMS
-						hold := next - now
-						if hold < 0 {
-							hold = 0
-						}
-						if oldestWait+hold+h.BatchLatency(len(batch)+1) > opts.SLOms {
-							break
-						}
-						if next > now {
-							now = next
-							oldestWait = now - batch[0].ArrivalMS
-						}
-						in.pop()
-						st.noteArrival(nreq)
-						queue = append(queue, nreq)
-						qhead = len(queue)
-						batch = queue[bstart:]
-						admit(nreq, len(batch))
-					}
-				}
-			}
-		case TFServe:
-			next, more := in.peek()
-			var wait float64
-			var rest []workload.Request
-			batch, rest, wait = tfservePick(queue[qhead:], now, more, next.ArrivalMS, opts)
-			if batch == nil {
-				now += wait
-				continue
-			}
-			qhead = len(queue) - len(rest)
-		}
-
-		b := len(batch)
-		start := now
-		dur := h.BatchLatency(b)
-		st.batches.Add(float64(b))
-		if tr != nil {
-			e := obs.At(start, obs.KindServeStart)
-			e.Replica = 0
-			e.Batch = b
-			e.DurMS = dur
-			tr.Emit(e)
-		}
-		for _, req := range batch {
-			out := h.Serve(req.Sample, b)
-			lat := start + out.ServeMS - req.ArrivalMS
-			miss := lat > opts.SLOms
-			st.record(Result{
-				ID:        req.ID,
-				ArrivalMS: req.ArrivalMS,
-				LatencyMS: lat,
-				ServeMS:   out.ServeMS,
-				BatchSize: b,
-				ExitIndex: out.ExitIndex,
-				Correct:   out.Correct,
-				SLOMiss:   miss,
-			}, opts.Observer)
-			if tr != nil {
-				e := obs.At(req.ArrivalMS+lat, obs.KindComplete)
-				e.Req = req.ID
-				e.Replica = 0
-				e.Batch = b
-				e.LatMS = lat
-				tr.Emit(e)
-			}
-			if tl != nil {
-				tl.Observe(lat, miss)
-			}
-		}
-		now = start + dur
-	}
-
-	if tl != nil {
-		tl.Finish(now, func(float64) obs.Gauges {
-			return obs.Gauges{Replicas: 1, Live: 1, QueueDepths: []int{0}}
-		})
-	}
-	st.finalize()
-	return st
+// Run simulates serving the request stream with the handler on one
+// replica. It is the cluster runtime at width one: the same event loop,
+// batching policies, trace and timeline as RunCluster, with the
+// replica's outcomes returned as the run's Stats.
+func Run(src *workload.Iter, h Handler, opts Options) *Stats {
+	return runCluster(src, func(int) Handler { return h }, ClusterOptions{Options: opts, Replicas: 1}).Merged
 }
 
 // clockworkPick drops requests whose SLO is unreachable even at batch
@@ -522,27 +290,18 @@ func clockworkPick(queue []workload.Request, rec func(Result), now float64, h Ha
 	return queue[:b], queue[b:]
 }
 
-// tfservePick forms a batch when max_batch_size requests are waiting or
-// the oldest exceeds the batch timeout; otherwise it reports how long to
-// wait.
-func tfservePick(queue []workload.Request, now float64, more bool, nextArrival float64, opts Options) ([]workload.Request, []workload.Request, float64) {
+// tfservePick forms a batch when max_batch_size requests are waiting,
+// the oldest has waited out the batch timeout, or no more requests will
+// arrive; otherwise it returns a nil batch and the caller waits.
+func tfservePick(queue []workload.Request, now float64, more bool, opts Options) ([]workload.Request, []workload.Request) {
 	if len(queue) >= opts.MaxBatch {
-		return queue[:opts.MaxBatch], queue[opts.MaxBatch:], 0
+		return queue[:opts.MaxBatch], queue[opts.MaxBatch:]
 	}
-	deadline := queue[0].ArrivalMS + opts.BatchTimeoutMS
-	if now >= deadline || !more {
+	if now >= queue[0].ArrivalMS+opts.BatchTimeoutMS || !more {
 		// Flush the whole queue as the batch. The batch aliases the
 		// queue's array; callers consume it synchronously before
 		// admitting anything, so no copy is needed.
-		return queue, queue[len(queue):], 0
+		return queue, queue[len(queue):]
 	}
-	// Wait for either the timeout or the next arrival, whichever first.
-	wait := deadline - now
-	if more && nextArrival > now && nextArrival-now < wait {
-		wait = nextArrival - now
-	}
-	if wait <= 0 {
-		wait = 1e-6
-	}
-	return nil, queue, wait
+	return nil, queue
 }

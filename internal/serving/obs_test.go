@@ -234,9 +234,10 @@ func TestAutoscaleTraceRecordsScaleDecisions(t *testing.T) {
 
 // TestSingleReplicaRunTrace checks Run's trace and timeline on both
 // platforms at 3× the sustainable rate with small batches and a short
-// queue, where requests queue, batch and drop: every request's events read arrive → dispatch → [enqueue] →
-// complete|drop, with exactly one terminal event, and the timeline rows
-// cover the run, count every completion, and see batches in flight.
+// queue, where requests queue, batch and drop: every request's events
+// read arrive → dispatch → [enqueue] → complete|drop, with exactly one
+// terminal event, and the timeline rows cover the run, count every
+// completion, and see requests in flight.
 func TestSingleReplicaRunTrace(t *testing.T) {
 	m := model.BERTBase()
 	s := workload.Amazon(1000, 3*trace.TargetQPS(m), 87)
@@ -283,7 +284,7 @@ func TestSingleReplicaRunTrace(t *testing.T) {
 				t.Fatalf("timeline windows saw %d completions, Stats.Delivered = %d", done, st.Delivered)
 			}
 			if !inflight {
-				t.Fatal("no timeline row saw a batch in flight")
+				t.Fatal("no timeline row saw a request in flight")
 			}
 		})
 	}

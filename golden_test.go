@@ -162,9 +162,7 @@ func blankColumns(tb *experiments.Table, names []string) {
 			continue
 		}
 		for _, row := range tb.Rows {
-			if i < len(row) {
-				row[i] = ""
-			}
+			row[i] = ""
 		}
 	}
 }

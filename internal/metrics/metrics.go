@@ -66,9 +66,6 @@ func (m Mode) String() string {
 	return fmt.Sprintf("Mode(%d)", int(m))
 }
 
-// Modes lists the supported mode names in canonical order.
-func Modes() []string { return []string{"exact", "sketch"} }
-
 // ParseMode maps a mode name to its Mode value. The empty string is the
 // exact default.
 func ParseMode(name string) (Mode, error) {

@@ -101,9 +101,6 @@ func (g *Graph) AddEdge(from, to int) {
 // Succ returns the successor IDs of node id.
 func (g *Graph) Succ(id int) []int { return g.succ[id] }
 
-// Pred returns the predecessor IDs of node id.
-func (g *Graph) Pred(id int) []int { return g.pred[id] }
-
 // Len returns the number of nodes.
 func (g *Graph) Len() int { return len(g.Nodes) }
 

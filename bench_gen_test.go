@@ -10,14 +10,13 @@ import (
 )
 
 // BenchmarkGenKV measures the generative serving engine across the
-// KV-block memory axes: the classic unbounded path (kv=off), a bounded
-// pool with and without the prefix cache, and a deliberately saturated
-// small pool with chunked prefill that realizes preemptions. Beyond
-// ns/op, each case reports the engine's own observables (tok/s,
+// KV-block memory axes: an unbounded pool with no KV knob (kv=off), a
+// bounded pool with and without the prefix cache, and a deliberately
+// saturated small pool with chunked prefill that realizes preemptions.
+// Beyond ns/op, each case reports the engine's own observables (tok/s,
 // kv_util, prefix_hits, preempts, queue_ms) so BENCH_gen.json records
-// what the memory model did, not just what it cost. The kv=off row is
-// the zero-cost-when-off gate for the KV runtime: it runs the pre-KV
-// event path untouched.
+// what the memory model did, not just what it cost. The kv=off row
+// prices the one runtime with no pool to account for.
 func BenchmarkGenKV(b *testing.B) {
 	const (
 		n    = 200

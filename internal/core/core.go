@@ -61,7 +61,7 @@ type Config struct {
 	// threshold (default 8).
 	GenFlush int
 	// KVBlocks bounds the generative engine's KV-block pool (0 =
-	// unbounded: the pre-KV engine).
+	// unbounded: admission waits for a free decode slot alone).
 	KVBlocks int
 	// BlockTokens is the KV-block granularity in tokens (0 = the engine
 	// default of 16; meaningful with KVBlocks > 0).

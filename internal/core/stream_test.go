@@ -8,7 +8,7 @@ import (
 
 // streamScenarios covers every simulator a streamed sink can attach
 // to: single-replica serving.Run, faulty+hedged and autoscaled
-// RunCluster, and the classic and KV generative engines.
+// RunCluster, and the generative engine without and with KV knobs.
 var streamScenarios = []struct {
 	name string
 	sc   Scenario

@@ -1,6 +1,7 @@
 package genserve
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/metrics"
@@ -12,11 +13,11 @@ import (
 // The alloc pins below gate a whole generative run the way
 // internal/serving/alloc_test.go gates the classification runtimes. In
 // sketch mode the TPT recorder is O(1), vanilla draws no token samples,
-// and token buffers are reused across sequences, so the classic path's
-// cost is setup only; the KV runtime adds exactly one kvSeq per
-// sequence (its admission-queue entry). Budgets are measured values
-// padded ~3x; a reintroduced per-sequence or per-token allocation costs
-// O(n) and trips them at the larger size.
+// the admission queue holds arrivals by value, and completed sequences
+// are reused with their token buffers, so a run's cost is setup only,
+// with or without a KV pool. The budget is the measured values padded;
+// a reintroduced per-sequence or per-token allocation costs O(n) and
+// trips it at the larger size.
 
 // allocStream is t5-large's cnn-dailymail stream at the paper's
 // saturating rate, for kvEngine's t5-large engine.
@@ -42,48 +43,37 @@ var allocPolicies = []struct {
 	{"apparate", func(e *Engine) Policy { return NewApparateGen(e.Model, e.Profile, 0.01) }},
 }
 
-// TestRunClassicAllocBudget pins the classic slot path: one fixed
-// budget at both stream sizes, so the per-sequence cost must be zero.
-func TestRunClassicAllocBudget(t *testing.T) {
-	const budget = 100 // measured: 17 vanilla, 33 apparate
-	for _, p := range allocPolicies {
-		for _, n := range []int{200, 2000} {
-			avg := runAllocs(n, 0, p.pol)
-			t.Logf("classic %s: %.0f allocs per %d-sequence run", p.name, avg, n)
-			if avg > budget {
-				t.Errorf("classic %s run of %d sequences allocated %.0f times, budget %d — a per-sequence allocation crept back into the generative hot path",
-					p.name, n, avg, budget)
+// TestRunAllocBudget pins whole runs on an unbounded pool and on a
+// 96-block pool: one fixed budget at both stream sizes, so the
+// per-sequence cost must be zero.
+func TestRunAllocBudget(t *testing.T) {
+	const budget = 100 // measured: 54–75 unbounded, 37–57 at 96 blocks
+	for _, pool := range []int{0, 96} {
+		t.Run(fmt.Sprintf("pool%d", pool), func(t *testing.T) {
+			for _, p := range allocPolicies {
+				for _, n := range []int{200, 2000} {
+					avg := runAllocs(n, pool, p.pol)
+					t.Logf("%s: %.0f allocs per %d-sequence run", p.name, avg, n)
+					if avg > budget {
+						t.Errorf("%s run of %d sequences on pool %d allocated %.0f times, budget %d — a per-sequence allocation crept back into the generative hot path",
+							p.name, n, pool, avg, budget)
+					}
+				}
 			}
-		}
-	}
-}
-
-// TestRunKVAllocBudget pins the KV-block runtime at 96 blocks: one
-// kvSeq per sequence plus a fixed budget.
-func TestRunKVAllocBudget(t *testing.T) {
-	const fixed = 150 // measured: n+35 vanilla, n+51 apparate
-	for _, p := range allocPolicies {
-		for _, n := range []int{200, 2000} {
-			avg := runAllocs(n, 96, p.pol)
-			t.Logf("kv %s: %.0f allocs per %d-sequence run", p.name, avg, n)
-			if budget := float64(n + fixed); avg > budget {
-				t.Errorf("kv %s run of %d sequences allocated %.0f times, budget n+%d — more than one allocation per sequence",
-					p.name, n, avg, fixed)
-			}
-		}
+		})
 	}
 }
 
 // BenchmarkEngineRun times a whole generative run of 500 sequences —
 // t5-large's cnn-dailymail stream at the saturating rate, exact TPT
-// recorder as in core's scenarios — on the classic path and a 96-block
+// recorder as in core's scenarios — on an unbounded pool and a 96-block
 // KV pool, for each policy. ns/token divides the run by its tokens.
 func BenchmarkEngineRun(b *testing.B) {
 	s := allocStream(500)
 	for _, rt := range []struct {
 		name     string
 		kvBlocks int
-	}{{"classic", 0}, {"kv", 96}} {
+	}{{"unbounded", 0}, {"kv", 96}} {
 		for _, p := range allocPolicies {
 			b.Run(rt.name+"/"+p.name, func(b *testing.B) {
 				e := kvEngine()

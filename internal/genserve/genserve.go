@@ -9,11 +9,14 @@
 // Like the classification simulator, the engine streams — sequences are
 // pulled from the workload iterator one at a time and every token's TPT
 // is folded into a metrics.Recorder — and it runs on the shared
-// discrete-event core (internal/engine): decode-slot completions are
-// events on the same kind of clock that drives the cluster simulator.
-// A sequence's state lives only while it is in flight, and its token
-// buffer is reused by later sequences. The recorder is what grows with
-// the stream: a sketch is O(1), but exact mode keeps every token's TPT,
+// discrete-event core (internal/engine): arrivals, prefill chunks and
+// decode stretches are events on the same kind of clock that drives the
+// cluster simulator. One runtime serves every run; the KV knobs bound
+// its block pool, add a prefix cache and chunk prefill. A sequence
+// waits for admission as a value entry in the queue. Its runtime state
+// exists from admission to completion, and is then reused, token buffer
+// included, by a later sequence. What grows is the backlog and the
+// recorder: a sketch is O(1), but exact mode keeps every token's TPT,
 // in one allocation sized to the stream's total generation length
 // (GenStream.Tokens).
 package genserve
@@ -76,14 +79,13 @@ type Stats struct {
 	// (first arrival to last sequence completion).
 	TokensPerSec float64
 
-	// KV-block runtime activity; all zero unless a KV knob is set on the
-	// Engine (KVBlocks / PrefixHitRatio / PrefillChunkTokens).
-	//
-	// KVUtil is the time-averaged fraction of the KV pool in use over the
-	// makespan (0 when the pool is unbounded). PrefixHits counts
-	// sequences whose prompt prefix hit the cache. Preemptions counts
-	// preempt-and-requeue events. QueueMS is the mean per-sequence
-	// admission-queue wait, including re-queues after preemption.
+	// Admission and KV-block activity. QueueMS is the mean per-sequence
+	// admission-queue wait, including re-queues after preemption; every
+	// run reports it. The others stay zero unless their knob is set on
+	// the Engine: KVUtil is the time-averaged fraction of a bounded KV
+	// pool (KVBlocks) in use over the makespan, Preemptions counts its
+	// preempt-and-requeue events, and PrefixHits counts sequences whose
+	// prompt prefix hit the cache (PrefixHitRatio).
 	KVUtil      float64
 	PrefixHits  int
 	Preemptions int
@@ -161,8 +163,8 @@ type Engine struct {
 	// KVBlocks bounds the engine's KV-block pool: a sequence must hold
 	// ⌈(prompt+generated)/BlockTokens⌉ blocks to run, admission blocks
 	// (FIFO) when the pool is exhausted, and growth past the pool
-	// preempts + requeues the youngest running sequence. 0 = unbounded
-	// (the pre-KV engine).
+	// preempts + requeues the youngest running sequence. 0 = unbounded:
+	// admission waits for a free decode slot alone.
 	KVBlocks int
 	// BlockTokens is the KV-block granularity in tokens; 0 means
 	// DefaultBlockTokens. Meaningful only with KVBlocks > 0.
@@ -271,195 +273,12 @@ func (e *Engine) decodeSequence(req workload.GenRequest, pol Policy, tokens []To
 }
 
 // Event classes on the shared engine loop: sequence arrivals rank
-// before slot completions at the same instant, so a sequence arriving
-// exactly as a slot frees starts in it without waiting.
+// before milestones at the same instant, so a sequence arriving exactly
+// as a slot frees is queued in time to take it without waiting.
 const (
 	classArrival engine.Class = iota
-	classSlotFree
+	classMilestone
 )
-
-// genSim runs one generative simulation on the shared discrete-event
-// engine: the decode-slot pool is a set of completion events on the
-// engine clock (the old standalone slot-completion heap, migrated), and
-// sequences are admitted FIFO — one request of lookahead, so memory
-// stays bounded by the slot count regardless of stream length.
-type genSim struct {
-	e    *Engine
-	pol  Policy
-	loop *engine.Loop
-	it   *workload.GenIter
-
-	next workload.GenRequest
-	has  bool
-	free int // idle decode slots
-	// armAt is the earliest pending arrival event (+Inf when none): a
-	// slot-free callback must not re-arm an arrival that is already
-	// scheduled, or pending events would grow with the stream instead
-	// of staying bounded by the slot count.
-	armAt float64
-
-	// tokens is the decode buffer every sequence reuses: admit folds a
-	// sequence's tokens into the aggregates before the next one decodes.
-	tokens []TokenResult
-
-	stats        *Stats
-	sumRate      float64
-	sumScore     float64
-	firstArrival float64
-	lastDone     float64
-
-	// Observability sinks and the per-slot occupancy table behind them.
-	// The table exists only when a sink is attached (slots == nil
-	// otherwise), so untraced runs allocate nothing and completion
-	// events carry arg 0 exactly as before — arg never affects event
-	// ordering, so traced runs stay outcome-identical too.
-	tr     *obs.Tracer
-	tl     *obs.Timeline
-	slots  []genSlot
-	snapFn func(float64) obs.Gauges
-}
-
-// genSlot is one decode slot's occupant, tracked only under observation.
-type genSlot struct {
-	req  workload.GenRequest
-	at   float64 // admission instant
-	busy bool
-}
-
-// Engine-event op codes dispatched to genSim.OnEvent.
-const (
-	opPump     uint8 = iota // an arrival instant: admit what fits
-	opSlotFree              // a sequence finished: free its slot, pump
-)
-
-// OnEvent dispatches engine events; genSim is its own pre-bound
-// handler, so arming an arrival or a slot completion never allocates.
-// Under observation the completion arg carries the slot index.
-func (g *genSim) OnEvent(now float64, op uint8, arg uint64) {
-	if op == opSlotFree {
-		g.free++
-		if g.slots != nil {
-			g.slotDone(now, int(arg))
-		}
-	}
-	g.pump(now)
-}
-
-// claimSlot records the sequence in the lowest free slot and emits its
-// arrival/admission events. The classic path has no standing admission
-// queue — the single pending request admits as soon as a slot frees — so
-// seq_arrive and kv_admit emit together at the admission instant, the
-// admission's wait carried in kv_admit's DurMS.
-func (g *genSim) claimSlot(req workload.GenRequest, now float64) int {
-	slot := 0
-	for g.slots[slot].busy {
-		slot++
-	}
-	g.slots[slot] = genSlot{req: req, at: now, busy: true}
-	if g.tr != nil {
-		e := obs.At(now, obs.KindSeqArrive)
-		e.Req = req.ID
-		e.Val = req.PromptLen
-		g.tr.Emit(e)
-		e = obs.At(now, obs.KindKVAdmit)
-		e.Req = req.ID
-		e.Replica = slot
-		e.DurMS = now - req.ArrivalMS
-		g.tr.Emit(e)
-	}
-	return slot
-}
-
-// slotDone retires the observed slot's occupant: a seq_complete event on
-// the slot's track and a timeline window observation.
-func (g *genSim) slotDone(now float64, slot int) {
-	s := &g.slots[slot]
-	s.busy = false
-	if g.tr != nil {
-		e := obs.At(now, obs.KindSeqComplete)
-		e.Req = s.req.ID
-		e.Replica = slot
-		e.DurMS = now - s.at
-		e.LatMS = now - s.req.ArrivalMS
-		g.tr.Emit(e)
-	}
-	if g.tl != nil {
-		g.tl.Observe(now-s.req.ArrivalMS, false)
-	}
-}
-
-// Start schedules the first arrival; genSim is an engine.Process.
-func (g *genSim) Start(l *engine.Loop) {
-	if g.has {
-		g.armAt = g.next.ArrivalMS
-		l.Schedule(g.next.ArrivalMS, classArrival, g, opPump, 0)
-	}
-}
-
-// pump admits the pending sequence whenever a slot is free and its
-// arrival has come, then lines up the next arrival event. Admissions are
-// strictly FIFO: the next request is not pulled until the current one
-// holds a slot, which both preserves arrival-order semantics and keeps
-// the lookahead at one request.
-func (g *genSim) pump(now float64) {
-	if now >= g.armAt {
-		g.armAt = math.Inf(1)
-	}
-	for g.has && g.next.ArrivalMS <= now && g.free > 0 {
-		req := g.next
-		if r, ok := g.it.Next(); ok {
-			g.next = r
-		} else {
-			g.next, g.has = workload.GenRequest{}, false
-		}
-		g.admit(req, now)
-	}
-	if g.has && g.next.ArrivalMS > now && g.next.ArrivalMS < g.armAt {
-		g.armAt = g.next.ArrivalMS
-		g.loop.Schedule(g.next.ArrivalMS, classArrival, g, opPump, 0)
-	}
-}
-
-// admit starts one sequence in a free slot at time now and schedules the
-// slot's completion on the engine clock.
-func (g *genSim) admit(req workload.GenRequest, now float64) {
-	if g.stats.Seqs == 0 {
-		g.firstArrival = req.ArrivalMS
-	}
-	g.free--
-	var arg uint64
-	if g.slots != nil {
-		arg = uint64(g.claimSlot(req, now))
-	}
-	tokens, decodeMS := g.e.decodeSequence(req, g.pol, g.tokens[:0])
-	g.tokens = tokens
-	done := now + g.e.prefillMS(req.PromptLen) + decodeMS
-	g.loop.Schedule(done, classSlotFree, g, opSlotFree, arg)
-	match := 0
-	for _, tk := range tokens {
-		if tk.Match {
-			match++
-		}
-		g.stats.TPTRec.Add(tk.TPTms)
-	}
-	rate := 1.0
-	if len(tokens) > 0 {
-		rate = float64(match) / float64(len(tokens))
-	}
-	g.sumRate += rate
-	g.sumScore += ScoreFromMatchRate(rate)
-	g.stats.Seqs++
-	g.stats.TotalTokens += len(tokens)
-	if done > g.lastDone {
-		g.lastDone = done
-	}
-	if g.e.OnSeq != nil {
-		g.e.OnSeq(SeqResult{
-			Request: req, StartMS: now, DoneMS: done,
-			Tokens: slices.Clone(tokens), MatchRate: rate,
-		})
-	}
-}
 
 // newStats returns a run's empty Stats. An exact TPT recorder is sized
 // to the stream's total generation length, so it never regrows; a
@@ -473,58 +292,14 @@ func (e *Engine) newStats(stream *workload.GenStream) *Stats {
 }
 
 // Run serves the generative stream with the policy on the shared
-// discrete-event engine. A sequence starts at max(its arrival, the
-// earliest slot-free time) — when no slot is idle at arrival, the
-// admission waits for the next completion event, which is exactly the
-// earliest-free-slot rule the standalone heap implemented. When any KV
-// knob is set (KVBlocks / PrefixHitRatio / PrefillChunkTokens) the
-// KV-block memory runtime takes over; with all of them zero this path
-// is byte-identical to the pre-KV engine.
+// discrete-event engine. Admission is FIFO: a sequence starts once a
+// decode slot is free and, when KVBlocks bounds the pool, its working
+// set fits. With no KV knob set (KVBlocks, PrefixHitRatio,
+// PrefillChunkTokens) that is the KV-block runtime with an unbounded
+// pool, no prefix cache and monolithic prefill, so a sequence starts at
+// max(its arrival, the earliest slot-free time).
 func (e *Engine) Run(stream *workload.GenStream, pol Policy) *Stats {
-	if e.kvActive() {
-		return e.runKV(stream, pol)
-	}
-	g := &genSim{
-		e:     e,
-		pol:   pol,
-		loop:  engine.New(),
-		it:    stream.Iter(),
-		free:  e.MaxConcurrent,
-		armAt: math.Inf(1),
-		stats: e.newStats(stream),
-	}
-	if r, ok := g.it.Next(); ok {
-		g.next, g.has = r, true
-	}
-	if e.Trace != nil || e.Timeline != nil {
-		g.tr, g.tl = e.Trace, e.Timeline
-		g.slots = make([]genSlot, e.MaxConcurrent)
-	}
-	if g.tl != nil {
-		// Sample from the advance hook, never from tick events on the
-		// heap — the clock must not move for the sampler's sake (same
-		// rule as the cluster path).
-		g.tl.Gen = true
-		g.snapFn = func(tMS float64) obs.Gauges {
-			queued := 0
-			if g.has && g.next.ArrivalMS <= tMS {
-				queued = 1
-			}
-			return obs.Gauges{Running: e.MaxConcurrent - g.free, Queued: queued}
-		}
-		g.loop.OnAdvance(func(prev, now float64) { g.tl.CatchUp(now, g.snapFn) })
-	}
-	g.loop.Add(g)
-	g.loop.Run()
-	if g.tl != nil && g.stats.Seqs > 0 {
-		g.tl.Finish(g.loop.Now(), g.snapFn)
-	}
-	if g.stats.Seqs > 0 {
-		g.stats.MeanMatchRate = g.sumRate / float64(g.stats.Seqs)
-		g.stats.MeanScore = g.sumScore / float64(g.stats.Seqs)
-		if span := g.lastDone - g.firstArrival; span > 0 {
-			g.stats.TokensPerSec = float64(g.stats.TotalTokens) / span * 1000
-		}
-	}
-	return g.stats
+	k := e.newKVSim(stream, pol)
+	k.loop.Run()
+	return k.finish()
 }

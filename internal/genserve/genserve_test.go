@@ -1,12 +1,9 @@
 package genserve
 
 import (
-	"math"
 	"testing"
 
-	"repro/internal/engine"
 	"repro/internal/exitsim"
-	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/workload"
 )
@@ -55,10 +52,16 @@ func TestTokenCountsMatchRequests(t *testing.T) {
 	e.OnSeq = func(sr SeqResult) { seqs = append(seqs, sr) }
 	e.Run(s, VanillaGen{})
 	e.OnSeq = nil
-	reqs := s.Materialize()
-	for i, seq := range seqs {
-		if len(seq.Tokens) != reqs[i].GenLen {
-			t.Fatalf("seq %d generated %d tokens, want %d", i, len(seq.Tokens), reqs[i].GenLen)
+	genLen := map[int]int{}
+	for _, r := range s.Materialize() {
+		genLen[r.ID] = r.GenLen
+	}
+	if len(seqs) != len(genLen) {
+		t.Fatalf("observed %d sequences, stream has %d", len(seqs), len(genLen))
+	}
+	for _, seq := range seqs {
+		if want := genLen[seq.Request.ID]; len(seq.Tokens) != want {
+			t.Fatalf("seq %d generated %d tokens, want %d", seq.Request.ID, len(seq.Tokens), want)
 		}
 	}
 }
@@ -221,45 +224,33 @@ func TestSaturatedBatchFactor(t *testing.T) {
 
 // TestRunBoundedPendingEvents pins the engine-migration memory claim: a
 // generative run's pending event count stays bounded by the slot pool
-// (slot completions + one armed arrival + the monitor below), never
-// growing with the stream. A light-load stream is the regression
-// trigger: when slots free before the next arrival, a buggy pump would
-// re-arm a duplicate arrival event per completion.
+// (one milestone per slot + one armed arrival + the monitor below),
+// never growing with the stream. Each arrival event arms the next one;
+// a light-load stream, where slots free before the next arrival, is
+// where an arming bug would duplicate arrivals per completion.
 func TestRunBoundedPendingEvents(t *testing.T) {
 	m := model.T5Large()
 	e := NewEngine(m, exitsim.ProfileFor(m, exitsim.KindCNNDailyMail))
-	// Wire a sim exactly like Run, plus a monitor process sampling the
-	// heap between events.
-	g := &genSim{
-		e:     e,
-		pol:   VanillaGen{},
-		loop:  engine.New(),
-		it:    workload.CNNDailyMail(400, 0.5, 9).Iter(),
-		free:  e.MaxConcurrent,
-		armAt: math.Inf(1),
-		stats: &Stats{TPTRec: metrics.NewRecorder(e.Metrics, 4096)},
-	}
-	if r, ok := g.it.Next(); ok {
-		g.next, g.has = r, true
-	}
+	// Build the run exactly as Run does, plus a monitor process sampling
+	// the heap between events.
+	k := e.newKVSim(workload.CNNDailyMail(400, 0.5, 9), VanillaGen{})
 	maxPending := 0
 	var monitor funcHandler
 	monitor = func(now float64) {
-		if p := g.loop.Pending(); p > maxPending {
+		if p := k.loop.Pending(); p > maxPending {
 			maxPending = p
 		}
-		if g.has || g.free < e.MaxConcurrent {
-			g.loop.Schedule(now+50, 2, monitor, 0, 0)
+		if k.has || k.running > 0 {
+			k.loop.Schedule(now+50, 2, monitor, 0, 0)
 		}
 	}
-	g.loop.Add(g)
-	g.loop.Schedule(0, 2, monitor, 0, 0)
-	g.loop.Run()
-	if g.stats.Seqs != 400 {
-		t.Fatalf("served %d sequences, want 400", g.stats.Seqs)
+	k.loop.Schedule(0, 2, monitor, 0, 0)
+	k.loop.Run()
+	if st := k.finish(); st.Seqs != 400 {
+		t.Fatalf("served %d sequences, want 400", st.Seqs)
 	}
-	// Bound: MaxConcurrent slot completions + 1 armed arrival + the
-	// monitor's own event.
+	// Bound: MaxConcurrent milestones + 1 armed arrival + the monitor's
+	// own event.
 	if limit := e.MaxConcurrent + 2; maxPending > limit {
 		t.Fatalf("pending events peaked at %d (> %d): arrival events are duplicating with the stream", maxPending, limit)
 	}

@@ -13,30 +13,31 @@ import (
 // sets a pool but Engine.BlockTokens is zero (vLLM's default block size).
 const DefaultBlockTokens = 16
 
-// kvActive reports whether any KV-runtime knob is set. With all of them
-// zero, Run takes the classic slot path — byte-identical to the pre-KV
-// engine, with no extra rng draws.
-func (e *Engine) kvActive() bool {
-	return e.KVBlocks > 0 || e.PrefixHitRatio > 0 || e.PrefillChunkTokens > 0
-}
-
 // Engine-event op codes dispatched to kvSim.OnEvent.
 const (
 	opKVArrive    uint8 = iota // a request reached the admission queue
 	opKVMilestone              // a running sequence finished a prefill chunk or decode stretch
 )
 
-// kvSeq is one sequence's runtime state under the KV-block runtime.
+// arrival is a fresh request waiting for its first admission. effPrompt
+// is the prompt tokens it must prefill and hold blocks for — 0 after a
+// prefix-cache hit, where the cached prefix's blocks are shared with the
+// cache rather than charged to the sequence. The queue holds arrivals
+// by value, so a backlog costs no allocation per request; admission
+// turns one into a kvSeq.
+type arrival struct {
+	req       workload.GenRequest
+	effPrompt int
+}
+
+// kvSeq is one admitted sequence's runtime state. It lives from its
+// first admission to its completion; then a later admission reuses it,
+// token buffer included.
 type kvSeq struct {
 	req    workload.GenRequest
 	tokens []TokenResult
 
-	// hit records the sequence's prefix-cache draw; effPrompt is the
-	// prompt tokens the sequence must prefill and hold blocks for — 0 on
-	// a hit, where the cached prefix's blocks are shared with the cache
-	// rather than charged to the sequence.
-	hit       bool
-	effPrompt int
+	effPrompt int // as in arrival
 
 	// flushTail is the decode time beyond the per-token TPT sum — the
 	// end-of-sequence standalone flush — charged to the final decode
@@ -64,17 +65,18 @@ type kvSeq struct {
 	enqueuedAt float64
 	admittedAt float64
 	startMS    float64
-	started    bool
 	waitMS     float64
 	matchRate  float64
 }
 
-// kvSim runs one generative simulation under the KV-block memory
-// runtime: admission is a FIFO queue on the engine clock gated by both a
-// free decode slot and pool headroom, running sequences advance through
+// kvSim is the generative runtime: admission is a FIFO queue on the
+// engine clock gated by a free decode slot and, when KVBlocks bounds the
+// pool, by block headroom. Running sequences advance through
 // per-sequence milestone events (prefill chunks, then decode stretches
 // between block boundaries), and growth past the pool preempts +
-// requeues the youngest running sequence deterministically.
+// requeues the youngest running sequence deterministically. With no KV
+// knob set the pool is unbounded, nothing is preempted, and each
+// sequence runs one monolithic prefill and one decode stretch.
 type kvSim struct {
 	e    *Engine
 	pol  Policy
@@ -86,8 +88,12 @@ type kvSim struct {
 	prefix *rng.Rand // the "gen.prefix" labeled stream; nil when ratio is 0
 
 	blockTokens int
-	waiting     []*kvSeq // FIFO; preempted sequences re-enter at the head
-	slots       []*kvSeq // decode-slot table; nil = free
+	// The admission queue: preempted sequences, most recently preempted
+	// on top, admit before fresh[head:], the arrivals in FIFO order.
+	requeued []*kvSeq
+	fresh    []arrival
+	head     int
+	slots    []*kvSeq // decode-slot table; nil = free
 	// slotEpoch invalidates in-flight milestone events: every admission
 	// to and eviction from a slot bumps its epoch, and a milestone whose
 	// packed epoch is stale is dropped (the engine has no cancellation).
@@ -99,17 +105,16 @@ type kvSim struct {
 	utilInt  float64 // ∫ used dt, folded at every pool transition
 	utilLast float64
 
-	// bufs is the free list of token buffers: a sequence takes one at
-	// its first admission and returns it at completion, so buffers
-	// number at most the sequences decided but not yet complete.
-	bufs [][]TokenResult
+	// retired holds completed sequences for reuse by later admissions,
+	// so kvSeqs and their token buffers number at most the sequences
+	// admitted but not yet complete.
+	retired []*kvSeq
 
 	stats        *Stats
 	sumRate      float64
 	sumScore     float64
 	totalWaitMS  float64
 	firstArrival float64
-	haveFirst    bool
 	lastDone     float64
 
 	// Observability sinks (nil = off; every emission site is
@@ -123,8 +128,9 @@ type kvSim struct {
 	intReported float64
 }
 
-// runKV serves the stream under the KV-block memory runtime.
-func (e *Engine) runKV(stream *workload.GenStream, pol Policy) *Stats {
+// newKVSim builds a run on a fresh engine loop with the first arrival
+// armed; running the loop serves the stream.
+func (e *Engine) newKVSim(stream *workload.GenStream, pol Policy) *kvSim {
 	k := &kvSim{
 		e:           e,
 		pol:         pol,
@@ -144,6 +150,7 @@ func (e *Engine) runKV(stream *workload.GenStream, pol Policy) *Stats {
 	}
 	if r, ok := k.it.Next(); ok {
 		k.next, k.has = r, true
+		k.firstArrival = r.ArrivalMS
 	}
 	k.tr, k.tl = e.Trace, e.Timeline
 	if k.tl != nil {
@@ -155,20 +162,26 @@ func (e *Engine) runKV(stream *workload.GenStream, pol Policy) *Stats {
 		k.loop.OnAdvance(func(prev, now float64) { k.tl.CatchUp(now, k.snapFn) })
 	}
 	k.loop.Add(k)
-	k.loop.Run()
-	if k.tl != nil && k.haveFirst {
+	return k
+}
+
+// finish closes the timeline and folds the run's aggregates into its
+// Stats once the loop has drained.
+func (k *kvSim) finish() *Stats {
+	if k.stats.Seqs == 0 {
+		return k.stats
+	}
+	if k.tl != nil {
 		k.tl.Finish(k.loop.Now(), k.snapFn)
 	}
-	if k.stats.Seqs > 0 {
-		k.stats.MeanMatchRate = k.sumRate / float64(k.stats.Seqs)
-		k.stats.MeanScore = k.sumScore / float64(k.stats.Seqs)
-		k.stats.QueueMS = k.totalWaitMS / float64(k.stats.Seqs)
-		if span := k.lastDone - k.firstArrival; span > 0 {
-			k.stats.TokensPerSec = float64(k.stats.TotalTokens) / span * 1000
-			if e.KVBlocks > 0 {
-				k.foldUtil(k.lastDone)
-				k.stats.KVUtil = k.utilInt / (float64(e.KVBlocks) * span)
-			}
+	k.stats.MeanMatchRate = k.sumRate / float64(k.stats.Seqs)
+	k.stats.MeanScore = k.sumScore / float64(k.stats.Seqs)
+	k.stats.QueueMS = k.totalWaitMS / float64(k.stats.Seqs)
+	if span := k.lastDone - k.firstArrival; span > 0 {
+		k.stats.TokensPerSec = float64(k.stats.TotalTokens) / span * 1000
+		if k.e.KVBlocks > 0 {
+			k.foldUtil(k.lastDone)
+			k.stats.KVUtil = k.utilInt / (float64(k.e.KVBlocks) * span)
 		}
 	}
 	return k.stats
@@ -198,61 +211,76 @@ func (k *kvSim) OnEvent(now float64, op uint8, arg uint64) {
 }
 
 // arrive moves the pending request into the admission queue, drawing its
-// prefix-cache fate, and arms the next arrival event (one request of
-// lookahead, as in the classic path).
+// prefix-cache fate, and arms the next arrival event.
 func (k *kvSim) arrive(now float64) {
-	req := k.next
+	a := arrival{req: k.next, effPrompt: k.next.PromptLen}
 	if r, ok := k.it.Next(); ok {
 		k.next = r
 		k.loop.Schedule(r.ArrivalMS, classArrival, k, opKVArrive, 0)
 	} else {
 		k.next, k.has = workload.GenRequest{}, false
 	}
-	if !k.haveFirst {
-		k.firstArrival, k.haveFirst = req.ArrivalMS, true
-	}
-	s := &kvSeq{req: req, effPrompt: req.PromptLen, enqueuedAt: now}
 	if k.tr != nil {
 		e := obs.At(now, obs.KindSeqArrive)
-		e.Req = req.ID
-		e.Val = req.PromptLen
+		e.Req = a.req.ID
+		e.Val = a.req.PromptLen
 		k.tr.Emit(e)
 	}
 	if k.prefix != nil && k.prefix.Float64() < k.e.PrefixHitRatio {
-		s.hit = true
-		s.effPrompt = 0
+		a.effPrompt = 0
 		k.stats.PrefixHits++
 		if k.tr != nil {
 			e := obs.At(now, obs.KindPrefixHit)
-			e.Req = req.ID
+			e.Req = a.req.ID
 			k.tr.Emit(e)
 		}
 	}
-	k.waiting = append(k.waiting, s)
+	// Slide the waiting arrivals down over the admitted ones once those
+	// are at least half the slice: each slide copies no more entries than
+	// were admitted since the last, and the slice stays within twice the
+	// backlog.
+	if k.head > 0 && 2*k.head >= len(k.fresh) {
+		k.fresh = k.fresh[:copy(k.fresh, k.fresh[k.head:])]
+		k.head = 0
+	}
+	k.fresh = append(k.fresh, a)
 }
 
+// backlog counts the sequences waiting for admission.
+func (k *kvSim) backlog() int { return len(k.requeued) + len(k.fresh) - k.head }
+
 // pump admits from the head of the queue while a slot is free and the
-// head's working set fits the pool. Admission is strictly FIFO — a head
-// that does not fit blocks everything behind it until memory frees.
+// head's working set — blocks for its recompute prefix plus the first
+// new token — fits the pool. Admission is strictly FIFO: a head that
+// does not fit blocks everything behind it until memory frees.
 func (k *kvSim) pump(now float64) {
-	for len(k.waiting) > 0 && k.freeSlots > 0 && k.fits(k.waiting[0]) {
-		s := k.waiting[0]
-		k.waiting[0] = nil
-		k.waiting = k.waiting[1:]
-		k.admit(s, now)
+	for k.freeSlots > 0 {
+		if n := len(k.requeued); n > 0 {
+			s := k.requeued[n-1]
+			if !k.fits(s.effPrompt + s.gDone + 1) {
+				return
+			}
+			k.requeued = k.requeued[:n-1]
+			k.admit(s, now)
+			continue
+		}
+		if k.head == len(k.fresh) || !k.fits(k.fresh[k.head].effPrompt+1) {
+			return
+		}
+		a := k.fresh[k.head]
+		k.head++
+		k.admit(k.start(a, now), now)
 	}
 }
 
-// fits reports whether the sequence's working set — blocks for its
-// recompute prefix plus the first new token — has pool headroom. A
-// sequence too large to ever fit is still admitted once the pool is
-// completely idle, so the queue cannot wedge.
-func (k *kvSim) fits(s *kvSeq) bool {
+// fits reports whether a working set of this many tokens has pool
+// headroom. A sequence too large to ever fit is still admitted once the
+// pool is completely idle, so the queue cannot wedge.
+func (k *kvSim) fits(tokens int) bool {
 	if k.e.KVBlocks <= 0 {
 		return true
 	}
-	need := k.blocksFor(s.effPrompt + s.gDone + 1)
-	return k.used+need <= k.e.KVBlocks || k.running == 0
+	return k.used+k.blocksFor(tokens) <= k.e.KVBlocks || k.running == 0
 }
 
 func (k *kvSim) blocksFor(tokens int) int {
@@ -262,9 +290,32 @@ func (k *kvSim) blocksFor(tokens int) int {
 	return (tokens + k.blockTokens - 1) / k.blockTokens
 }
 
-// admit claims a slot and the recompute working set's blocks, decides
-// the sequence's tokens on first admission, and schedules its first
-// milestone.
+// start turns an arrival into a sequence at its first admission: it
+// reuses a retired kvSeq when there is one, decides every token under
+// the policy into its buffer, and folds them into the run's aggregates.
+func (k *kvSim) start(a arrival, now float64) *kvSeq {
+	var s *kvSeq
+	if n := len(k.retired); n > 0 {
+		s, k.retired = k.retired[n-1], k.retired[:n-1]
+	} else {
+		s = new(kvSeq)
+	}
+	*s = kvSeq{
+		req: a.req, tokens: s.tokens[:0], effPrompt: a.effPrompt,
+		enqueuedAt: a.req.ArrivalMS, startMS: now,
+	}
+	var total float64
+	s.tokens, total = k.e.decodeSequence(s.req, k.pol, s.tokens)
+	for _, tk := range s.tokens {
+		total -= tk.TPTms
+	}
+	s.flushTail = total
+	k.record(s)
+	return s
+}
+
+// admit claims a slot and the recompute working set's blocks, and
+// schedules the sequence's first milestone.
 func (k *kvSim) admit(s *kvSeq, now float64) {
 	k.freeSlots--
 	k.running++
@@ -280,21 +331,6 @@ func (k *kvSim) admit(s *kvSeq, now float64) {
 	s.slot = slot
 	k.slots[slot] = s
 	k.slotEpoch[slot]++
-	if !s.started {
-		s.started = true
-		s.startMS = now
-		var buf []TokenResult
-		if n := len(k.bufs); n > 0 {
-			buf, k.bufs = k.bufs[n-1], k.bufs[:n-1]
-		}
-		var total float64
-		s.tokens, total = k.e.decodeSequence(s.req, k.pol, buf)
-		for _, tk := range s.tokens {
-			total -= tk.TPTms
-		}
-		s.flushTail = total
-		k.record(s)
-	}
 	if k.e.KVBlocks > 0 {
 		k.grant(s, k.blocksFor(s.effPrompt+s.gDone), now)
 	}
@@ -310,8 +346,8 @@ func (k *kvSim) admit(s *kvSeq, now float64) {
 	k.advance(s, now)
 }
 
-// record folds the sequence's decided tokens into the run's aggregates —
-// once, at first admission, exactly when the classic path would.
+// record folds the sequence's decided tokens into the run's aggregates,
+// once, at its first admission.
 func (k *kvSim) record(s *kvSeq) {
 	match := 0
 	for _, tk := range s.tokens {
@@ -404,7 +440,7 @@ func (k *kvSim) milestone(s *kvSeq, now float64) {
 
 func (k *kvSim) schedule(s *kvSeq, at float64) {
 	arg := uint64(s.slot)<<32 | uint64(k.slotEpoch[s.slot])
-	k.loop.Schedule(at, classSlotFree, k, opKVMilestone, arg)
+	k.loop.Schedule(at, classMilestone, k, opKVMilestone, arg)
 }
 
 // acquire grants the sequence one more KV block, preempting the
@@ -456,8 +492,8 @@ func (k *kvSim) youngest() *kvSeq {
 // preempt evicts a running sequence: its blocks and slot free, any
 // in-flight milestone goes stale, mid-stretch work is lost (it resumes
 // from its last committed milestone and recomputes on re-admission),
-// and it re-enters the queue at the head so FIFO order is preserved for
-// work already granted.
+// and it re-enters the queue at the head, ahead of fresh arrivals and
+// of sequences preempted before it.
 func (k *kvSim) preempt(v *kvSeq, now float64) {
 	k.stats.Preemptions++
 	if k.tr != nil {
@@ -479,13 +515,11 @@ func (k *kvSim) preempt(v *kvSeq, now float64) {
 	}
 	v.pendingPrefill, v.pendingG = 0, 0
 	v.enqueuedAt = now
-	k.waiting = append(k.waiting, nil)
-	copy(k.waiting[1:], k.waiting)
-	k.waiting[0] = v
+	k.requeued = append(k.requeued, v)
 	if k.tr != nil {
 		e := obs.At(now, obs.KindSeqRequeue)
 		e.Req = v.req.ID
-		e.Val = len(k.waiting)
+		e.Val = k.backlog()
 		k.tr.Emit(e)
 	}
 }
@@ -522,7 +556,7 @@ func (k *kvSim) complete(s *kvSeq, now float64) {
 			Tokens: slices.Clone(s.tokens), MatchRate: s.matchRate,
 		})
 	}
-	k.bufs = append(k.bufs, s.tokens[:0])
+	k.retired = append(k.retired, s)
 }
 
 // foldUtil integrates the pool occupancy up to now.
@@ -539,7 +573,7 @@ func (k *kvSim) foldUtil(now float64) {
 // delta against what earlier rows already carried, so the kv_block_ms
 // column telescopes to the run's full ∫used·dt.
 func (k *kvSim) gauges(tMS float64) obs.Gauges {
-	g := obs.Gauges{Running: k.running, Queued: len(k.waiting), Preempts: k.stats.Preemptions}
+	g := obs.Gauges{Running: k.running, Queued: k.backlog(), Preempts: k.stats.Preemptions}
 	if k.has && k.next.ArrivalMS <= tMS {
 		g.Queued++ // the armed arrival has arrived by tMS but its event hasn't fired
 	}

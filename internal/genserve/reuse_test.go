@@ -22,7 +22,7 @@ func (d drawingVanilla) Decide(s exitsim.Sample) (bool, float64, float64, bool) 
 }
 
 // reuseRun serves t5-large's cnn-dailymail stream at the saturating
-// rate, on the classic path (kvBlocks 0) or a KV pool of kvBlocks,
+// rate, on an unbounded pool (kvBlocks 0) or a KV pool of kvBlocks,
 // keeping every OnSeq result.
 func reuseRun(kvBlocks int, pol func(*Engine) Policy) (*Stats, []SeqResult) {
 	e := kvEngine()
@@ -35,7 +35,7 @@ func reuseRun(kvBlocks int, pol func(*Engine) Policy) (*Stats, []SeqResult) {
 // TestVanillaSkipsDrawsWithoutChangingResults: VanillaGen's runs skip
 // the token sampler. A policy deciding exactly like it under another
 // type still draws a sample per token, and the two must report equal
-// Stats and equal per-sequence results, on the classic path and on a
+// Stats and equal per-sequence results, on an unbounded pool and on a
 // KV pool small enough to preempt.
 func TestVanillaSkipsDrawsWithoutChangingResults(t *testing.T) {
 	for _, kvBlocks := range []int{0, 64} {
@@ -79,6 +79,24 @@ func TestOnSeqResultsOwnTheirTokens(t *testing.T) {
 			if rate := float64(match) / float64(len(sr.Tokens)); rate != sr.MatchRate {
 				t.Fatalf("kv=%d: seq %d tokens give match rate %v, result says %v — its tokens were overwritten",
 					kvBlocks, sr.Request.ID, rate, sr.MatchRate)
+			}
+		}
+	}
+}
+
+// TestOnSeqFiresInCompletionOrder: OnSeq delivers each sequence as it
+// completes, so DoneMS never decreases across calls, on an unbounded
+// pool and on a pool small enough to preempt.
+func TestOnSeqFiresInCompletionOrder(t *testing.T) {
+	for _, kvBlocks := range []int{0, 64} {
+		st, seqs := reuseRun(kvBlocks, func(*Engine) Policy { return VanillaGen{} })
+		if len(seqs) != st.Seqs {
+			t.Fatalf("kv=%d: observed %d sequences, stats counted %d", kvBlocks, len(seqs), st.Seqs)
+		}
+		for i := 1; i < len(seqs); i++ {
+			if seqs[i].DoneMS < seqs[i-1].DoneMS {
+				t.Fatalf("kv=%d: seq %d (done %v) delivered after seq %d (done %v)", kvBlocks,
+					seqs[i].Request.ID, seqs[i].DoneMS, seqs[i-1].Request.ID, seqs[i-1].DoneMS)
 			}
 		}
 	}

@@ -107,10 +107,10 @@ const (
 	// the prompt length in tokens.
 	KindSeqArrive Kind = "seq_arrive"
 	// KindKVAdmit marks a sequence claiming a decode slot; Val is the KV
-	// blocks it holds after the admission grant (0 on the unbounded
-	// path), and DurMS is this admission's queue wait — summed over all
-	// kv_admit events it reconciles with Stats.QueueMS × Seqs, re-queues
-	// included.
+	// blocks it holds after the admission grant (0 when the pool is
+	// unbounded), and DurMS is this admission's queue wait — summed over
+	// all kv_admit events it reconciles with Stats.QueueMS × Seqs,
+	// re-queues included.
 	KindKVAdmit Kind = "kv_admit"
 	// KindPrefixHit marks a sequence whose prompt prefix hit the prefix
 	// cache (prefill skipped); emitted at arrival, event count reconciles

@@ -63,8 +63,8 @@ type Grid struct {
 	Retries []string
 	// KVBlocks, BlockTokens, PrefixHits, and PrefillChunks sweep the
 	// generative KV-block memory runtime (pool size, tokens per block,
-	// prefix-cache hit ratio, chunked-prefill threshold); 0 members are
-	// the pre-KV engine and classification scenarios clear the axes.
+	// prefix-cache hit ratio, chunked-prefill threshold); 0 members leave
+	// the knob unset and classification scenarios clear the axes.
 	KVBlocks      []int
 	BlockTokens   []int
 	PrefixHits    []float64

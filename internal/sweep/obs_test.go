@@ -99,15 +99,16 @@ func TestObsFilesDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// genObsGrid is a traced generative-KV grid: bounded and unbounded
-// pools with prefix caching and chunked prefill.
+// genObsGrid is a traced generative grid: bounded and unbounded pools,
+// with and without prefix caching and chunked prefill — the no-knob
+// point included.
 func genObsGrid() Grid {
 	return Grid{
 		Models:        []string{"t5-large"},
 		Workloads:     []string{"cnn-dailymail"},
 		KVBlocks:      []int{0, 48},
 		PrefixHits:    []float64{0, 0.4},
-		PrefillChunks: []int{128},
+		PrefillChunks: []int{0, 128},
 		Trace:         true,
 		Timeline:      true,
 		ObsTickMS:     200,

@@ -1,7 +1,6 @@
 package genserve
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/metrics"
@@ -43,26 +42,31 @@ var allocPolicies = []struct {
 	{"apparate", func(e *Engine) Policy { return NewApparateGen(e.Model, e.Profile, 0.01) }},
 }
 
-// TestRunAllocBudget pins whole runs on an unbounded pool and on a
-// 96-block pool: one fixed budget at both stream sizes, so the
-// per-sequence cost must be zero.
-func TestRunAllocBudget(t *testing.T) {
-	const budget = 100 // measured: 54–75 unbounded, 37–57 at 96 blocks
-	for _, pool := range []int{0, 96} {
-		t.Run(fmt.Sprintf("pool%d", pool), func(t *testing.T) {
-			for _, p := range allocPolicies {
-				for _, n := range []int{200, 2000} {
-					avg := runAllocs(n, pool, p.pol)
-					t.Logf("%s: %.0f allocs per %d-sequence run", p.name, avg, n)
-					if avg > budget {
-						t.Errorf("%s run of %d sequences on pool %d allocated %.0f times, budget %d — a per-sequence allocation crept back into the generative hot path",
-							p.name, n, pool, avg, budget)
-					}
-				}
+// checkRunAllocBudget pins whole runs on a pool of kvBlocks blocks: one
+// fixed budget at both stream sizes, so the per-sequence cost must be
+// zero.
+func checkRunAllocBudget(t *testing.T, kvBlocks int) {
+	t.Helper()
+	const budget = 100
+	for _, p := range allocPolicies {
+		for _, n := range []int{200, 2000} {
+			avg := runAllocs(n, kvBlocks, p.pol)
+			t.Logf("%s: %.0f allocs per %d-sequence run", p.name, avg, n)
+			if avg > budget {
+				t.Errorf("%s run of %d sequences on pool %d allocated %.0f times, budget %d — a per-sequence allocation crept back into the generative hot path",
+					p.name, n, kvBlocks, avg, budget)
 			}
-		})
+		}
 	}
 }
+
+// TestRunClassicAllocBudget pins a classic engine, one with no KV knob,
+// which runs on an unbounded pool. Measured: 54–75 allocations.
+func TestRunClassicAllocBudget(t *testing.T) { checkRunAllocBudget(t, 0) }
+
+// TestRunKVAllocBudget pins a 96-block pool. Measured: 37–57
+// allocations.
+func TestRunKVAllocBudget(t *testing.T) { checkRunAllocBudget(t, 96) }
 
 // BenchmarkEngineRun times a whole generative run of 500 sequences —
 // t5-large's cnn-dailymail stream at the saturating rate, exact TPT

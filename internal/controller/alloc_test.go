@@ -1,0 +1,25 @@
+package controller_test
+
+import (
+	"testing"
+
+	"repro/internal/controller"
+)
+
+// TestGreedySearchAllocBudget pins the greedy search's allocations: its
+// thresholds and steps, and one exit column per row. Scoring a candidate
+// allocates nothing, so the budget is a constant however many candidates
+// a search scores.
+func TestGreedySearchAllocBudget(t *testing.T) {
+	const budget = 8
+	for _, st := range searchTables {
+		tab := videoTable(st.rows)
+		var res controller.TuneResult
+		allocs := testing.AllocsPerRun(20, func() {
+			res = controller.GreedySearch(tab, 0.006, 0.1, 0.01)
+		})
+		if allocs > budget {
+			t.Errorf("%s: a search of %d candidates allocates %v, budget %d", st.name, res.Evals, allocs, budget)
+		}
+	}
+}

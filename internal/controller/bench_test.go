@@ -11,18 +11,25 @@ import (
 	"repro/internal/workload"
 )
 
-// trainTable is the table a default controller's tuning round searches:
-// resnet50's initial 5-ramp deployment over the 60% training split of a
-// full 512-input window (307 rows) of video-1.
-func trainTable() controller.Table {
+// videoTable is resnet50's initial 5-ramp deployment over the first n
+// inputs of video-1.
+func videoTable(n int) controller.Table {
 	m := model.ResNet50()
 	cfg := ramp.NewConfig(m, exitsim.ProfileFor(m, exitsim.KindVideo), 0.02)
 	cfg.DeployInitial(ramp.StyleDefault)
-	return controller.NewTable(cfg, workload.Video(1, 512*3/5, 30, 3).Samples())
+	return controller.NewTable(cfg, workload.Video(1, n, 30, 3).Samples())
 }
 
+// searchTables are the tables a default controller's greedy searches
+// run on: a tuning round's 60% training split of a full 512-input window
+// (307 rows), and the whole window an adjustment round searches.
+var searchTables = []struct {
+	name string
+	rows int
+}{{"train-307", 512 * 3 / 5}, {"window-512", 512}}
+
 func BenchmarkEvalThresholds(b *testing.B) {
-	tab := trainTable()
+	tab := videoTable(512 * 3 / 5)
 	ts := []float64{0.1, 0.2, 0.3, 0.4, 0.5}
 	b.ReportAllocs()
 	for b.Loop() {
@@ -30,11 +37,19 @@ func BenchmarkEvalThresholds(b *testing.B) {
 	}
 }
 
+// BenchmarkGreedySearch times whole searches at a default controller's
+// budget and reports the cost of one scored candidate.
 func BenchmarkGreedySearch(b *testing.B) {
-	tab := trainTable()
-	b.ReportAllocs()
-	for b.Loop() {
-		controller.GreedySearch(tab, 0.006, 0.1, 0.01)
+	for _, st := range searchTables {
+		b.Run(st.name, func(b *testing.B) {
+			tab := videoTable(st.rows)
+			evals := 0
+			b.ReportAllocs()
+			for b.Loop() {
+				evals += controller.GreedySearch(tab, 0.006, 0.1, 0.01).Evals
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(evals), "ns/candidate")
+		})
 	}
 }
 

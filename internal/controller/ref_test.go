@@ -270,13 +270,43 @@ func TestWindowTableMatchesReference(t *testing.T) {
 			t.Fatalf("utilities under %v: table %+v, reference %+v", cfg.Thresholds(), got, want)
 		}
 	}
-	split := window * 3 / 5
 	for _, budget := range []float64{0.006, 0.03} {
-		if got, want := GreedySearch(tab.Rows(0, split), budget, 0.1, 0.01), refGreedy(cfg, recs[:split], budget, 0.1, 0.01); !reflect.DeepEqual(got, want) {
-			t.Fatalf("greedy at budget %v: table %+v, reference %+v", budget, got, want)
-		}
 		if got, want := GridSearch(tab, budget, 0.25), refGrid(cfg, recs, budget, 0.25); !reflect.DeepEqual(got, want) {
 			t.Fatalf("grid at budget %v: table %+v, reference %+v", budget, got, want)
+		}
+	}
+	// The greedy search scores each candidate as a change to its
+	// committed exits. Check it on empty, one-row and training views and
+	// on the whole window with its +Inf cells, then on a table with many
+	// ramps: resnet50 deploys all 17 of its sites at a 0.1 budget.
+	for _, hi := range []int{0, 1, window * 3 / 5, window} {
+		checkGreedy(t, tab.Rows(0, hi), cfg, recs[:hi])
+	}
+	wide := ramp.NewConfig(cfg.Model, cfg.Profile, 0.1)
+	wide.DeployInitial(ramp.StyleDefault)
+	if len(wide.Active) != 17 {
+		t.Fatalf("wide configuration deploys %d ramps, want 17", len(wide.Active))
+	}
+	samples := workload.Video(1, window, 30, 8).Samples()
+	recs = recs[:0]
+	for _, s := range samples {
+		recs = append(recs, newRecord(wide, wide.Evaluate(s, 1)))
+	}
+	checkGreedy(t, NewTable(wide, samples), wide, recs)
+}
+
+// checkGreedy compares GreedySearch on tab with refGreedy on the same
+// records, Evals included, across accuracy budgets and step schedules.
+func checkGreedy(t *testing.T, tab Table, cfg *ramp.Config, recs []record) {
+	t.Helper()
+	for _, budget := range []float64{0, 0.006, 0.03, 1} {
+		for _, st := range [][2]float64{{0.1, 0.01}, {0.25, 0.05}, {0.5, 0.5}} {
+			got := GreedySearch(tab, budget, st[0], st[1])
+			want := refGreedy(cfg, recs, budget, st[0], st[1])
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("greedy over %d rows × %d ramps at budget %v, steps %v: table %+v, reference %+v",
+					tab.Len(), len(cfg.Active), budget, st, got, want)
+			}
 		}
 	}
 }

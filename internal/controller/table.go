@@ -56,6 +56,14 @@ func savings(cfg *ramp.Config) []float64 {
 // Len returns the number of rows.
 func (t Table) Len() int { return t.n }
 
+// frac returns x per row of the table, or 0 for a table with no rows.
+func (t Table) frac(x float64) float64 {
+	if t.n == 0 {
+		return 0
+	}
+	return x / float64(t.n)
+}
+
 // Rows returns the view of rows [lo, hi).
 func (t Table) Rows(lo, hi int) Table {
 	t.obs = t.obs[lo*t.cols : hi*t.cols]

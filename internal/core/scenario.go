@@ -449,8 +449,11 @@ func (sc Scenario) Validate() error {
 	if !(sc.RateMult > 0) || math.IsInf(sc.RateMult, 0) {
 		return fmt.Errorf("scenario: rate multiplier %g must be positive and finite", sc.RateMult)
 	}
-	if !(sc.RampBudget > 0) || math.IsInf(sc.RampBudget, 0) {
-		return fmt.Errorf("scenario: ramp budget %g must be positive and finite", sc.RampBudget)
+	// A ramp budget is a fraction of the model's latency, as AccLoss is
+	// of its accuracy. resnet50 already deploys every ramp site at 0.1,
+	// so a budget above 1 could only mislead.
+	if !(sc.RampBudget > 0 && sc.RampBudget <= 1) {
+		return fmt.Errorf("scenario: ramp budget %g must be a fraction in (0,1]", sc.RampBudget)
 	}
 	// An accuracy budget is a fraction of the original model's accuracy;
 	// generative runs would silently cap one above 1 in TokenBudget.

@@ -32,8 +32,10 @@ func TestScenarioValidate(t *testing.T) {
 		{Model: "resnet50", Workload: "video-0", N: 100, RampBudget: -0.1},
 		{Model: "resnet50", Workload: "video-0", N: 100, AccLoss: math.NaN()},
 		{Model: "resnet50", Workload: "video-0", N: 100, AccLoss: math.Inf(1)},
-		// Out of range: an accuracy budget is a fraction, and a replica
-		// count of 0 means unset but a negative one is an error.
+		// Out of range: ramp and accuracy budgets are fractions, and a
+		// replica count of 0 means unset but a negative one is an error.
+		{Model: "resnet50", Workload: "video-0", N: 100, RampBudget: 5},
+		{Model: "t5-large", Workload: "squad", N: 10, RampBudget: 1.5},
 		{Model: "resnet50", Workload: "video-0", N: 100, AccLoss: 2},
 		{Model: "t5-large", Workload: "squad", N: 10, AccLoss: 1.5},
 		{Model: "resnet50", Workload: "video-0", N: 100, Replicas: -2},

@@ -1,19 +1,19 @@
 // Package engine is the shared discrete-event core of the simulators:
 // one virtual clock, one binary event heap, and a deterministic pop
-// order. The serving cluster runtime and the generative slot engine are
-// both built on it, so "one clock, one heap, all actors advanced
+// order. The serving cluster runtime and the generative KV-block runtime
+// are both built on it, so "one clock, one heap, all actors advanced
 // together in a single pass" holds for every simulation in the repo.
 //
 // Determinism is the load-bearing property. Events pop ordered by
 // (time, class, sequence): the class ranks simultaneous events of
 // different kinds (the serving cluster admits an arrival before the
-// replica wake that batches it; the generative engine admits an
-// arrival before the slot completion that frees capacity for it), and
-// the monotonically increasing sequence number makes same-time
-// same-class events FIFO in scheduling order. Because scheduling order is itself a deterministic function of
-// the simulation inputs, an engine run is a pure function of its
-// initial events — the root of the sweep's workers-1-vs-8
-// byte-identity guarantee.
+// replica wake that batches it; the generative runtime queues an
+// arrival before the milestone that may admit it), and the
+// monotonically increasing sequence number makes same-time same-class
+// events FIFO in scheduling order. Because scheduling order is itself a
+// deterministic function of the simulation inputs, an engine run is a
+// pure function of its initial events — the root of the sweep's
+// workers-1-vs-8 byte-identity guarantee.
 //
 // Memory is O(pending events), never O(trace): sources schedule one
 // arrival of lookahead at a time, so the heap stays a handful of
@@ -30,7 +30,7 @@ import "fmt"
 
 // Class ranks simultaneous events: at equal timestamps, lower classes
 // fire first. Callers define their own ordering; the serving cluster
-// uses arrival < wake, genserve uses arrival < slot-free. Changing an
+// uses arrival < wake, genserve uses arrival < milestone. Changing an
 // existing caller's class numbering shifts same-instant pop order and
 // with it every downstream byte-identity pin — add new classes after
 // the existing ones.
@@ -93,7 +93,7 @@ func (l *Loop) Schedule(at float64, class Class, h Handler, op uint8, arg uint64
 }
 
 // Process is a simulation actor: Start schedules its initial event(s).
-// It exists so composites (a cluster, a slot pool, a window tracker)
+// It exists so composites (a cluster, a KV-block runtime, a fault model)
 // plug into one loop uniformly; actors interact afterwards by
 // scheduling further events from their callbacks.
 type Process interface {

@@ -360,3 +360,32 @@ func TestScheduleSteadyStateZeroAlloc(t *testing.T) {
 		t.Fatalf("steady-state handler scheduling allocates %.1f allocs/run, want 0", avg)
 	}
 }
+
+// BenchmarkSchedulePop times the heap in steady state: with depth events
+// pending, each op pops the earliest and schedules a replacement at a
+// pseudo-random later instant, so the heap never changes size. No event
+// is dispatched, so the handler is a placeholder.
+func BenchmarkSchedulePop(b *testing.B) {
+	for _, depth := range []int{4, 64, 1024} {
+		b.Run(fmt.Sprintf("depth-%d", depth), func(b *testing.B) {
+			l := New()
+			x := uint64(1)
+			later := func() float64 { // xorshift64, up to 1 s ahead
+				x ^= x << 13
+				x ^= x >> 7
+				x ^= x << 17
+				return float64(x % 1000)
+			}
+			h := &selfPump{l: l}
+			for i := 0; i < depth; i++ {
+				l.Schedule(later(), Class(i%2), h, 0, 0)
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				e := l.pop()
+				l.now = e.at
+				l.Schedule(e.at+later(), e.class, e.h, e.op, e.arg)
+			}
+		})
+	}
+}

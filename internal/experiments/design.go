@@ -133,13 +133,9 @@ func fig10() []Table {
 		}
 		tab := controller.NewTable(cfg, samples[:128])
 
-		start := time.Now()
-		greedy := controller.GreedySearch(tab, 0.01, 0.1, 0.01)
-		greedyMS := float64(time.Since(start).Microseconds()) / 1000
-
-		start = time.Now()
-		grid := controller.GridSearch(tab, 0.01, 0.1)
-		gridMS := float64(time.Since(start).Microseconds()) / 1000
+		var greedy, grid controller.TuneResult
+		greedyMS := msPerCall(func() { greedy = controller.GreedySearch(tab, 0.01, 0.1, 0.01) })
+		gridMS := msPerCall(func() { grid = controller.GridSearch(tab, 0.01, 0.1) })
 
 		gap := 0.0
 		if grid.SavingFrac > 0 {
@@ -151,4 +147,17 @@ func fig10() []Table {
 		})
 	}
 	return []Table{t}
+}
+
+// msPerCall returns f's mean wall time in milliseconds, calling it until
+// the calls span at least a millisecond: a search far shorter than the
+// timer's tick still reads as a time, never as zero.
+func msPerCall(f func()) float64 {
+	start := time.Now()
+	for calls := 1; ; calls++ {
+		f()
+		if el := time.Since(start); el >= time.Millisecond {
+			return float64(el.Nanoseconds()) / float64(calls) / 1e6
+		}
+	}
 }

@@ -25,17 +25,19 @@ vet:
 race:
 	$(GO) test -race ./internal/sweep/... ./internal/serving/... ./internal/autoscale/... ./internal/core/... ./internal/engine/... ./internal/faults/... ./internal/obs/... ./internal/genserve/...
 
-# Fuzz the scenario-spec parsers for 10s per target (go test -fuzz
-# takes one target per run). A target fails on a panic, a parsed
-# non-finite number, or a canonical form that does not parse back to
-# itself; the failing input is saved under the package's testdata/fuzz/
-# and replays in plain go test from then on.
+# Fuzz the scenario-spec parsers and the sweep's -only/-skip filter
+# parser for 10s per target (go test -fuzz takes one target per run). A
+# target fails on a panic, a parsed non-finite number, a canonical form
+# that does not parse back to itself, or an accepted filter with an
+# unknown axis or a malformed glob; the failing input is saved under the
+# package's testdata/fuzz/ and replays in plain go test from then on.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSchedule$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/autoscale
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/faults
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRetry$$' -fuzztime 10s ./internal/faults
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpeeds$$' -fuzztime 10s ./internal/serving
+	$(GO) test -run '^$$' -fuzz '^FuzzParseFilters$$' -fuzztime 10s ./internal/sweep
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .

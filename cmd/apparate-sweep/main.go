@@ -19,7 +19,7 @@
 // supported range (all compatible model/workload pairings, both
 // platforms) or the paper's default parameter. -only and -skip take
 // comma-separated glob patterns over axis tokens such as
-// "model=resnet*" or "workload=video-3".
+// "model=resnet*" or "workload=video-3"; an unknown axis is an error.
 package main
 
 import (

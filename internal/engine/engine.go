@@ -19,11 +19,14 @@
 // arrival of lookahead at a time, so the heap stays a handful of
 // entries regardless of stream length (the mem-smoke bound).
 //
-// Allocation is O(peak pending events), never O(events fired): events
-// are plain values in the heap slice, so the slice's spare capacity is
-// the freelist — a popped slot is reused by the next Schedule with no
-// per-event allocation. Actors implement Handler and schedule
-// (handler, op, arg) triples instead of capturing state in closures.
+// Allocation is O(peak pending events), never O(events fired): heap
+// entries are pointer-free values in the heap slice, so its spare
+// capacity is the freelist, and each entry's handler waits in a side
+// table slot that pop clears and the next Schedule reuses. Neither
+// grows past the peak pending count, and sifting the heap copies plain
+// memory with no GC write barrier. Actors implement Handler and
+// schedule (handler, op, arg) triples instead of capturing state in
+// closures.
 package engine
 
 import "fmt"
@@ -43,23 +46,32 @@ type Handler interface {
 	OnEvent(now float64, op uint8, arg uint64)
 }
 
-// Event is one scheduled dispatch. Events are values: the heap slice
-// owns them, and popped slots are recycled by later Schedules.
+// event is one scheduled dispatch, a 32-byte value with no pointer in
+// it: key packs the class above the sequence number, so (at, key)
+// orders events by (time, class, sequence), and the handler waits in
+// the loop's side table at hs[slot].
 type event struct {
-	at    float64
-	seq   uint64
-	arg   uint64
-	h     Handler
-	class Class
-	op    uint8
+	at   float64
+	key  uint64 // class<<seqBits | seq
+	arg  uint64
+	slot uint32
+	op   uint8
 }
+
+// seqBits is the width of an event key's sequence number. Schedule
+// panics before the sequence would carry into the class byte.
+const seqBits = 56
 
 // Loop is a single-threaded discrete-event loop: a virtual clock in
 // milliseconds and a deterministic min-heap of pending events. The zero
 // value is not ready; use New.
 type Loop struct {
-	now     float64
-	heap    []event
+	now  float64
+	heap []event
+	// hs holds each pending event's handler at its slot; free lists the
+	// slots pop has released, for Schedule to reuse.
+	hs      []Handler
+	free    []uint32
 	seq     uint64
 	inRun   bool
 	advance func(prev, now float64)
@@ -77,18 +89,31 @@ func (l *Loop) Pending() int { return len(l.heap) }
 
 // Schedule enqueues h.OnEvent(at, op, arg) at virtual time `at`. This
 // is the zero-alloc path: the event is a value appended into the heap
-// slice's spare capacity, so steady-state scheduling (pop one, push
-// one) never allocates. Scheduling in the past panics: an actor that
-// reacts to an event it should already have seen is a simulation bug,
-// not a recoverable condition. Events at the current instant are legal
-// and fire after the running callback returns, in (class,
+// slice's spare capacity and h takes a released slot of the handler
+// table, so steady-state scheduling (pop one, push one) never
+// allocates. Scheduling in the past panics: an actor that reacts to an
+// event it should already have seen is a simulation bug, not a
+// recoverable condition. Events at the current instant are legal and
+// fire after the running callback returns, in (class,
 // scheduling-order) rank.
 func (l *Loop) Schedule(at float64, class Class, h Handler, op uint8, arg uint64) {
 	if at < l.now {
 		panic(fmt.Sprintf("engine: scheduling at %g before now %g", at, l.now))
 	}
 	l.seq++
-	l.heap = append(l.heap, event{at: at, class: class, seq: l.seq, h: h, op: op, arg: arg})
+	if l.seq >= 1<<seqBits {
+		panic("engine: event sequence number overflow")
+	}
+	var slot uint32
+	if n := len(l.free); n > 0 {
+		slot = l.free[n-1]
+		l.free = l.free[:n-1]
+		l.hs[slot] = h
+	} else {
+		slot = uint32(len(l.hs))
+		l.hs = append(l.hs, h)
+	}
+	l.heap = append(l.heap, event{at: at, key: uint64(class)<<seqBits | l.seq, arg: arg, slot: slot, op: op})
 	l.up(len(l.heap) - 1)
 }
 
@@ -123,25 +148,22 @@ func (l *Loop) Run() {
 	l.inRun = true
 	defer func() { l.inRun = false }()
 	for len(l.heap) > 0 {
-		e := l.pop()
+		e, h := l.pop()
 		if l.advance != nil && e.at > l.now {
 			l.advance(l.now, e.at)
 		}
 		l.now = e.at
-		e.h.OnEvent(l.now, e.op, e.arg)
+		h.OnEvent(l.now, e.op, e.arg)
 	}
 }
 
 // less orders the heap by (time, class, sequence).
 func (l *Loop) less(i, j int) bool {
-	a, b := l.heap[i], l.heap[j]
+	a, b := &l.heap[i], &l.heap[j]
 	if a.at != b.at {
 		return a.at < b.at
 	}
-	if a.class != b.class {
-		return a.class < b.class
-	}
-	return a.seq < b.seq
+	return a.key < b.key
 }
 
 func (l *Loop) up(i int) {
@@ -155,24 +177,28 @@ func (l *Loop) up(i int) {
 	}
 }
 
-func (l *Loop) pop() event {
+// pop removes the earliest event and returns it with its handler,
+// releasing the handler's slot for the next Schedule.
+func (l *Loop) pop() (event, Handler) {
 	top := l.heap[0]
+	h := l.hs[top.slot]
+	l.hs[top.slot] = nil
+	l.free = append(l.free, top.slot)
 	n := len(l.heap) - 1
 	l.heap[0] = l.heap[n]
-	l.heap[n].h = nil // release the handler reference; the slot itself is reused
 	l.heap = l.heap[:n]
 	i := 0
 	for {
 		left, right := 2*i+1, 2*i+2
 		if left >= n {
-			return top
+			return top, h
 		}
 		child := left
 		if right < n && l.less(right, left) {
 			child = right
 		}
 		if !l.less(child, i) {
-			return top
+			return top, h
 		}
 		l.heap[i], l.heap[child] = l.heap[child], l.heap[i]
 		i = child

@@ -2,7 +2,10 @@ package engine
 
 import (
 	"fmt"
+	"sort"
 	"testing"
+
+	"repro/internal/rng"
 )
 
 // funcHandler adapts a closure to Handler, so a test can schedule a
@@ -361,6 +364,117 @@ func TestScheduleSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// orderProbe schedules events and records their dispatch, for pinning
+// the pop order against a stable sort and the slot table's release.
+// Every time is a multiple of 0.5 ms, so many events tie.
+type orderProbe struct {
+	l      *Loop
+	r      *rng.Rand
+	evs    []probeEvent // every scheduled event, in scheduling order
+	fired  []uint64     // event ids (indices into evs) in dispatch order
+	peak   int          // most events pending at once
+	saw255 bool         // some event was drawn in class 255
+}
+
+const (
+	probeEvents = 6000 // events scheduled in all, 2000 before Run
+	probeSteps  = 40   // 0.5 ms steps an event lands within
+)
+
+type probeEvent struct {
+	at    float64
+	class Class
+}
+
+func (p *orderProbe) schedule(at float64, class Class) {
+	p.l.Schedule(at, class, p, 0, uint64(len(p.evs)))
+	p.evs = append(p.evs, probeEvent{at, class})
+	p.saw255 = p.saw255 || class == 255
+	p.peak = max(p.peak, p.l.Pending())
+}
+
+// OnEvent records the dispatch and, while events remain, schedules up to
+// three more: at the current instant in this event's class or a later
+// one, and at a later quantized instant in any class.
+func (p *orderProbe) OnEvent(now float64, _ uint8, arg uint64) {
+	p.fired = append(p.fired, arg)
+	cur := p.evs[arg].class
+	for k := p.r.Intn(4); k > 0 && len(p.evs) < probeEvents; k-- {
+		if p.r.Bool(0.5) {
+			p.schedule(now, cur+Class(p.r.Intn(256-int(cur))))
+		} else {
+			p.schedule(now+0.5*float64(1+p.r.Intn(probeSteps)), Class(p.r.Intn(256)))
+		}
+	}
+}
+
+// TestPopOrderMatchesStableSort pins the pop order on thousands of
+// events: times quantized so many tie, classes over the whole uint8
+// range, callbacks that schedule at the current instant. A callback
+// schedules at its own instant only in its own class or a later one, so
+// no event fires after one it sorts before, and the dispatch order must
+// equal a stable sort of every scheduled event by (at, class) — stable
+// keeps scheduling order, which is sequence order. After Run every
+// handler slot must be released, and the slot table must be no larger
+// than the most events ever pending.
+func TestPopOrderMatchesStableSort(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		l := New()
+		p := &orderProbe{l: l, r: rng.New(seed)}
+		for range 2000 {
+			p.schedule(0.5*float64(p.r.Intn(probeSteps)), Class(p.r.Intn(256)))
+		}
+		l.Run()
+		if !p.saw255 {
+			t.Fatalf("seed %d: no event drawn in class 255", seed)
+		}
+		if len(p.fired) != len(p.evs) {
+			t.Fatalf("seed %d: dispatched %d of %d events", seed, len(p.fired), len(p.evs))
+		}
+		want := make([]int, len(p.evs))
+		for i := range want {
+			want[i] = i
+		}
+		sort.SliceStable(want, func(i, j int) bool {
+			a, b := p.evs[want[i]], p.evs[want[j]]
+			if a.at != b.at {
+				return a.at < b.at
+			}
+			return a.class < b.class
+		})
+		for i, id := range want {
+			if p.fired[i] != uint64(id) {
+				e, g := p.evs[id], p.evs[p.fired[i]]
+				t.Fatalf("seed %d: dispatch %d is event %d (at %g class %d), want event %d (at %g class %d)",
+					seed, i, p.fired[i], g.at, g.class, id, e.at, e.class)
+			}
+		}
+		for slot, h := range l.hs {
+			if h != nil {
+				t.Fatalf("seed %d: slot %d still holds a handler after Run", seed, slot)
+			}
+		}
+		if len(l.hs) > p.peak {
+			t.Fatalf("seed %d: %d handler slots for at most %d pending events", seed, len(l.hs), p.peak)
+		}
+	}
+}
+
+// TestScheduleSequenceOverflowPanics pins the key layout's limit: the
+// sequence number lives below the class byte, so Schedule panics rather
+// than let it carry into the class.
+func TestScheduleSequenceOverflowPanics(t *testing.T) {
+	l := New()
+	l.seq = 1<<seqBits - 2
+	l.Schedule(0, 0, funcHandler(func(float64) {}), 0, 0) // takes the last sequence number
+	defer func() {
+		if msg := recover(); msg != "engine: event sequence number overflow" {
+			t.Fatalf("recovered %v, want the overflow panic", msg)
+		}
+	}()
+	l.Schedule(0, 0, funcHandler(func(float64) {}), 0, 0)
+}
+
 // BenchmarkSchedulePop times the heap in steady state: with depth events
 // pending, each op pops the earliest and schedules a replacement at a
 // pseudo-random later instant, so the heap never changes size. No event
@@ -382,9 +496,9 @@ func BenchmarkSchedulePop(b *testing.B) {
 			}
 			b.ReportAllocs()
 			for b.Loop() {
-				e := l.pop()
+				e, h := l.pop()
 				l.now = e.at
-				l.Schedule(e.at+later(), e.class, e.h, e.op, e.arg)
+				l.Schedule(e.at+later(), Class(e.key>>seqBits), h, e.op, e.arg)
 			}
 		})
 	}

@@ -175,7 +175,7 @@ func (d *Dist) Percentile(p float64) float64 {
 	if d.Len() == 0 {
 		panic("metrics: Percentile of empty distribution")
 	}
-	if p < 0 || p > 100 {
+	if !(p >= 0 && p <= 100) {
 		panic(fmt.Sprintf("metrics: percentile %v out of [0,100]", p))
 	}
 	d.ensureSorted()

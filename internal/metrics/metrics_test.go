@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -46,15 +47,24 @@ func TestPercentileEmptyPanics(t *testing.T) {
 	NewDist(0).Percentile(50)
 }
 
+// TestPercentileOutOfRangePanics checks that both recorders reject a p
+// outside [0, 100], NaN included, with the documented panic.
 func TestPercentileOutOfRangePanics(t *testing.T) {
-	d := NewDist(1)
-	d.Add(1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on p > 100")
+	for _, mode := range []Mode{ModeExact, ModeSketch} {
+		for _, p := range []float64{-1, 101, math.NaN()} {
+			t.Run(fmt.Sprintf("%s_%v", mode, p), func(t *testing.T) {
+				r := NewRecorder(mode, 1)
+				r.Add(1)
+				defer func() {
+					want := fmt.Sprintf("metrics: percentile %v out of [0,100]", p)
+					if msg := recover(); msg != want {
+						t.Fatalf("Percentile(%v) recovered %v, want panic %q", p, msg, want)
+					}
+				}()
+				r.Percentile(p)
+			})
 		}
-	}()
-	d.Percentile(101)
+	}
 }
 
 func TestPercentileMonotone(t *testing.T) {

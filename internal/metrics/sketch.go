@@ -29,10 +29,15 @@ var (
 // histogram whose memory is independent of the number of samples
 // (~3.5k bins, ~28 KiB). Insertion order does not affect its state, and
 // all arithmetic is deterministic, so sketch-mode sweep output is
-// byte-identical at any worker count. The zero value is NOT usable; use
-// NewSketch.
+// byte-identical at any worker count. Percentile walks the bins from
+// the lowest one holding a sample, not from bin 0: latencies of 1 ms or
+// more lie past bin ~1,389, and the hedge deadline queries the sketch
+// once per dispatch. The zero value is NOT usable; use NewSketch.
 type Sketch struct {
 	counts []uint64
+	// lo bounds the occupied bins from below: every bin under it is
+	// empty. It is len(counts) when no bin holds a sample.
+	lo int
 	// low counts samples below sketchMinValue (including zero and
 	// negative values, which latencies never produce but which must not
 	// corrupt the histogram).
@@ -44,13 +49,14 @@ type Sketch struct {
 
 // NewSketch returns an empty sketch.
 func NewSketch() *Sketch {
-	return &Sketch{counts: make([]uint64, sketchBins)}
+	return &Sketch{counts: make([]uint64, sketchBins), lo: sketchBins}
 }
 
 // Reset empties the sketch in place, reusing the bin array — the
 // hot-path alternative to allocating a fresh NewSketch per window.
 func (s *Sketch) Reset() {
-	clear(s.counts)
+	clear(s.counts[s.lo:])
+	s.lo = len(s.counts)
 	s.low, s.count = 0, 0
 	s.sum, s.min, s.max = 0, 0, 0
 }
@@ -74,6 +80,9 @@ func (s *Sketch) Add(v float64) {
 		idx = len(s.counts) - 1
 	}
 	s.counts[idx]++
+	if idx < s.lo {
+		s.lo = idx
+	}
 }
 
 // Merge folds another sketch into this one.
@@ -94,8 +103,11 @@ func (s *Sketch) Merge(other Recorder) {
 	s.count += os.count
 	s.sum += os.sum
 	s.low += os.low
-	for i, c := range os.counts {
-		s.counts[i] += c
+	for i := os.lo; i < len(os.counts); i++ {
+		s.counts[i] += os.counts[i]
+	}
+	if os.lo < s.lo {
+		s.lo = os.lo
 	}
 }
 
@@ -109,7 +121,7 @@ func (s *Sketch) Percentile(p float64) float64 {
 	if s.count == 0 {
 		panic("metrics: Percentile of empty sketch")
 	}
-	if p < 0 || p > 100 {
+	if !(p >= 0 && p <= 100) {
 		panic(fmt.Sprintf("metrics: percentile %v out of [0,100]", p))
 	}
 	// Same closest-rank convention as Dist: rank p spans [0, n-1].
@@ -118,7 +130,8 @@ func (s *Sketch) Percentile(p float64) float64 {
 	if rank < cum {
 		return s.min
 	}
-	for i, c := range s.counts {
+	for i := s.lo; i < len(s.counts); i++ {
+		c := s.counts[i]
 		if c == 0 {
 			continue
 		}

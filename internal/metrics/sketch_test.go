@@ -189,3 +189,35 @@ func TestMergeModeMismatchPanics(t *testing.T) {
 	}()
 	NewDist(1).Merge(NewSketch())
 }
+
+// BenchmarkSketchPercentile times the sketch's two quantile queries on
+// the cluster runtime, in ns/op. hedge-p95: the hedge deadline's p95 on
+// ~3,000 log-uniform latencies of 1–100 ms, one Add per query as
+// completions and first dispatches interleave. window-p99: autoscale's
+// latency window, a Reset, 300 Adds and one p99.
+func BenchmarkSketchPercentile(b *testing.B) {
+	vals := logUniform(rng.New(1), 3000, 1, 100)
+	b.Run("hedge-p95", func(b *testing.B) {
+		s := sketchOf(vals)
+		i := 0
+		var sink float64
+		for b.Loop() {
+			s.Add(vals[i])
+			sink += s.Percentile(95)
+			i = (i + 1) % len(vals)
+		}
+		_ = sink
+	})
+	b.Run("window-p99", func(b *testing.B) {
+		s := NewSketch()
+		var sink float64
+		for b.Loop() {
+			s.Reset()
+			for _, v := range vals[:300] {
+				s.Add(v)
+			}
+			sink += s.Percentile(99)
+		}
+		_ = sink
+	})
+}

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"path"
+	"slices"
 	"sort"
 	"strings"
 
@@ -100,7 +101,8 @@ type Grid struct {
 	// A scenario is kept when, for every axis that has at least one
 	// Only pattern, one of that axis's patterns matches — and no Skip
 	// pattern matches any token. A pattern without "=" matches its
-	// value against every axis.
+	// value against every axis. Naming an axis no scenario carries is
+	// an error, so a misspelt axis cannot silently filter nothing.
 	Only []string
 	Skip []string
 }
@@ -174,15 +176,33 @@ func (g Grid) withDefaults() Grid {
 	return g
 }
 
-// axisFilter groups glob patterns by the axis they constrain.
-type axisFilter map[string][]string
+// axisFilter groups glob patterns by the filterAxes index of the axis
+// they constrain.
+type axisFilter map[int][]string
 
+// bareAxis keys the patterns that name no axis: they match a value on
+// any axis.
+const bareAxis = -1
+
+// parseFilters groups patterns by axis. A pattern's axis must be one
+// filterAxes lists, or absent, and its value must be a valid glob.
 func parseFilters(patterns []string) (axisFilter, error) {
 	f := axisFilter{}
 	for _, p := range patterns {
-		axis, val := "", p
+		axis, val := bareAxis, p
 		if i := strings.IndexByte(p, '='); i >= 0 {
-			axis, val = p[:i], p[i+1:]
+			val = p[i+1:]
+			if name := p[:i]; name != "" {
+				axis = slices.IndexFunc(filterAxes[:], func(a filterAxis) bool { return a.name == name })
+				if axis < 0 {
+					names := make([]string, len(filterAxes))
+					for i, a := range filterAxes {
+						names[i] = a.name
+					}
+					return nil, fmt.Errorf("sweep: unknown filter axis %q in %q (known axes: %s)",
+						name, p, strings.Join(names, ", "))
+				}
+			}
 		}
 		if _, err := path.Match(val, ""); err != nil {
 			return nil, fmt.Errorf("sweep: bad filter pattern %q: %v", p, err)
@@ -192,77 +212,86 @@ func parseFilters(patterns []string) (axisFilter, error) {
 	return f, nil
 }
 
+// filterAxis is an axis a filter may name, with the scenario's token on
+// it. ok is false when the scenario lacks the axis.
+type filterAxis struct {
+	name  string
+	token func(sc core.Scenario) (v string, ok bool)
+}
+
+// filterAxes is the one list of filterable axes. The conditional ones,
+// rule onwards, exist only when their knob is set.
+var filterAxes = [...]filterAxis{
+	{"model", func(sc core.Scenario) (string, bool) { return sc.Model, true }},
+	{"workload", func(sc core.Scenario) (string, bool) { return sc.Workload, true }},
+	{"platform", func(sc core.Scenario) (string, bool) { return sc.Platform, true }},
+	{"dispatch", func(sc core.Scenario) (string, bool) { return sc.Dispatch, true }},
+	{"replicas", func(sc core.Scenario) (string, bool) { return fmt.Sprintf("%d", sc.Replicas), true }},
+	{"rate", func(sc core.Scenario) (string, bool) { return fmt.Sprintf("%g", sc.RateMult), true }},
+	{"budget", func(sc core.Scenario) (string, bool) { return fmt.Sprintf("%g", sc.RampBudget), true }},
+	{"accloss", func(sc core.Scenario) (string, bool) { return fmt.Sprintf("%g", sc.AccLoss), true }},
+	{"metrics", func(sc core.Scenario) (string, bool) { return sc.Metrics, true }},
+	{"rule", func(sc core.Scenario) (string, bool) { return sc.ExitRule, sc.ExitRule != "" }},
+	{"schedule", func(sc core.Scenario) (string, bool) { return sc.RateSchedule, sc.RateSchedule != "" }},
+	{"autoscale", func(sc core.Scenario) (string, bool) { return sc.Autoscale, sc.Autoscale != "" }},
+	{"hetero", func(sc core.Scenario) (string, bool) { return sc.Hetero, sc.Hetero != "" }},
+	{"faults", func(sc core.Scenario) (string, bool) { return sc.Faults, sc.Faults != "" }},
+	{"retry", func(sc core.Scenario) (string, bool) { return sc.Retry, sc.Retry != "" }},
+	{"kv", func(sc core.Scenario) (string, bool) { return setInt(sc.KVBlocks) }},
+	{"blocktok", func(sc core.Scenario) (string, bool) { return setInt(sc.BlockTokens) }},
+	{"prefixhit", func(sc core.Scenario) (string, bool) {
+		if sc.PrefixHit == 0 {
+			return "", false
+		}
+		return fmt.Sprintf("%g", sc.PrefixHit), true
+	}},
+	{"prefillchunk", func(sc core.Scenario) (string, bool) { return setInt(sc.PrefillChunk) }},
+}
+
+// setInt is a conditional integer axis's token: absent when n is 0.
+func setInt(n int) (string, bool) {
+	if n == 0 {
+		return "", false
+	}
+	return fmt.Sprintf("%d", n), true
+}
+
+// scenarioTokens holds a scenario's token on each of filterAxes.
+type scenarioTokens [len(filterAxes)]struct {
+	v  string
+	ok bool
+}
+
 // axisTokens lists a scenario's filterable axis values.
-func axisTokens(sc core.Scenario) map[string]string {
-	t := map[string]string{
-		"model":    sc.Model,
-		"workload": sc.Workload,
-		"platform": sc.Platform,
-		"dispatch": sc.Dispatch,
-		"replicas": fmt.Sprintf("%d", sc.Replicas),
-		"rate":     fmt.Sprintf("%g", sc.RateMult),
-		"budget":   fmt.Sprintf("%g", sc.RampBudget),
-		"accloss":  fmt.Sprintf("%g", sc.AccLoss),
-		"metrics":  sc.Metrics,
-	}
-	if sc.ExitRule != "" {
-		t["rule"] = sc.ExitRule
-	}
-	if sc.RateSchedule != "" {
-		t["schedule"] = sc.RateSchedule
-	}
-	if sc.Autoscale != "" {
-		t["autoscale"] = sc.Autoscale
-	}
-	if sc.Hetero != "" {
-		t["hetero"] = sc.Hetero
-	}
-	if sc.Faults != "" {
-		t["faults"] = sc.Faults
-	}
-	if sc.Retry != "" {
-		t["retry"] = sc.Retry
-	}
-	if sc.KVBlocks != 0 {
-		t["kv"] = fmt.Sprintf("%d", sc.KVBlocks)
-	}
-	if sc.BlockTokens != 0 {
-		t["blocktok"] = fmt.Sprintf("%d", sc.BlockTokens)
-	}
-	if sc.PrefixHit != 0 {
-		t["prefixhit"] = fmt.Sprintf("%g", sc.PrefixHit)
-	}
-	if sc.PrefillChunk != 0 {
-		t["prefillchunk"] = fmt.Sprintf("%d", sc.PrefillChunk)
+func axisTokens(sc core.Scenario) scenarioTokens {
+	var t scenarioTokens
+	for i := range filterAxes {
+		t[i].v, t[i].ok = filterAxes[i].token(sc)
 	}
 	return t
+}
+
+// matches reports whether pat matches the token on axis, or any token
+// for a bare pattern. A scenario lacking an axis never matches a
+// pattern on it.
+func (t *scenarioTokens) matches(axis int, pat string) bool {
+	for i, tok := range t {
+		if tok.ok && (axis == bareAxis || axis == i) {
+			if ok, _ := path.Match(pat, tok.v); ok {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // keep applies Only semantics: every constrained axis must match. A
 // scenario that lacks a conditional axis token entirely (rule,
 // schedule, autoscale) cannot match a constraint on that axis — "only
 // autoscale=*" means "only the autoscaled scenarios".
-func (f axisFilter) keep(tokens map[string]string) bool {
+func (f axisFilter) keep(t *scenarioTokens) bool {
 	for axis, pats := range f {
-		matched := false
-		for _, pat := range pats {
-			if axis == "" {
-				for _, v := range tokens {
-					if ok, _ := path.Match(pat, v); ok {
-						matched = true
-						break
-					}
-				}
-			} else if v, present := tokens[axis]; present {
-				if ok, _ := path.Match(pat, v); ok {
-					matched = true
-				}
-			}
-			if matched {
-				break
-			}
-		}
-		if !matched {
+		if !slices.ContainsFunc(pats, func(pat string) bool { return t.matches(axis, pat) }) {
 			return false
 		}
 	}
@@ -273,20 +302,10 @@ func (f axisFilter) keep(tokens map[string]string) bool {
 // Scenarios lacking a conditional axis token are never dropped by a
 // pattern on that axis ("skip autoscale=*" keeps the fixed-replica
 // grid points).
-func (f axisFilter) drops(tokens map[string]string) bool {
+func (f axisFilter) drops(t *scenarioTokens) bool {
 	for axis, pats := range f {
-		for _, pat := range pats {
-			if axis == "" {
-				for _, v := range tokens {
-					if ok, _ := path.Match(pat, v); ok {
-						return true
-					}
-				}
-			} else if v, present := tokens[axis]; present {
-				if ok, _ := path.Match(pat, v); ok {
-					return true
-				}
-			}
+		if slices.ContainsFunc(pats, func(pat string) bool { return t.matches(axis, pat) }) {
+			return true
 		}
 	}
 	return false
@@ -404,7 +423,7 @@ func (g Grid) Expand() ([]core.Scenario, error) {
 																}
 																seen[id] = true
 																tokens := axisTokens(sc)
-																if !only.keep(tokens) || skip.drops(tokens) {
+																if !only.keep(&tokens) || skip.drops(&tokens) {
 																	continue
 																}
 																if err := sc.Validate(); err != nil {

@@ -107,6 +107,13 @@ func TestExpandOnlySkipFilters(t *testing.T) {
 	if _, err := (Grid{Only: []string{"model=[bad"}}).Expand(); err == nil {
 		t.Fatal("malformed filter pattern accepted")
 	}
+	for _, g := range []Grid{{Only: []string{"modle=resnet18"}}, {Skip: []string{"modle=resnet18"}}} {
+		_, err := g.Expand()
+		if err == nil || !strings.Contains(err.Error(), `"modle"`) ||
+			!strings.Contains(err.Error(), "known axes: model, workload, platform") {
+			t.Fatalf("misspelt filter axis: got error %v, want one naming it and the known axes", err)
+		}
+	}
 }
 
 func TestDeriveSeedStable(t *testing.T) {

@@ -16,8 +16,9 @@ import (
 // O(replicas × trace) — every replica re-generated and re-filtered the
 // full stream — so its wall time grew with the replica count even at
 // fixed per-replica work; the single-pass event engine visits each
-// request once (O(trace × log replicas)). Before/after numbers live in
-// BENCH_cluster.json.
+// request once (O(trace × log replicas)). BENCH_cluster.json is a
+// static record of its earlier before/after runs; nothing regenerates
+// it.
 func BenchmarkClusterScaling(b *testing.B) {
 	const n = 100_000
 	m := model.ResNet18()

@@ -14,10 +14,11 @@ import (
 // the cluster runtime: 100k requests over 1, 4, and 16 replicas
 // (aggregate rate scaled with width), reliable versus a full fault
 // stack (periodic churn + exponential network delay + transit loss
-// with retries). faults=off must track BenchmarkClusterScaling — the
-// fault path is guarded out of the hot loop — and the faulty runs
-// bound what a chaos study costs per request. Before/after numbers
-// live in BENCH_faults.json (make bench-faults).
+// with retries). faults=off is expected to track
+// BenchmarkClusterScaling — the fault path is guarded out of the hot
+// loop — and the faulty runs bound what a chaos study costs per
+// request. BENCH_faults.json is a static record of its earlier
+// before/after runs; nothing regenerates it.
 func BenchmarkFaultInjection(b *testing.B) {
 	const n = 100_000
 	m := model.ResNet18()

@@ -14,9 +14,11 @@ import (
 // bounded pool with and without the prefix cache, and a deliberately
 // saturated small pool with chunked prefill that realizes preemptions.
 // Beyond ns/op, each case reports the engine's own observables (tok/s,
-// kv_util, prefix_hits, preempts, queue_ms) so BENCH_gen.json records
-// what the memory model did, not just what it cost. The kv=off row
-// prices the one runtime with no pool to account for.
+// kv_util, prefix_hits, preempts, queue_ms), so a run shows what the
+// memory model did, not just what it cost. The kv=off row prices the
+// one runtime with no pool to account for. BENCH_gen.json is a static
+// record of an earlier run; nothing regenerates it. That a saturated
+// pool preempts is pinned by genserve's kv and obs tests.
 func BenchmarkGenKV(b *testing.B) {
 	const (
 		n    = 200

@@ -14,12 +14,13 @@ import (
 
 // BenchmarkObsOverhead measures the observability layer's cost on the
 // cluster hot path: the same 100k-request, 4-replica run as
-// BenchmarkClusterScaling, untraced (obs=off — must track
-// BENCH_cluster.json's dispatch=round-robin/replicas=4 row within
-// noise, with no new allocs/op, since every emission site is one nil
-// check), with the lifecycle trace attached (obs=trace), and with
-// trace plus timeline sampling (obs=trace+timeline). The traced rows
-// bound the per-request cost of a fully observed study.
+// BenchmarkClusterScaling, untraced (obs=off), with the lifecycle
+// trace attached (obs=trace), and with trace plus timeline sampling
+// (obs=trace+timeline). The traced rows bound the per-request cost of
+// a fully observed study. Every emission site is one nil check, so an
+// untraced run allocates for setup only; the AllocsPerRun budgets in
+// internal/serving pin that. BENCH_obs.json is a static record of
+// earlier runs; nothing regenerates it.
 func BenchmarkObsOverhead(b *testing.B) {
 	const n = 100_000
 	const replicas = 4
@@ -65,11 +66,11 @@ func BenchmarkObsOverhead(b *testing.B) {
 
 // BenchmarkGenObsOverhead measures the observability layer's cost on
 // the generative KV hot path: BenchmarkGenKV's saturated
-// kv=48/prefix=0.5/chunk=256 configuration, untraced (gen-obs=off —
-// must track BENCH_gen.json's matching row within noise, with no new
-// allocs/op, since every emission site is one nil check), with the
-// sequence-lifecycle trace attached (gen-obs=trace), and with trace
-// plus KV-pool timeline sampling (gen-obs=trace+timeline).
+// kv=48/prefix=0.5/chunk=256 configuration, untraced (gen-obs=off),
+// with the sequence-lifecycle trace attached (gen-obs=trace), and with
+// trace plus KV-pool timeline sampling (gen-obs=trace+timeline). That
+// an untraced run allocates for setup only is pinned by the
+// AllocsPerRun budgets in internal/genserve.
 func BenchmarkGenObsOverhead(b *testing.B) {
 	const (
 		n    = 200

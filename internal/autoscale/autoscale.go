@@ -293,24 +293,10 @@ type Step struct {
 // Plan is a realized scaling timeline: the Start count from time zero,
 // then the committed steps in increasing time order. The cluster
 // runtime builds it online as decisions commit and reports it on
-// ClusterStats; it costs O(# scale events) memory and replays
-// monotonically via a Cursor.
+// ClusterStats; it costs O(# scale events) memory.
 type Plan struct {
 	Start int    `json:"start"`
 	Steps []Step `json:"steps,omitempty"`
-}
-
-// At returns the active replica count at time tMS (linear scan — use a
-// Cursor for monotone sweeps).
-func (p *Plan) At(tMS float64) int {
-	n := p.Start
-	for _, s := range p.Steps {
-		if s.AtMS > tMS {
-			break
-		}
-		n = s.Replicas
-	}
-	return n
 }
 
 // Peak returns the maximum replica count the plan ever activates.
@@ -346,28 +332,4 @@ func (p *Plan) Downs() int {
 		cur = s.Replicas
 	}
 	return downs
-}
-
-// Cursor walks a plan under non-decreasing time queries in O(1)
-// amortized per query — the tool for analyses that sweep a realized
-// plan against a timeline.
-type Cursor struct {
-	plan *Plan
-	i    int
-	cur  int
-}
-
-// Cursor returns a fresh cursor positioned at time zero.
-func (p *Plan) Cursor() *Cursor {
-	return &Cursor{plan: p, cur: p.Start}
-}
-
-// At returns the active replica count at tMS; queries must not go
-// backward in time.
-func (c *Cursor) At(tMS float64) int {
-	for c.i < len(c.plan.Steps) && c.plan.Steps[c.i].AtMS <= tMS {
-		c.cur = c.plan.Steps[c.i].Replicas
-		c.i++
-	}
-	return c.cur
 }

@@ -133,7 +133,7 @@ func TestScalerHysteresis(t *testing.T) {
 	}
 }
 
-func TestPlanCursorAndCounts(t *testing.T) {
+func TestPlanCounts(t *testing.T) {
 	p := &Plan{Start: 1, Steps: []Step{
 		{AtMS: 1000, Replicas: 2},
 		{AtMS: 2000, Replicas: 3},
@@ -142,19 +142,6 @@ func TestPlanCursorAndCounts(t *testing.T) {
 	}}
 	if p.Peak() != 3 || p.Ups() != 2 || p.Downs() != 2 {
 		t.Fatalf("peak/ups/downs = %d/%d/%d, want 3/2/2", p.Peak(), p.Ups(), p.Downs())
-	}
-	cur := p.Cursor()
-	checks := []struct {
-		t    float64
-		want int
-	}{{0, 1}, {999.9, 1}, {1000, 2}, {1500, 2}, {2000, 3}, {4999, 3}, {5000, 2}, {9000, 1}, {20000, 1}}
-	for _, c := range checks {
-		if got := cur.At(c.t); got != c.want {
-			t.Fatalf("cursor At(%v) = %d, want %d", c.t, got, c.want)
-		}
-		if got := p.At(c.t); got != c.want {
-			t.Fatalf("plan At(%v) = %d, want %d", c.t, got, c.want)
-		}
 	}
 }
 

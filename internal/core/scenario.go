@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strings"
 
 	"repro/internal/autoscale"
@@ -420,9 +421,7 @@ func (sc Scenario) Validate() error {
 	if err != nil {
 		return err
 	}
-	known := workload.IsGenerative(sc.Workload) || workload.IsVideo(sc.Workload) ||
-		sc.Workload == "amazon" || sc.Workload == "imdb"
-	if !known {
+	if !slices.Contains(workload.Names(), sc.Workload) && !slices.Contains(workload.GenNames(), sc.Workload) {
 		return fmt.Errorf("scenario: unknown workload %q", sc.Workload)
 	}
 	switch {

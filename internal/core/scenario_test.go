@@ -5,12 +5,15 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/workload"
 )
 
 func TestScenarioValidate(t *testing.T) {
 	bad := []Scenario{
 		{Model: "no-such-model", Workload: "video-0", N: 100},
 		{Model: "resnet50", Workload: "no-such-workload", N: 100},
+		{Model: "resnet50", Workload: "video-3x", N: 100},
 		{Model: "resnet50", Workload: "amazon", N: 100},   // CV model, NLP workload
 		{Model: "bert-base", Workload: "video-0", N: 100}, // NLP model, video
 		{Model: "bert-base", Workload: "squad", N: 100},   // classifier, generative workload
@@ -74,6 +77,44 @@ func TestScenarioValidate(t *testing.T) {
 	good := Scenario{Model: "resnet50", Workload: "video-0", N: 100}
 	if err := good.Validate(); err != nil {
 		t.Fatalf("Validate rejected %+v: %v", good, err)
+	}
+}
+
+// TestWorkloadNamesAreCanonical pins that a workload name is valid iff
+// workload.Names or workload.GenNames lists it. The first five rejected
+// names are ones a numeric parse of "video-%d" reads as a video:
+// trailing text, a leading zero, a sign, trailing space and a fraction.
+func TestWorkloadNamesAreCanonical(t *testing.T) {
+	for _, name := range []string{"video-3x", "video-03", "video-+3", "video-3 ", "video-7.5", "video-8"} {
+		t.Run(name, func(t *testing.T) {
+			if _, err := workload.ByName(name, 10, 30, 1); err == nil {
+				t.Error("workload.ByName accepted it")
+			}
+			if workload.IsVideo(name) {
+				t.Error("workload.IsVideo accepted it")
+			}
+			if err := (Scenario{Model: "resnet50", Workload: name, N: 100}).Validate(); err == nil {
+				t.Error("Scenario.Validate accepted it")
+			}
+		})
+	}
+	for _, name := range workload.Names() {
+		s, err := workload.ByName(name, 10, 30, 1)
+		if err != nil {
+			t.Fatalf("workload.ByName(%q): %v", name, err)
+		}
+		if s.Name != name {
+			t.Errorf("workload.ByName(%q) built a stream named %q", name, s.Name)
+		}
+	}
+	for _, name := range workload.GenNames() {
+		s, err := workload.GenByName(name, 10, 1, 1)
+		if err != nil {
+			t.Fatalf("workload.GenByName(%q): %v", name, err)
+		}
+		if s.Name != name {
+			t.Errorf("workload.GenByName(%q) built a stream named %q", name, s.Name)
+		}
 	}
 }
 

@@ -113,18 +113,24 @@ func (s *patienceState) Decide(err, threshold float64) bool {
 }
 
 // ByName returns a rule by its canonical name ("entropy", "windowed-K",
-// "patience-P").
+// "patience-P"); "" is entropy. Any other spelling of a rule, such as
+// "windowed-03" or "patience-2.5", is an error.
 func ByName(name string) (Rule, error) {
 	switch name {
 	case "entropy", "":
 		return Entropy{}, nil
 	}
+	var rule Rule
 	var k int
 	if _, err := fmt.Sscanf(name, "windowed-%d", &k); err == nil && k > 0 {
-		return Windowed{K: k}, nil
+		rule = Windowed{K: k}
+	} else if _, err := fmt.Sscanf(name, "patience-%d", &k); err == nil && k > 0 {
+		rule = Patience{P: k}
 	}
-	if _, err := fmt.Sscanf(name, "patience-%d", &k); err == nil && k > 0 {
-		return Patience{P: k}, nil
+	// Sscanf stops at the first non-digit and takes a sign and leading
+	// zeros, so it also parses names that are not the rule's own.
+	if rule == nil || rule.Name() != name {
+		return nil, fmt.Errorf("exitrule: unknown rule %q", name)
 	}
-	return nil, fmt.Errorf("exitrule: unknown rule %q", name)
+	return rule, nil
 }

@@ -167,15 +167,3 @@ func matches(s Sample, te float64) bool {
 	}
 	return s.MatchU < prob
 }
-
-// OptimalExitDepth returns the smallest depth among the given sorted
-// candidate depths at which the sample matches the original model, or -1
-// if it matches at none — the per-input optimal exit of §2.2.
-func (p Profile) OptimalExitDepth(s Sample, depths []float64, quality float64) float64 {
-	for _, d := range depths {
-		if p.Matches(s, d, quality) {
-			return d
-		}
-	}
-	return -1
-}

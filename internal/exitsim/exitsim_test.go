@@ -166,38 +166,6 @@ func TestBiasReducesMatches(t *testing.T) {
 	}
 }
 
-func TestOptimalExitDepth(t *testing.T) {
-	depths := []float64{0.1, 0.3, 0.5, 0.7, 0.9}
-	// A trivially easy sample should exit at the first depth.
-	easy := Sample{Difficulty: 0.0, MatchU: 0.01}
-	if got := testProfile.OptimalExitDepth(easy, depths, 1.0); got != 0.1 {
-		t.Fatalf("easy sample optimal depth = %v, want 0.1", got)
-	}
-	// An impossible sample exits nowhere.
-	hard := Sample{Difficulty: 5.0, MatchU: 0.99}
-	if got := testProfile.OptimalExitDepth(hard, depths, 1.0); got != -1 {
-		t.Fatalf("hard sample optimal depth = %v, want -1", got)
-	}
-}
-
-func TestOptimalExitDepthIsEarliestMatch(t *testing.T) {
-	check := func(seed uint64) bool {
-		r := rng.New(seed)
-		s := sampleFrom(r)
-		depths := []float64{0.1, 0.25, 0.4, 0.6, 0.8}
-		got := testProfile.OptimalExitDepth(s, depths, 1.0)
-		for _, d := range depths {
-			if testProfile.Matches(s, d, 1.0) {
-				return got == d
-			}
-		}
-		return got == -1
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestProfileForCVEarlierThanNLP(t *testing.T) {
 	cv := ProfileFor(model.ResNet50(), KindVideo)
 	nlp := ProfileFor(model.BERTBase(), KindAmazon)

@@ -1,10 +1,10 @@
 // Package metrics provides the latency and accuracy bookkeeping used by
 // the serving simulator and the experiment harness: exact percentile
 // computation over collected samples, a bounded-memory quantile sketch,
-// CDF extraction, sliding accuracy windows, and latency-win summaries in
-// the format the paper reports. The Recorder interface abstracts over
-// the exact and sketched implementations so simulators can stream
-// samples into either without caring which is underneath.
+// sliding accuracy windows, and latency-win summaries in the format the
+// paper reports. The Recorder interface abstracts over the exact and
+// sketched implementations so simulators can stream samples into either
+// without caring which is underneath.
 package metrics
 
 import (
@@ -219,34 +219,6 @@ func (d *Dist) Max() float64 {
 	}
 	d.ensureSorted()
 	return d.sorted[len(d.sorted)-1]
-}
-
-// CDFPoint is one point on an empirical CDF.
-type CDFPoint struct {
-	Value    float64 // sample value
-	Fraction float64 // fraction of samples <= Value
-}
-
-// CDF returns the empirical CDF downsampled to at most points entries
-// (plus the final point). points must be >= 2.
-func (d *Dist) CDF(points int) []CDFPoint {
-	if points < 2 {
-		panic("metrics: CDF needs at least 2 points")
-	}
-	if d.Len() == 0 {
-		return nil
-	}
-	d.ensureSorted()
-	n := len(d.sorted)
-	out := make([]CDFPoint, 0, points)
-	for i := 0; i < points; i++ {
-		idx := i * (n - 1) / (points - 1)
-		out = append(out, CDFPoint{
-			Value:    d.sorted[idx],
-			Fraction: float64(idx+1) / float64(n),
-		})
-	}
-	return out
 }
 
 // Summary is the (median, p25, p95, mean) tuple the paper's figures report.

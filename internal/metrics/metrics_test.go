@@ -3,7 +3,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -165,35 +164,6 @@ func TestDistCapacityHintUsed(t *testing.T) {
 	})
 	if full != ctor {
 		t.Fatalf("NewDist(%d) + %d adds + a query allocated %v times, the constructor alone %v", n, n, full, ctor)
-	}
-}
-
-func TestCDFShape(t *testing.T) {
-	d := NewDist(0)
-	for i := 0; i < 1000; i++ {
-		d.Add(float64(i))
-	}
-	cdf := d.CDF(11)
-	if len(cdf) != 11 {
-		t.Fatalf("CDF length = %d, want 11", len(cdf))
-	}
-	if !sort.SliceIsSorted(cdf, func(i, j int) bool { return cdf[i].Value < cdf[j].Value }) {
-		t.Fatal("CDF values not sorted")
-	}
-	last := cdf[len(cdf)-1]
-	if last.Fraction != 1.0 {
-		t.Errorf("final CDF fraction = %v, want 1.0", last.Fraction)
-	}
-	for _, pt := range cdf {
-		if pt.Fraction <= 0 || pt.Fraction > 1 {
-			t.Errorf("CDF fraction out of (0,1]: %v", pt.Fraction)
-		}
-	}
-}
-
-func TestCDFEmpty(t *testing.T) {
-	if got := NewDist(0).CDF(5); got != nil {
-		t.Fatalf("CDF of empty distribution = %v, want nil", got)
 	}
 }
 

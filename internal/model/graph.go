@@ -29,29 +29,6 @@ const (
 	OpOutput
 )
 
-var opNames = map[OpKind]string{
-	OpInput:     "Input",
-	OpConv:      "Conv",
-	OpReLU:      "ReLU",
-	OpPool:      "Pool",
-	OpFC:        "FC",
-	OpAdd:       "Add",
-	OpNorm:      "Norm",
-	OpEmbed:     "Embed",
-	OpAttention: "Attention",
-	OpFFN:       "FFN",
-	OpSoftmax:   "Softmax",
-	OpOutput:    "Output",
-}
-
-// String returns the operator name.
-func (k OpKind) String() string {
-	if s, ok := opNames[k]; ok {
-		return s
-	}
-	return fmt.Sprintf("OpKind(%d)", int(k))
-}
-
 // Node is one operator in the computation graph.
 type Node struct {
 	ID   int

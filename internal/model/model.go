@@ -20,23 +20,6 @@ const (
 	FamilyLlama
 )
 
-var familyNames = map[Family]string{
-	FamilyResNet: "resnet",
-	FamilyVGG:    "vgg",
-	FamilyBERT:   "bert",
-	FamilyGPT:    "gpt",
-	FamilyT5:     "t5",
-	FamilyLlama:  "llama",
-}
-
-// String returns the family name.
-func (f Family) String() string {
-	if s, ok := familyNames[f]; ok {
-		return s
-	}
-	return fmt.Sprintf("Family(%d)", int(f))
-}
-
 // IsCV reports whether the family is a vision family.
 func (f Family) IsCV() bool { return f == FamilyResNet || f == FamilyVGG }
 

@@ -274,23 +274,6 @@ func (c *Config) SetThresholds(ts []float64) {
 	}
 }
 
-// Clone returns a deep copy of the configuration (shared Model/Sites).
-func (c *Config) Clone() *Config {
-	nc := &Config{
-		Model:      c.Model,
-		Profile:    c.Profile,
-		BudgetFrac: c.BudgetFrac,
-		Sites:      c.Sites,
-		Active:     make([]*Ramp, len(c.Active)),
-		Rule:       c.Rule,
-	}
-	for i, r := range c.Active {
-		cp := *r
-		nc.Active[i] = &cp
-	}
-	return nc
-}
-
 // TrainingMinutes estimates ramp-training wall time on a single A6000
 // (§3.1 reports "a few minutes"): proportional to bootstrap size and the
 // ramp parameter share, with parallel backprop across ramps.

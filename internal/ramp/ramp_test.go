@@ -205,7 +205,7 @@ func TestEvaluateObservesAtEachRampsSite(t *testing.T) {
 		}
 	}
 	r := rng.New(11)
-	for _, cfg := range []*Config{c, c.Clone()} {
+	for _, cfg := range []*Config{c} {
 		for n := 0; n < 500; n++ {
 			s := exitsim.Sample{Difficulty: r.Float64() * 1.2, MatchU: r.Float64(), Bias: r.Float64() * 0.05, NoiseKey: r.Uint64()}
 			out := cfg.Evaluate(s, 1)
@@ -287,20 +287,6 @@ func TestSetThresholdsLengthPanics(t *testing.T) {
 		}
 	}()
 	c.SetThresholds([]float64{0.1})
-}
-
-func TestCloneIndependent(t *testing.T) {
-	c := testConfig(t)
-	c.DeployInitial(StyleDefault)
-	cl := c.Clone()
-	cl.Active[0].Threshold = 0.9
-	if c.Active[0].Threshold == 0.9 {
-		t.Fatal("Clone shares ramp state with original")
-	}
-	cl.Deactivate(0)
-	if len(c.Active) != c.MaxRamps(StyleDefault) {
-		t.Fatal("Clone deactivation affected original")
-	}
 }
 
 func TestTrainingMinutesReasonable(t *testing.T) {

@@ -35,6 +35,44 @@ func TestVanillaLowRateBatchOne(t *testing.T) {
 	}
 }
 
+// TestVanishingRateNeverQueues is a metamorphic pin: at 0.05 fps each
+// frame arrives ~20 s after the one before has left, so no request
+// waits behind another. On Clockwork every latency is the batch-1
+// service time. On TF-Serve every request also waits out the batch
+// timeout, except the last, which is flushed at once because nothing
+// more will arrive.
+func TestVanishingRateNeverQueues(t *testing.T) {
+	const n = 300
+	for _, m := range []*model.Model{model.ResNet18(), model.ResNet50()} {
+		for _, p := range []Platform{Clockwork, TFServe} {
+			t.Run(m.Name+"/"+p.String(), func(t *testing.T) {
+				opts := Options{Platform: p, SLOms: m.SLO()}
+				wait := 0.0
+				if p == TFServe {
+					wait = opts.withDefaults().BatchTimeoutMS
+				}
+				opts.Observer = func(r Result) {
+					want := m.Latency(1)
+					if r.ID != n-1 {
+						want += wait
+					}
+					// Arrival times reach ~6e6 ms, so latencies computed
+					// as differences of absolute times carry ~1e-9 ms of
+					// rounding.
+					if r.Dropped || r.BatchSize != 1 || math.Abs(r.LatencyMS-want) > 1e-6 {
+						t.Errorf("request %d: dropped %v, batch %d, latency %v ms, want %v ms",
+							r.ID, r.Dropped, r.BatchSize, r.LatencyMS, want)
+					}
+				}
+				stats := Run(workload.Video(1, n, 0.05, 7).Iter(), &VanillaHandler{Model: m}, opts)
+				if stats.Delivered != n {
+					t.Fatalf("delivered %d of %d requests", stats.Delivered, n)
+				}
+			})
+		}
+	}
+}
+
 func TestClockworkRespectsSLO(t *testing.T) {
 	m, h := vanillaResNet()
 	qps := trace.TargetQPS(m)

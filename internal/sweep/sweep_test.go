@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -158,6 +159,45 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 	}
 	if !strings.Contains(c1, "resnet18") || !strings.Contains(j1, "cnn-dailymail") {
 		t.Fatal("emitted output missing expected scenarios")
+	}
+}
+
+// TestExpandIgnoresAxisOrder is a metamorphic pin: reversing every axis
+// list of a grid expands to the same scenarios in the same order, and
+// the sweep writes byte-identical JSON.
+func TestExpandIgnoresAxisOrder(t *testing.T) {
+	run := func(g Grid) ([]core.Scenario, []byte) {
+		g.N, g.Seed = 400, 7
+		scs, err := g.Expand()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := WriteJSON(&buf, Run(scs, Options{})); err != nil {
+			t.Fatal(err)
+		}
+		return scs, buf.Bytes()
+	}
+	fwd, fwdJSON := run(Grid{
+		Models:    []string{"resnet18", "distilbert-base"},
+		Workloads: []string{"video-0", "amazon"},
+		Platforms: []string{"clockwork", "tf-serve"},
+		Budgets:   []float64{0.01, 0.02},
+	})
+	rev, revJSON := run(Grid{
+		Models:    []string{"distilbert-base", "resnet18"},
+		Workloads: []string{"amazon", "video-0"},
+		Platforms: []string{"tf-serve", "clockwork"},
+		Budgets:   []float64{0.02, 0.01},
+	})
+	if len(fwd) != 8 {
+		t.Fatalf("expanded %d scenarios, want 8", len(fwd))
+	}
+	if !reflect.DeepEqual(fwd, rev) {
+		t.Fatal("reversed axis lists expand to different scenarios")
+	}
+	if !bytes.Equal(fwdJSON, revJSON) {
+		t.Fatal("reversed axis lists write different JSON")
 	}
 }
 

@@ -321,9 +321,3 @@ func (s *scheduled) fillSecond() {
 	}
 	insertionSort(s.buf)
 }
-
-// Scheduled returns n arrival timestamps (ms) from the rate-scheduled
-// Poisson process.
-func Scheduled(n int, baseQPS float64, sched Schedule, r *rng.Rand) []float64 {
-	return collect(NewScheduled(baseQPS, sched, r), n)
-}

@@ -3,10 +3,9 @@
 // Microsoft-Azure-Functions-like (MAF) bursty traces used for the NLP
 // classification workloads, following the methodology of §4.1.
 //
-// Every process is available in two forms: a pull-based Arrivals source
-// that generates timestamps one at a time in O(1) memory (the form the
-// streaming workload iterators consume), and a slice helper that
-// materializes the first n timestamps for tests and small studies.
+// Every process is a pull-based Arrivals source that generates
+// timestamps one at a time in O(1) memory, the form the streaming
+// workload iterators consume.
 package trace
 
 import (
@@ -47,12 +46,6 @@ func (f *fixedRate) Next() float64 {
 	return t
 }
 
-// FixedRate returns n arrival timestamps in milliseconds at a constant
-// rate of qps requests per second.
-func FixedRate(n int, qps float64) []float64 {
-	return collect(NewFixedRate(qps), n)
-}
-
 // poisson emits arrivals from a homogeneous Poisson process.
 type poisson struct {
 	r         *rng.Rand
@@ -72,12 +65,6 @@ func NewPoisson(qps float64, r *rng.Rand) Arrivals {
 func (p *poisson) Next() float64 {
 	p.t += p.r.Exp(p.ratePerMS)
 	return p.t
-}
-
-// Poisson returns n arrival timestamps (ms) from a homogeneous Poisson
-// process with the given mean rate.
-func Poisson(n int, qps float64, r *rng.Rand) []float64 {
-	return collect(NewPoisson(qps, r), n)
 }
 
 // maf emits arrivals from the bursty MAF-style process one second at a
@@ -158,21 +145,6 @@ func (m *maf) fillSecond() {
 		m.buf = append(m.buf, base+m.r.Float64()*1000)
 	}
 	insertionSort(m.buf)
-}
-
-// MAF returns n arrival timestamps (ms) following the bursty MAF-style
-// process.
-func MAF(n int, meanQPS float64, r *rng.Rand) []float64 {
-	return collect(NewMAF(meanQPS, r), n)
-}
-
-// collect materializes the first n arrivals of a source.
-func collect(a Arrivals, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = a.Next()
-	}
-	return out
 }
 
 // insertionSort sorts one second's arrival batch; batches are small and

@@ -11,8 +11,17 @@ import (
 	"repro/internal/rng"
 )
 
+// collect materializes the first n arrivals of a source.
+func collect(a Arrivals, n int) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = a.Next()
+	}
+	return out
+}
+
 func TestFixedRateSpacing(t *testing.T) {
-	a := FixedRate(5, 30)
+	a := collect(NewFixedRate(30), 5)
 	if len(a) != 5 {
 		t.Fatalf("len = %d, want 5", len(a))
 	}
@@ -27,10 +36,10 @@ func TestFixedRateSpacing(t *testing.T) {
 func TestFixedRatePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("FixedRate(0 qps) did not panic")
+			t.Fatal("NewFixedRate(0 qps) did not panic")
 		}
 	}()
-	FixedRate(1, 0)
+	NewFixedRate(0)
 }
 
 // TestSourcesRejectNonFiniteRate pins the constructors' guard: a rate
@@ -65,7 +74,7 @@ func TestSourcesRejectNonFiniteRate(t *testing.T) {
 func TestPoissonMeanRate(t *testing.T) {
 	r := rng.New(1)
 	const n = 50000
-	a := Poisson(n, 100, r)
+	a := collect(NewPoisson(100, r), n)
 	// Duration should be ~ n/rate seconds = 500s = 5e5 ms.
 	dur := a[n-1] / 1000
 	want := float64(n) / 100
@@ -75,7 +84,7 @@ func TestPoissonMeanRate(t *testing.T) {
 }
 
 func TestPoissonSorted(t *testing.T) {
-	a := Poisson(1000, 50, rng.New(2))
+	a := collect(NewPoisson(50, rng.New(2)), 1000)
 	if !sort.Float64sAreSorted(a) {
 		t.Fatal("Poisson arrivals not sorted")
 	}
@@ -83,7 +92,7 @@ func TestPoissonSorted(t *testing.T) {
 
 func TestMAFSortedAndPositive(t *testing.T) {
 	check := func(seed uint64) bool {
-		a := MAF(2000, 80, rng.New(seed))
+		a := collect(NewMAF(80, rng.New(seed)), 2000)
 		if len(a) != 2000 {
 			return false
 		}
@@ -105,7 +114,7 @@ func TestMAFSortedAndPositive(t *testing.T) {
 func TestMAFMeanRateApproximate(t *testing.T) {
 	r := rng.New(3)
 	const n = 100000
-	a := MAF(n, 100, r)
+	a := collect(NewMAF(100, r), n)
 	durSec := a[n-1] / 1000
 	rate := float64(n) / durSec
 	if rate < 60 || rate > 160 {
@@ -131,8 +140,8 @@ func TestMAFBurstier(t *testing.T) {
 		varr /= float64(len(gaps))
 		return math.Sqrt(varr) / mean
 	}
-	maf := MAF(30000, 100, rng.New(4))
-	poi := Poisson(30000, 100, rng.New(4))
+	maf := collect(NewMAF(100, rng.New(4)), 30000)
+	poi := collect(NewPoisson(100, rng.New(4)), 30000)
 	if cv(maf) <= cv(poi) {
 		t.Fatalf("MAF cv %v not burstier than Poisson cv %v", cv(maf), cv(poi))
 	}

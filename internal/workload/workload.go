@@ -16,6 +16,7 @@ package workload
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/exitsim"
 	"repro/internal/rng"
@@ -157,7 +158,7 @@ const videoScheduleSalt = 0xa5f152c9b1e44d7b
 // ingest rate tracks activity). Sample generation is untouched, so the
 // restartable-iterator contract holds for both forms.
 func videoSched(id, frames int, fps float64, seed uint64, sched trace.Schedule) *Stream {
-	if id < 0 || id > 7 {
+	if id < 0 || id >= numVideos {
 		panic(fmt.Sprintf("workload: video id %d out of [0,7]", id))
 	}
 	gen := func() func(i int) Request {
@@ -226,7 +227,7 @@ func videoSched(id, frames int, fps float64, seed uint64, sched trace.Schedule) 
 			}
 		}
 	}
-	return NewStream(fmt.Sprintf("video-%d", id), exitsim.KindVideo, frames, gen)
+	return NewStream(videoName(id), exitsim.KindVideo, frames, gen)
 }
 
 // Amazon returns the Amazon-reviews classification workload: requests
@@ -286,15 +287,10 @@ func amazonSched(n int, meanQPS float64, seed uint64, sched trace.Schedule) *Str
 	return NewStream("amazon", exitsim.KindAmazon, n, gen)
 }
 
-// IMDB returns the IMDB movie-review workload streamed sentence by
+// imdbSched returns the IMDB movie-review workload streamed sentence by
 // sentence: sentences within one review share the review's difficulty
-// level (mild continuity), while consecutive reviews are unrelated.
-func IMDB(n int, meanQPS float64, seed uint64) *Stream {
-	return imdbSched(n, meanQPS, seed, nil)
-}
-
-// imdbSched is IMDB with an optional arrival-rate schedule replacing
-// the native MAF process.
+// level (mild continuity), while consecutive reviews are unrelated. A
+// non-nil schedule replaces the native MAF arrival process.
 func imdbSched(n int, meanQPS float64, seed uint64, sched trace.Schedule) *Stream {
 	gen := func() func(i int) Request {
 		r := rng.New(seed)
@@ -329,12 +325,19 @@ func imdbSched(n int, meanQPS float64, seed uint64, sched trace.Schedule) *Strea
 	return NewStream("imdb", exitsim.KindIMDB, n, gen)
 }
 
+// numVideos is the number of video workloads, video-0 through video-7.
+const numVideos = 8
+
+// videoName is the canonical name of video id.
+func videoName(id int) string { return "video-" + strconv.Itoa(id) }
+
 // Names lists every classification workload name in canonical order:
-// the eight videos, then the two NLP streams.
+// the eight videos, then the two NLP streams. A name is a workload iff
+// Names or GenNames lists it.
 func Names() []string {
-	out := make([]string, 0, 10)
-	for id := 0; id < 8; id++ {
-		out = append(out, fmt.Sprintf("video-%d", id))
+	out := make([]string, 0, numVideos+2)
+	for id := 0; id < numVideos; id++ {
+		out = append(out, videoName(id))
 	}
 	return append(out, "amazon", "imdb")
 }
@@ -352,10 +355,18 @@ func IsGenerative(name string) bool {
 // IsVideo reports whether the named workload is one of the fixed-rate
 // video streams (whose arrival rate is a frame rate, not a trace-derived
 // QPS).
-func IsVideo(name string) bool {
-	var id int
-	_, err := fmt.Sscanf(name, "video-%d", &id)
-	return err == nil && id >= 0 && id <= 7
+func IsVideo(name string) bool { return videoID(name) >= 0 }
+
+// videoID returns the id of the video workload called name, or -1.
+// Only the names Names lists match: "video-03" and "video-3x" are not
+// video-3.
+func videoID(name string) int {
+	for id := 0; id < numVideos; id++ {
+		if name == videoName(id) {
+			return id
+		}
+	}
+	return -1
 }
 
 // scheduledOrNative picks the arrival source for an NLP workload: the
@@ -387,8 +398,7 @@ func ByNameSched(name string, n int, qps float64, seed uint64, sched trace.Sched
 	case "imdb":
 		return imdbSched(n, qps, seed, sched), nil
 	}
-	var id int
-	if _, err := fmt.Sscanf(name, "video-%d", &id); err == nil && id >= 0 && id <= 7 {
+	if id := videoID(name); id >= 0 {
 		return videoSched(id, n, qps, seed, sched), nil
 	}
 	return nil, fmt.Errorf("workload: unknown workload %q", name)

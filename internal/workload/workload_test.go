@@ -39,7 +39,7 @@ func TestVideoBasics(t *testing.T) {
 // pass yields exactly the materialized trace, and a second Iter() call
 // replays it from the start.
 func TestIterMatchesMaterialize(t *testing.T) {
-	for _, s := range []*Stream{Video(1, 800, 30, 3), Amazon(800, 100, 3), IMDB(800, 100, 3)} {
+	for _, s := range []*Stream{Video(1, 800, 30, 3), Amazon(800, 100, 3), imdbSched(800, 100, 3, nil)} {
 		reqs := s.Materialize()
 		for pass := 0; pass < 2; pass++ {
 			it := s.Iter()
@@ -211,7 +211,7 @@ func TestAmazonBootstrapUnbiased(t *testing.T) {
 }
 
 func TestIMDBSentenceContinuity(t *testing.T) {
-	s := IMDB(5000, 100, 4)
+	s := imdbSched(5000, 100, 4, nil)
 	if s.Kind != exitsim.KindIMDB {
 		t.Fatalf("kind = %v", s.Kind)
 	}

@@ -44,8 +44,9 @@ func memGuardScenario(tb testing.TB) core.Scenario {
 }
 
 // BenchmarkStreamingMillion runs the 1M-request scenario end to end.
-// Allocation per request stays flat with trace length (see
-// BENCH_stream.json for the before/after record at 100k requests).
+// Allocation per request stays flat with trace length. BENCH_stream.json
+// is a static before/after record at 100k requests; nothing
+// regenerates it.
 func BenchmarkStreamingMillion(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

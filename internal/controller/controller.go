@@ -73,7 +73,9 @@ type Controller struct {
 	next   int
 	filled int
 	lay    *layout
-	// tabBuf is the storage of the last window table.
+	// tabBuf is the storage of the window table: room for a full ring
+	// over the active set, allocated again only when the set outgrows
+	// it.
 	tabBuf []ramp.Observation
 
 	sinceAdjust int

@@ -3,6 +3,7 @@ package controller
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/ramp"
@@ -320,7 +321,10 @@ func TestObserveSteadyStateZeroAlloc(t *testing.T) {
 	samples := videoSamples(ctl.Opts.RecordWindow)
 	outs := make([]ramp.Outcome, len(samples))
 	for i, s := range samples {
+		// Evaluate's observations live in one buffer that the next call
+		// overwrites, so each kept outcome takes a copy.
 		outs[i] = cfg.Evaluate(s, 1)
+		outs[i].PerRamp = slices.Clone(outs[i].PerRamp)
 		outs[i].Correct = true
 		ctl.Observe(outs[i])
 	}

@@ -119,6 +119,9 @@ func (c *Controller) layoutFor(n int) *layout {
 // previous window table, which must no longer be in use.
 func (c *Controller) windowTable() Table {
 	cfg := c.Cfg
+	if size := len(c.ring) * len(cfg.Active); cap(c.tabBuf) < size {
+		c.tabBuf = make([]ramp.Observation, 0, size)
+	}
 	t := Table{n: c.filled, cols: len(cfg.Active), obs: c.tabBuf[:0], saving: savings(cfg)}
 	// col[i] is the index of active ramp i in the current slot's layout,
 	// or -1; it is recomputed only when the layout changes.
@@ -148,6 +151,5 @@ func (c *Controller) windowTable() Table {
 			}
 		}
 	}
-	c.tabBuf = t.obs
 	return t
 }

@@ -472,10 +472,11 @@ func (sc Scenario) Validate() error {
 	if !(sc.ObsTickMS >= 0) || math.IsInf(sc.ObsTickMS, 0) {
 		return fmt.Errorf("scenario: observability tick %g must be non-negative and finite", sc.ObsTickMS)
 	}
-	// Finite but extreme rates and windows stall a run without failing
-	// it: arrival sources buffer and sort a simulated second at a time,
-	// and the autoscaler closes one signal window at a time. Bound both
-	// by the work they imply.
+	// Finite but extreme rates, windows and ticks stall a run without
+	// failing it: arrival sources buffer and sort a simulated second at
+	// a time, the autoscaler closes one signal window at a time, and the
+	// timeline writes one row per tick. Bound each by the work it
+	// implies.
 	qps, mean, peak := sc.arrivalQPS(m), 1.0, 1.0
 	if sched, _ := trace.ParseSchedule(sc.RateSchedule); sched != nil {
 		mean, peak = sched.MeanMult(), sched.PeakMult()
@@ -490,6 +491,11 @@ func (sc Scenario) Validate() error {
 	if sc.Autoscale != "" {
 		cfg, _ := autoscale.Parse(sc.Autoscale)
 		if err := cfg.CheckRun(runSec * 1000); err != nil {
+			return fmt.Errorf("scenario: %w", err)
+		}
+	}
+	if sc.Timeline {
+		if err := obs.CheckRun(sc.ObsTickMS, runSec*1000); err != nil {
 			return fmt.Errorf("scenario: %w", err)
 		}
 	}
@@ -675,11 +681,13 @@ func runClassScenario(sc Scenario, open openSinks) (*Result, ObsData, error) {
 	// the traffic slice it sees. The event engine builds each replica's
 	// handler exactly once — autoscaled runs create handlers lazily as
 	// the cluster grows, so indexes past the realized peak never
-	// materialize.
+	// materialize. Every handler of both runs shares m: a Model's fields
+	// are fixed once ByName returns it, and the graph analysis it caches
+	// on first use is a pure function of the graph.
 	handlers := make([]*serving.ApparateHandler, maxReplicas)
+	profile := exitsim.ProfileFor(m, kind)
 	mkApparate := func(i int) serving.Handler {
-		mm, _ := model.ByName(sc.Model)
-		h := serving.NewApparate(mm, exitsim.ProfileFor(mm, kind), sc.RampBudget, controller.Config{
+		h := serving.NewApparate(m, profile, sc.RampBudget, controller.Config{
 			AccConstraint: sc.AccLoss,
 		})
 		if sc.ExitRule != "" {
@@ -689,10 +697,7 @@ func runClassScenario(sc Scenario, open openSinks) (*Result, ObsData, error) {
 		handlers[i] = h
 		return h
 	}
-	mkVanilla := func(i int) serving.Handler {
-		mm, _ := model.ByName(sc.Model)
-		return &serving.VanillaHandler{Model: mm}
-	}
+	mkVanilla := func(int) serving.Handler { return &serving.VanillaHandler{Model: m} }
 	v := serving.RunCluster(stream, mkVanilla, opts)
 	// The vanilla baseline above ran with the zero-valued sinks, so only
 	// the Apparate cluster is traced.

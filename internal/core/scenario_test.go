@@ -55,7 +55,7 @@ func TestScenarioValidate(t *testing.T) {
 		{Model: "resnet50", Workload: "video-0", N: 100, Replicas: 2, Faults: "loss=0.1;timeout=Inf"},
 		// Finite but extreme. A per-second arrival mean above
 		// trace.MaxQPS: 1e300 overflows rng.Poisson's int, 1e6 buffers
-		// and insertion-sorts millions of arrivals per simulated second.
+		// and sorts millions of arrivals per simulated second.
 		{Model: "bert-base", Workload: "amazon", N: 100, RateMult: 1e300},
 		{Model: "bert-base", Workload: "amazon", N: 100, RateMult: 1e6},
 		{Model: "resnet50", Workload: "video-0", N: 100, RateSchedule: "phases:10x1/10x1e9"},
@@ -68,6 +68,11 @@ func TestScenarioValidate(t *testing.T) {
 		// autoscale.MaxWindows: the cluster closes them one at a time.
 		{Model: "resnet50", Workload: "video-0", N: 100, Autoscale: "1..2/window=1e-300"},
 		{Model: "resnet50", Workload: "video-0", N: 8000, Autoscale: "1..2/window=1e-3"},
+		// More timeline rows over the expected run than obs.MaxRows: the
+		// timeline writes one row per tick. A 1e-6 ms tick on this ~1.7 s
+		// run asks for ~1.7e9 rows.
+		{Model: "resnet50", Workload: "video-0", N: 50, Timeline: true, ObsTickMS: 1e-300},
+		{Model: "resnet50", Workload: "video-0", N: 50, Timeline: true, ObsTickMS: 1e-6},
 	}
 	for _, sc := range bad {
 		if err := sc.Validate(); err == nil {

@@ -9,7 +9,8 @@ import (
 )
 
 // refPercentile is Sketch.Percentile as it was before the sketch kept
-// its lowest occupied bin: the same closest-rank walk, started at bin 0.
+// its lowest occupied bin and its finger: the same closest-rank walk,
+// started at bin 0, pricing its answer with math.Pow on every query.
 // Percentile must return its answer bit for bit.
 func refPercentile(s *Sketch, p float64) float64 {
 	rank := p / 100 * float64(s.count-1)
@@ -67,10 +68,10 @@ func logUniform(r *rng.Rand, n int, lo, hi float64) []float64 {
 }
 
 // TestSketchPercentileMatchesReference pins Percentile, which walks the
-// bins from lo, to the walk from bin 0, over fills that reach the
-// underflow bin and the clamped top bin, over merges in both directions
-// and with empty or underflow-only operands, and over a Reset followed
-// by a refill at higher values.
+// bins from its finger, to the walk from bin 0, over fills that reach
+// the underflow bin and the clamped top bin, over merges in both
+// directions and with empty or underflow-only operands, and over a
+// Reset followed by a refill at higher values.
 func TestSketchPercentileMatchesReference(t *testing.T) {
 	r := rng.New(20)
 	for trial := range 20 {
@@ -126,5 +127,63 @@ func TestSketchPercentileMatchesReference(t *testing.T) {
 	checkAgainstRef(t, "reset then refilled higher", s)
 	if s.lo != sketchOf(high).lo {
 		t.Fatalf("refilled sketch lo %d, fresh fill %d", s.lo, sketchOf(high).lo)
+	}
+}
+
+// TestSketchFingerMatchesReference pins Percentile's finger to the walk
+// from bin 0 over interleaved histories: Adds in range, below
+// sketchMinValue and past sketchMaxValue, Resets, Merges of random,
+// empty and underflow-only sketches, and queries whose p rotates up and
+// down the quantiles or jumps at random. After every step it checks the
+// finger's count against the bins under it and, on a non-empty sketch,
+// one answer against refPercentile, bit for bit.
+func TestSketchFingerMatchesReference(t *testing.T) {
+	rot := []float64{0, 0.1, 25, 50, 95, 99, 99.9, 100, 99.9, 99, 95, 50, 25, 0.1}
+	r := rng.New(21)
+	for trial := range 200 {
+		s := NewSketch()
+		q := 0
+		for step := range 400 {
+			p := rot[q%len(rot)]
+			q++
+			switch k := r.Intn(40); {
+			case k < 28:
+				s.Add(logUniform(r, 1, 0.5, 200)[0])
+			case k < 30:
+				s.Add([]float64{0, 1e-7, 5e-7}[r.Intn(3)])
+			case k < 32:
+				s.Add(logUniform(r, 1, 1e10, 1e12)[0])
+			case k < 33:
+				s.Reset()
+			case k < 36:
+				o := NewSketch()
+				switch r.Intn(3) {
+				case 0:
+					for _, v := range logUniform(r, r.Intn(40), 0.01, 1e4) {
+						o.Add(v)
+					}
+				case 1:
+					o.Add(1e-7)
+				}
+				s.Merge(o)
+			default:
+				p = 100 * r.Float64()
+			}
+			below := s.low
+			for _, c := range s.counts[:s.fi] {
+				below += int(c)
+			}
+			if s.below != below {
+				t.Fatalf("trial %d step %d: finger at bin %d counts %d samples below it, the bins hold %d",
+					trial, step, s.fi, s.below, below)
+			}
+			if s.Len() == 0 {
+				continue
+			}
+			got, want := s.Percentile(p), refPercentile(s, p)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d step %d p%g: %v, reference scan from bin 0 gives %v", trial, step, p, got, want)
+			}
+		}
 	}
 }

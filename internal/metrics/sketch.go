@@ -27,17 +27,33 @@ var (
 
 // Sketch is a streaming quantile recorder: a fixed-size log-scaled
 // histogram whose memory is independent of the number of samples
-// (~3.5k bins, ~28 KiB). Insertion order does not affect its state, and
-// all arithmetic is deterministic, so sketch-mode sweep output is
-// byte-identical at any worker count. Percentile walks the bins from
-// the lowest one holding a sample, not from bin 0: latencies of 1 ms or
-// more lie past bin ~1,389, and the hedge deadline queries the sketch
-// once per dispatch. The zero value is NOT usable; use NewSketch.
+// (~3.5k bins, ~28 KiB). Insertion order does not affect its answers,
+// and all arithmetic is deterministic, so sketch-mode sweep output is
+// byte-identical at any worker count.
+//
+// Percentile walks the bins from a finger: the bin of its last answer
+// and the number of samples below that bin. Add keeps the count
+// current, Merge and the first query after a Reset start the finger at
+// the lowest occupied bin, and each Percentile walks it to the new
+// answer's bin. The hedge deadline queries one sketch once per
+// dispatch with a sample or two added in between, so a query costs the
+// few bins between consecutive answers, and math.Pow runs only when the
+// answer's bin changes. Percentile thus writes the sketch, as
+// Dist.Percentile sorts its tail: concurrent queries of one sketch must
+// be synchronized. The zero value is NOT usable; use NewSketch.
 type Sketch struct {
 	counts []uint64
 	// lo bounds the occupied bins from below: every bin under it is
 	// empty. It is len(counts) when no bin holds a sample.
 	lo int
+	// fi is the finger's bin and below the number of samples under it:
+	// low plus the counts of bins 0..fi-1. A Reset parks it at
+	// len(counts), where the first query starts it at lo instead.
+	fi, below int
+	// rep is the representative value of bin repBin, the last bin a
+	// query answered from (-1 before the first).
+	repBin int
+	rep    float64
 	// low counts samples below sketchMinValue (including zero and
 	// negative values, which latencies never produce but which must not
 	// corrupt the histogram).
@@ -49,7 +65,7 @@ type Sketch struct {
 
 // NewSketch returns an empty sketch.
 func NewSketch() *Sketch {
-	return &Sketch{counts: make([]uint64, sketchBins), lo: sketchBins}
+	return &Sketch{counts: make([]uint64, sketchBins), lo: sketchBins, fi: sketchBins, repBin: -1}
 }
 
 // Reset empties the sketch in place, reusing the bin array — the
@@ -57,6 +73,7 @@ func NewSketch() *Sketch {
 func (s *Sketch) Reset() {
 	clear(s.counts[s.lo:])
 	s.lo = len(s.counts)
+	s.fi, s.below = len(s.counts), 0
 	s.low, s.count = 0, 0
 	s.sum, s.min, s.max = 0, 0, 0
 }
@@ -73,6 +90,7 @@ func (s *Sketch) Add(v float64) {
 	s.sum += v
 	if v < sketchMinValue {
 		s.low++
+		s.below++
 		return
 	}
 	idx := int(math.Log(v/sketchMinValue) * sketchInvLogGamma)
@@ -80,6 +98,9 @@ func (s *Sketch) Add(v float64) {
 		idx = len(s.counts) - 1
 	}
 	s.counts[idx]++
+	if idx < s.fi {
+		s.below++
+	}
 	if idx < s.lo {
 		s.lo = idx
 	}
@@ -109,6 +130,7 @@ func (s *Sketch) Merge(other Recorder) {
 	if os.lo < s.lo {
 		s.lo = os.lo
 	}
+	s.fi, s.below = s.lo, s.low
 }
 
 // Len reports the number of samples recorded.
@@ -124,23 +146,38 @@ func (s *Sketch) Percentile(p float64) float64 {
 	if !(p >= 0 && p <= 100) {
 		panic(fmt.Sprintf("metrics: percentile %v out of [0,100]", p))
 	}
-	// Same closest-rank convention as Dist: rank p spans [0, n-1].
-	rank := p / 100 * float64(s.count-1)
-	cum := float64(s.low)
-	if rank < cum {
+	// Same closest-rank convention as Dist: rank p spans [0, n-1]. The
+	// answer is the first bin whose samples, with every sample below it,
+	// outnumber rank. Counts are integers, and rank < n holds for an
+	// integer n exactly when floor(rank) < n, so the walk compares
+	// integers and gives the answers of the float sum a walk up from bin
+	// 0 accumulates.
+	rank := int(p / 100 * float64(s.count-1))
+	if rank < s.low {
 		return s.min
 	}
-	for i := s.lo; i < len(s.counts); i++ {
-		c := s.counts[i]
-		if c == 0 {
-			continue
-		}
-		cum += float64(c)
-		if rank < cum {
-			return s.clamp(sketchMinValue * math.Pow(sketchGamma, float64(i)+0.5))
-		}
+	i, below := s.fi, s.below
+	if i == len(s.counts) {
+		// No query since a Reset: walk up from the lowest occupied bin,
+		// where every sample ranks at or above low.
+		i, below = s.lo, s.low
 	}
-	return s.max
+	for rank < below {
+		i--
+		below -= int(s.counts[i])
+	}
+	for i < len(s.counts) && rank >= below+int(s.counts[i]) {
+		below += int(s.counts[i])
+		i++
+	}
+	s.fi, s.below = i, below
+	if i == len(s.counts) {
+		return s.max
+	}
+	if i != s.repBin {
+		s.repBin, s.rep = i, sketchMinValue*math.Pow(sketchGamma, float64(i)+0.5)
+	}
+	return s.clamp(s.rep)
 }
 
 // clamp keeps bin representatives inside the exactly-tracked range.

@@ -9,8 +9,10 @@
 // Two contracts are load-bearing:
 //
 //   - Zero cost when off. A nil *Tracer / *Timeline compiles to one
-//     pointer check on the serving hot path; `make bench-obs` gates the
-//     untraced numbers against BENCH_cluster.json.
+//     pointer check on the serving hot path; the AllocsPerRun budgets in
+//     internal/serving and internal/genserve pin untraced runs to
+//     setup-only allocations, and BenchmarkObsOverhead times what
+//     tracing adds.
 //   - Determinism. Events are emitted single-threaded in simulation
 //     order and encoded with byte-stable formatting, so trace output is
 //     byte-identical at any sweep worker count — the same invariant the

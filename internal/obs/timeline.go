@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"io"
 	"strconv"
 
@@ -96,6 +97,26 @@ type Timeline struct {
 
 // DefaultTickMS is the sampling period when none is configured.
 const DefaultTickMS = 100
+
+// MaxRows bounds the rows one timeline may write. CatchUp writes a row
+// per tick for the whole run, so a tick that is tiny next to the run's
+// length writes without end: a 1e-300 ms tick on a 50-request run wrote
+// 2 GB of CSV in 20 s. DefaultTickMS over the longest run a scenario may
+// ask for (trace.MaxRunSec, 1e7 s) writes 1e8 rows.
+const MaxRows = 1e8
+
+// CheckRun returns an error if a timeline sampling every tickMS (0
+// means DefaultTickMS) would write more than MaxRows rows over a run
+// expected to span runMS of simulated time.
+func CheckRun(tickMS, runMS float64) error {
+	if tickMS <= 0 {
+		tickMS = DefaultTickMS
+	}
+	if n := runMS / tickMS; !(n <= MaxRows) {
+		return fmt.Errorf("obs: a %gms tick writes %.3g timeline rows over the expected %.3gms run, above the %g limit", tickMS, n, runMS, float64(MaxRows))
+	}
+	return nil
+}
 
 // NewTimeline returns an empty timeline sampling every tickMS (0 means
 // DefaultTickMS) with the given goodput SLO (0 means count every

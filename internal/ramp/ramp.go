@@ -79,6 +79,10 @@ type Config struct {
 	// modeled ones, keeping the accuracy guarantee while estimating
 	// savings optimistically.
 	Rule exitrule.Rule
+
+	// perRamp is the storage of Evaluate's observations, reused by every
+	// call.
+	perRamp []Observation
 }
 
 // NewConfig returns a configuration with no active ramps.
@@ -214,16 +218,22 @@ type Outcome struct {
 	// Correct reports whether the released result matches the original
 	// model's output (non-exits are correct by construction).
 	Correct bool
-	// PerRamp holds one observation per active ramp, in depth order.
+	// PerRamp holds one observation per active ramp, in depth order. It
+	// is the configuration's buffer, which the next Evaluate overwrites:
+	// a caller that keeps the observations must copy them.
 	PerRamp []Observation
 }
 
 // Evaluate runs one sample through the configuration at the given batch
 // size. Thresholds are applied by the caller-visible semantics of §2.2:
 // a ramp exits when its error score is strictly below its threshold, so
-// threshold 0 never exits.
+// threshold 0 never exits. With the default rule it allocates nothing
+// once the buffer behind Outcome.PerRamp has grown to the active set.
 func (c *Config) Evaluate(s exitsim.Sample, batch int) Outcome {
-	out := Outcome{ExitIndex: -1, PerRamp: make([]Observation, len(c.Active))}
+	if cap(c.perRamp) < len(c.Active) {
+		c.perRamp = make([]Observation, len(c.Active))
+	}
+	out := Outcome{ExitIndex: -1, PerRamp: c.perRamp[:len(c.Active)]}
 	overheadMS := 0.0
 	modelLat := c.Model.Latency(batch)
 	rule := c.Rule

@@ -308,6 +308,34 @@ func TestWorstCaseWithinBudget(t *testing.T) {
 	}
 }
 
+// TestEvaluateZeroAlloc pins Evaluate's hot path with the default
+// rule: every call writes its observations into the configuration's one
+// buffer, so serving an input allocates nothing.
+func TestEvaluateZeroAlloc(t *testing.T) {
+	m := model.ResNet50()
+	c := NewConfig(m, exitsim.ProfileFor(m, exitsim.KindVideo), 0.02)
+	c.DeployInitial(StyleDefault)
+	c.SetThresholds([]float64{0.05, 0.1, 0.15, 0.2, 0.25})
+	r := rng.New(2)
+	samples := make([]exitsim.Sample, 64)
+	for i := range samples {
+		samples[i] = exitsim.Sample{Difficulty: r.Float64() * 1.2, MatchU: r.Float64(), NoiseKey: r.Uint64()}
+	}
+	i, exits := 0, 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		if c.Evaluate(samples[i%len(samples)], 1).ExitIndex >= 0 {
+			exits++
+		}
+		i++
+	})
+	if exits == 0 {
+		t.Fatal("no input exited; the pin should cover the exit path too")
+	}
+	if allocs != 0 {
+		t.Fatalf("Evaluate allocates %v per call, want 0", allocs)
+	}
+}
+
 // BenchmarkEvaluate times one input through resnet50's initial 5-ramp
 // deployment, thresholds set so some inputs exit.
 func BenchmarkEvaluate(b *testing.B) {

@@ -506,6 +506,10 @@ type clusterSim struct {
 	replicas []*replicaSim
 	active   int
 	rr       int // round-robin arrival counter
+	// recCap presizes each replica's exact latency recorder: the run's
+	// requests split evenly over the widest the cluster can grow. A
+	// replica that serves more grows its recorder by appending.
+	recCap int
 
 	// fm is the fault runtime (nil for reliable runs — every fault-mode
 	// branch in the hot path is guarded on it, which is what keeps
@@ -772,7 +776,7 @@ func (c *clusterSim) addReplica(i int) {
 		idx:     i,
 		h:       h,
 		estCost: h.BatchLatency(1),
-		st:      &Stats{Lat: metrics.NewRecorder(c.base.Metrics, 4096)},
+		st:      &Stats{Lat: metrics.NewRecorder(c.base.Metrics, c.recCap)},
 		opts:    ropts,
 		// busyUntil == now means "completion wake pending at now", so a
 		// fresh replica must start strictly idle, not at zero.
@@ -821,7 +825,7 @@ func runCluster(it *workload.Iter, makeHandler func(i int) Handler, opts Cluster
 		c.next, c.has = r, true
 	}
 
-	start := opts.Replicas
+	start, width := opts.Replicas, opts.Replicas
 	if opts.Autoscale != nil {
 		cfg := *opts.Autoscale
 		if cfg.SLOms == 0 {
@@ -832,8 +836,9 @@ func runCluster(it *workload.Iter, makeHandler func(i int) Handler, opts Cluster
 		c.plan = &autoscale.Plan{Start: c.scaler.Replicas()}
 		c.winEnd = eff.WindowMS
 		c.winLat = metrics.NewSketch()
-		start = c.scaler.Replicas()
+		start, width = c.scaler.Replicas(), eff.Max
 	}
+	c.recCap = (it.Len() + width - 1) / width
 	if !opts.Faults.Empty() || opts.Retry.Enabled() {
 		c.fm = newFaultMode(c, opts.Faults, opts.Retry, opts.FaultSeed)
 	}
@@ -874,7 +879,7 @@ func runCluster(it *workload.Iter, makeHandler func(i int) Handler, opts Cluster
 	}
 
 	cs := &ClusterStats{PerReplica: make([]*Stats, len(c.replicas)), Scale: c.plan}
-	merged := &Stats{Lat: metrics.NewRecorder(c.base.Metrics, 4096)}
+	merged := &Stats{Lat: metrics.NewRecorder(c.base.Metrics, it.Len())}
 	var batches metrics.Counter
 	for i, rep := range c.replicas {
 		rep.st.finalize()

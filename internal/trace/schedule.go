@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -319,5 +320,5 @@ func (s *scheduled) fillSecond() {
 	for i := 0; i < k; i++ {
 		s.buf = append(s.buf, base+s.r.Float64()*1000)
 	}
-	insertionSort(s.buf)
+	slices.Sort(s.buf)
 }

@@ -78,6 +78,9 @@ type Iter struct {
 	n    int
 }
 
+// Len returns the number of requests the pass yields in all.
+func (it *Iter) Len() int { return it.n }
+
 // Next returns the next request, or ok=false when the stream is
 // exhausted.
 func (it *Iter) Next() (Request, bool) {

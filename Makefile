@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race fuzz bench sweep-smoke mem-smoke mem-soak golden ci
+.PHONY: build test vet fmt race fuzz bench sweep-smoke mem-smoke mem-soak golden ci
 
 build:
 	$(GO) build ./...
@@ -11,11 +11,18 @@ test:
 vet:
 	$(GO) vet ./...
 
+# Fail when gofmt would rewrite any tracked .go file, and name the files.
+fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
+
 # Race-detector pass over the concurrent sweep engine (and the layers
 # it drives: the event engine, the cluster runtime, the autoscaled
-# path, and the observability sinks sweep workers write in parallel).
+# path, the observability sinks sweep workers write in parallel, and
+# the greedy search state that concurrent searches share through a
+# pool).
 race:
-	$(GO) test -race ./internal/sweep/... ./internal/serving/... ./internal/autoscale/... ./internal/core/... ./internal/engine/... ./internal/faults/... ./internal/obs/... ./internal/genserve/...
+	$(GO) test -race ./internal/sweep/... ./internal/serving/... ./internal/autoscale/... ./internal/core/... ./internal/engine/... ./internal/faults/... ./internal/obs/... ./internal/genserve/... ./internal/controller/...
 
 # Fuzz the scenario-spec parsers, the exit-rule names and the sweep's
 # -only/-skip filter parser for 10s per target (go test -fuzz takes one
@@ -146,4 +153,4 @@ mem-soak:
 golden:
 	$(GO) test -run '^TestGolden(Sweep|Tables)$$' -update .
 
-ci: build test vet race fuzz sweep-smoke mem-smoke
+ci: build test vet fmt race fuzz sweep-smoke mem-smoke

@@ -7,7 +7,8 @@ import (
 )
 
 // TestGreedySearchAllocBudget pins the greedy search's allocations: its
-// thresholds and steps, and one exit column per row. Scoring a candidate
+// thresholds, and its state only when the pool that keeps it between
+// searches is empty or too small for the table. Scoring a candidate
 // allocates nothing, so the budget is a constant however many candidates
 // a search scores.
 func TestGreedySearchAllocBudget(t *testing.T) {

@@ -73,6 +73,9 @@ type Controller struct {
 	next   int
 	filled int
 	lay    *layout
+	// spare is the unused tail of the chunk that slot storage is carved
+	// from (see carve).
+	spare []ramp.Observation
 	// tabBuf is the storage of the window table: room for a full ring
 	// over the active set, allocated again only when the set outgrows
 	// it.
@@ -114,6 +117,9 @@ func New(cfg *ramp.Config, opts Config) *Controller {
 // configuration changed.
 func (c *Controller) Observe(out ramp.Outcome) bool {
 	s := &c.ring[c.next]
+	if cap(s.obs) < len(out.PerRamp) {
+		s.obs = c.carve(len(out.PerRamp))
+	}
 	s.obs = append(s.obs[:0], out.PerRamp...)
 	s.lay = c.layoutFor(len(out.PerRamp))
 	c.next = (c.next + 1) % len(c.ring)
@@ -145,6 +151,23 @@ func (c *Controller) Observe(out ramp.Outcome) bool {
 		}
 	}
 	return changed
+}
+
+// slotChunk is how many ring slots' storage one chunk holds.
+const slotChunk = 32
+
+// carve returns room for k observations, cut from the current chunk of
+// slot storage or from a new one sized for slotChunk slots of k. Slots
+// share chunks, so filling the ring allocates once per chunk rather than
+// once per input, and a ring that never fills holds at most one
+// part-used chunk beyond what it records.
+func (c *Controller) carve(k int) []ramp.Observation {
+	if len(c.spare) < k {
+		c.spare = make([]ramp.Observation, k*min(slotChunk, len(c.ring)))
+	}
+	obs := c.spare[:k:k]
+	c.spare = c.spare[k:]
+	return obs
 }
 
 // TuneThresholds runs one greedy tuning round and installs the resulting

@@ -94,13 +94,19 @@ func refUtilities(cfg *ramp.Config, recs []record) []Utility {
 }
 
 func refGreedy(cfg *ramp.Config, recs []record, accBudget, initStep, minStep float64) TuneResult {
-	n := len(cfg.Active)
+	eval := func(thresholds []float64) EvalResult { return refEval(cfg, recs, thresholds) }
+	return replayGreedy(len(cfg.Active), eval, accBudget, initStep, minStep)
+}
+
+// replayGreedy is Algorithm 1 over n ramps with every candidate scored
+// by eval, a full replay of the window under the candidate thresholds.
+func replayGreedy(n int, eval func([]float64) EvalResult, accBudget, initStep, minStep float64) TuneResult {
 	thresholds := make([]float64, n)
 	steps := make([]float64, n)
 	for i := range steps {
 		steps[i] = initStep
 	}
-	cur := refEval(cfg, recs, thresholds)
+	cur := eval(thresholds)
 	evals := 1
 	for {
 		bestRamp := -1
@@ -119,7 +125,7 @@ func refGreedy(cfg *ramp.Config, recs []record, accBudget, initStep, minStep flo
 			}
 			old := thresholds[i]
 			thresholds[i] = cand
-			ev := refEval(cfg, recs, thresholds)
+			ev := eval(thresholds)
 			evals++
 			thresholds[i] = old
 			if ev.AccLoss > accBudget {
@@ -338,5 +344,43 @@ func TestObserveSteadyStateZeroAlloc(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("Observe allocates %v per call in steady state, want 0", allocs)
+	}
+}
+
+// TestObserveWarmUpAllocBudget pins the recording path while the window
+// fills: a fresh controller's first 375 observations, one cluster-chaos
+// replica's share of its scenario, take slot storage from chunks that
+// slots share, so they allocate per chunk and once for the layout, not
+// once per input.
+func TestObserveWarmUpAllocBudget(t *testing.T) {
+	const n, runs, budget = 375, 20, 16
+	cfg := newCfg()
+	outs := make([]ramp.Outcome, n)
+	for i, s := range videoSamples(n) {
+		outs[i] = cfg.Evaluate(s, 1)
+		outs[i].PerRamp = slices.Clone(outs[i].PerRamp)
+		outs[i].Correct = true
+	}
+	// AllocsPerRun calls the function once more than runs to warm up,
+	// and each call fills a controller of its own.
+	ctls := make([]*Controller, runs+1)
+	for i := range ctls {
+		ctls[i] = New(cfg, Config{AdjustEvery: 1 << 30})
+	}
+	k := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		for _, out := range outs {
+			ctls[k].Observe(out)
+		}
+		k++
+	})
+	for _, ctl := range ctls {
+		if ctl.TuneRounds != 0 || ctl.AdjustRounds != 0 {
+			t.Fatalf("a round fired (%d tune, %d adjust); the pin measures recording alone", ctl.TuneRounds, ctl.AdjustRounds)
+		}
+	}
+	t.Logf("%d warm-up observations: %v allocations", n, allocs)
+	if allocs > budget {
+		t.Fatalf("%d warm-up observations allocate %v times, budget %d", n, allocs, budget)
 	}
 }

@@ -2,6 +2,8 @@ package controller
 
 import (
 	"math"
+	"slices"
+	"sync"
 
 	"repro/internal/ramp"
 )
@@ -84,21 +86,32 @@ type TuneResult struct {
 // as a change to the committed exits rather than by replaying the table.
 // Raising column i's threshold moves exactly the rows that exit after i
 // (or nowhere) and whose error at i is below the candidate; every other
-// row keeps its exit. One pass over column i gives the candidate's
-// mismatch count and how many rows move. A candidate that moves no row
-// or breaks the budget is rejected there. For the rest, the savings of
-// every row's exit are added again in row order: the additions
-// EvalThresholds would make, in its order, so every result is
-// bit-identical to evaluating each candidate afresh.
+// row keeps its exit. The moved rows give the candidate's mismatch count,
+// and a candidate that moves no row or breaks the budget is rejected
+// there. For the rest, the savings of every row's exit are added again in
+// row order: the additions EvalThresholds would make, in its order, so
+// every result is bit-identical to evaluating each candidate afresh.
+//
+// Each ramp's scored candidate is kept across rounds: its threshold, the
+// rows it moves in row order, and their mismatch change. Within a search
+// exits only move earlier, and a ramp's next candidate is higher than its
+// last only after that ramp commits. Every other ramp's candidate is the
+// same or lower, because its step only halves, so its moved rows are a
+// subset of the cached ones: the cache is reused as it is when neither the
+// candidate nor the committed exits changed, and otherwise re-filtered
+// against both. A column is scanned only in the first round and for the
+// ramp just committed. The savings sum folds a per-row array of committed
+// savings, with the moved rows' entries replaced; a row that exits nowhere
+// holds 0, and adding +0 leaves the running sum bit for bit unchanged
+// because that sum is never -0.
 func GreedySearch(tab Table, accBudget, initStep, minStep float64) TuneResult {
 	n := tab.cols
 	thresholds := make([]float64, n)
-	steps := make([]float64, n)
-	for i := range steps {
-		steps[i] = initStep
-	}
-	x := newExits(tab, thresholds)
-	curLoss, curSav := tab.frac(float64(x.wrong)), tab.frac(x.saved)
+	s := searchPool.Get().(*search)
+	defer s.release()
+	s.reset(tab, thresholds, initStep)
+	steps := s.steps
+	curLoss, curSav := tab.frac(float64(s.wrong)), tab.frac(s.saved)
 	evals := 1
 	for {
 		bestRamp := -1
@@ -115,13 +128,14 @@ func GreedySearch(tab Table, accBudget, initStep, minStep float64) TuneResult {
 			if cand > 1 {
 				cand = 1
 			}
-			moved, wrong := x.raise(i, cand)
+			c := s.score(i, cand)
 			evals++
+			wrong := s.wrong + c.dWrong
 			loss := tab.frac(float64(wrong))
-			if moved == 0 || loss > accBudget {
+			if c.moved == 0 || loss > accBudget {
 				continue // no exit moved, or overstepped the accuracy boundary
 			}
-			saved := x.savedAfter(i, cand)
+			saved := s.savedAfter(i)
 			dSav := tab.frac(saved) - curSav
 			if dSav <= 0 {
 				continue
@@ -137,7 +151,7 @@ func GreedySearch(tab Table, accBudget, initStep, minStep float64) TuneResult {
 		}
 		if bestRamp >= 0 {
 			thresholds[bestRamp] = bestThreshold
-			x.commit(bestRamp, bestThreshold, bestWrong, bestSaved)
+			s.commit(bestRamp, bestWrong, bestSaved)
 			curLoss, curSav = tab.frac(float64(bestWrong)), tab.frac(bestSaved)
 			steps[bestRamp] *= 2 // promising direction: speed up
 			continue
@@ -163,85 +177,170 @@ func GreedySearch(tab Table, accBudget, initStep, minStep float64) TuneResult {
 	return TuneResult{Thresholds: thresholds, SavingFrac: curSav, AccLoss: curLoss, Evals: evals}
 }
 
-// exits is a greedy search's committed state: the column each row exits
-// at (tab.cols when it exits nowhere), how many of those exits disagree
-// with the original model, and their savings summed in row order.
-type exits struct {
+// searchPool holds greedy-search state between searches, so that a
+// search allocates its result alone once its pool entry has grown to
+// the table.
+var searchPool = sync.Pool{New: func() any { return new(search) }}
+
+// search is a greedy search's state: its steps, the committed exits and
+// each ramp's last scored candidate.
+type search struct {
 	tab   Table
-	col   []int32
-	wrong int
-	saved float64
+	steps []float64
+	// col[r] is the column row r exits at (tab.cols when it exits
+	// nowhere) and sav[r] that exit's saving (0 when none); wrong counts
+	// the mismatched exits and saved sums sav in row order. commits
+	// counts the changes to col.
+	col     []int32
+	sav     []float64
+	wrong   int
+	saved   float64
+	commits int
+	// cand[i] is ramp i's last scored candidate; movedRows(i) are the
+	// rows it moves, in row order.
+	cand []candidate
+	rows []int32
 }
 
-// newExits applies the exit rule to every row under the thresholds, and
-// counts and sums the exits as EvalThresholds does.
-func newExits(tab Table, thresholds []float64) exits {
-	x := exits{tab: tab, col: make([]int32, tab.n)}
-	for r := range x.col {
+// movedRows returns the rows ramp i's cached candidate moves.
+func (s *search) movedRows(i int) []int32 {
+	return s.rows[i*s.tab.n:][:s.cand[i].moved]
+}
+
+// candidate is one ramp's scored threshold raise.
+type candidate struct {
+	t       float64 // the candidate threshold
+	commits int     // the committed exits it was scored against; -1 if none
+	moved   int     // how many rows it moves
+	dWrong  int     // the change it makes to the mismatch count
+}
+
+// reset prepares the search over tab from the given all-zero thresholds:
+// it applies the exit rule to every row, and counts and sums the exits
+// as EvalThresholds does.
+func (s *search) reset(tab Table, thresholds []float64, initStep float64) {
+	s.tab = tab
+	s.steps = slices.Grow(s.steps[:0], tab.cols)[:tab.cols]
+	s.col = slices.Grow(s.col[:0], tab.n)[:tab.n]
+	s.sav = slices.Grow(s.sav[:0], tab.n)[:tab.n]
+	s.cand = slices.Grow(s.cand[:0], tab.cols)[:tab.cols]
+	s.rows = slices.Grow(s.rows[:0], tab.cols*tab.n)[:tab.cols*tab.n]
+	for i := range s.steps {
+		s.steps[i] = initStep
+		s.cand[i] = candidate{commits: -1}
+	}
+	s.wrong, s.saved, s.commits = 0, 0, 0
+	for r := range s.col {
 		row := tab.row(r)
 		e := exitCol(row, thresholds)
-		x.col[r] = int32(e)
+		s.col[r], s.sav[r] = int32(e), 0
 		if e < tab.cols {
 			if !row[e].Match {
-				x.wrong++
+				s.wrong++
 			}
-			x.saved += tab.saving[e]
+			s.sav[r] = tab.saving[e]
+		}
+		s.saved += s.sav[r]
+	}
+}
+
+// release returns the search to searchPool without the table it held.
+func (s *search) release() {
+	s.tab = Table{}
+	searchPool.Put(s)
+}
+
+// score returns ramp i's candidate at threshold t, scoring it only as
+// far as the cache is stale. A candidate never scored, or raised past its
+// last threshold by a commit, scans column i; a lower threshold or a
+// changed set of committed exits re-filters the cached rows.
+func (s *search) score(i int, t float64) candidate {
+	c := &s.cand[i]
+	switch {
+	case c.commits < 0:
+		s.scan(i, t)
+	case c.t != t || c.commits != s.commits:
+		s.refilter(i, t)
+	}
+	return *c
+}
+
+// scan scores raising column i's threshold to t over every row.
+func (s *search) scan(i int, t float64) {
+	tab := s.tab
+	rows := s.rows[i*tab.n : (i+1)*tab.n]
+	moved, dWrong := 0, 0
+	for r, e := range s.col {
+		if int(e) > i && tab.obs[r*tab.cols+i].Err < t {
+			rows[moved] = int32(r)
+			moved++
+			dWrong += s.change(r, i)
 		}
 	}
-	return x
+	s.cand[i] = candidate{t: t, commits: s.commits, moved: moved, dWrong: dWrong}
 }
 
-// moves reports whether raising column i's threshold to t moves row r's
-// exit to i: the row exits after i or nowhere, and its error at i is
-// below t.
-func (x *exits) moves(r, i int, t float64) bool {
-	return int(x.col[r]) > i && x.tab.obs[r*x.tab.cols+i].Err < t
-}
-
-// raise scores raising column i's threshold to t: the number of rows
-// whose exit moves to i, and the mismatch count after the move.
-func (x *exits) raise(i int, t float64) (moved, wrong int) {
-	tab := x.tab
-	wrong = x.wrong
-	for r, e := range x.col {
-		if !x.moves(r, i, t) {
-			continue
-		}
-		moved++
-		if !tab.obs[r*tab.cols+i].Match {
-			wrong++
-		}
-		if int(e) < tab.cols && !tab.obs[r*tab.cols+int(e)].Match {
-			wrong--
+// refilter scores raising column i's threshold to t over the rows its
+// cached candidate moves, keeping those that still move: the rows that
+// still exit after i and whose error at i is below t.
+func (s *search) refilter(i int, t float64) {
+	tab := s.tab
+	rows := s.movedRows(i)
+	moved, dWrong := 0, 0
+	for _, r := range rows {
+		if int(s.col[r]) > i && tab.obs[int(r)*tab.cols+i].Err < t {
+			rows[moved] = r
+			moved++
+			dWrong += s.change(int(r), i)
 		}
 	}
-	return moved, wrong
+	s.cand[i] = candidate{t: t, commits: s.commits, moved: moved, dWrong: dWrong}
 }
 
-// savedAfter returns the savings of every row's exit after raising column
-// i's threshold to t, added in row order as EvalThresholds adds them.
-func (x *exits) savedAfter(i int, t float64) float64 {
-	saved := 0.0
-	for r, e := range x.col {
-		if x.moves(r, i, t) {
-			e = int32(i)
+// change is the change to the mismatch count when row r's exit moves to
+// column i.
+func (s *search) change(r, i int) int {
+	tab := s.tab
+	d := 0
+	if !tab.obs[r*tab.cols+i].Match {
+		d++
+	}
+	if e := int(s.col[r]); e < tab.cols && !tab.obs[r*tab.cols+e].Match {
+		d--
+	}
+	return d
+}
+
+// savedAfter returns the savings of every row's exit after ramp i's
+// candidate moves its rows, added in row order as EvalThresholds adds
+// them.
+func (s *search) savedAfter(i int) float64 {
+	si := s.tab.saving[i]
+	saved, next := 0.0, 0
+	for _, r := range s.movedRows(i) {
+		for _, v := range s.sav[next:r] {
+			saved += v
 		}
-		if int(e) < x.tab.cols {
-			saved += x.tab.saving[e]
-		}
+		saved += si
+		next = int(r) + 1
+	}
+	for _, v := range s.sav[next:] {
+		saved += v
 	}
 	return saved
 }
 
-// commit raises column i's threshold to t, whose mismatch count and
-// savings raise and savedAfter returned: only the moved rows change.
-func (x *exits) commit(i int, t float64, wrong int, saved float64) {
-	for r := range x.col {
-		if x.moves(r, i, t) {
-			x.col[r] = int32(i)
-		}
+// commit applies ramp i's candidate, whose mismatch count and savings
+// the search computed: only the moved rows change. The ramp's next
+// candidate lies above this one, so its cache is dropped.
+func (s *search) commit(i, wrong int, saved float64) {
+	si := s.tab.saving[i]
+	for _, r := range s.movedRows(i) {
+		s.col[r], s.sav[r] = int32(i), si
 	}
-	x.wrong, x.saved = wrong, saved
+	s.wrong, s.saved = wrong, saved
+	s.commits++
+	s.cand[i].commits = -1
 }
 
 // GridSearch exhaustively evaluates thresholds over a uniform grid with

@@ -16,6 +16,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/obs"
+	"repro/internal/ramp"
 	"repro/internal/serving"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -453,6 +454,13 @@ func (sc Scenario) Validate() error {
 	// so a budget above 1 could only mislead.
 	if !(sc.RampBudget > 0 && sc.RampBudget <= 1) {
 		return fmt.Errorf("scenario: ramp budget %g must be a fraction in (0,1]", sc.RampBudget)
+	}
+	// A classification budget that cannot hold one ramp deploys none, and
+	// the controller's recovery sentinel would not fit either. The test
+	// is the ramp package's own, on an empty active set.
+	if !sc.Generative() && !(&ramp.Config{BudgetFrac: sc.RampBudget}).WithinBudget(ramp.StyleDefault) {
+		return fmt.Errorf("scenario: ramp budget %g fits no ramp: a classification budget must be at least %g, one %s ramp",
+			sc.RampBudget, ramp.StyleDefault.OverheadFrac, ramp.StyleDefault.Name)
 	}
 	// An accuracy budget is a fraction of the original model's accuracy;
 	// generative runs would silently cap one above 1 in TokenBudget.

@@ -38,6 +38,10 @@ func TestScenarioValidate(t *testing.T) {
 		// Out of range: ramp and accuracy budgets are fractions, and a
 		// replica count of 0 means unset but a negative one is an error.
 		{Model: "resnet50", Workload: "video-0", N: 100, RampBudget: 5},
+		// A classification budget below one default ramp's overhead
+		// (0.004) deploys no ramp; the accepted side is pinned below.
+		{Model: "resnet50", Workload: "video-0", N: 100, RampBudget: 0.0039},
+		{Model: "bert-base", Workload: "amazon", N: 100, RampBudget: 0.001},
 		{Model: "t5-large", Workload: "squad", N: 10, RampBudget: 1.5},
 		{Model: "resnet50", Workload: "video-0", N: 100, AccLoss: 2},
 		{Model: "t5-large", Workload: "squad", N: 10, AccLoss: 1.5},
@@ -79,9 +83,16 @@ func TestScenarioValidate(t *testing.T) {
 			t.Errorf("Validate accepted %+v", sc)
 		}
 	}
-	good := Scenario{Model: "resnet50", Workload: "video-0", N: 100}
-	if err := good.Validate(); err != nil {
-		t.Fatalf("Validate rejected %+v: %v", good, err)
+	for _, good := range []Scenario{
+		{Model: "resnet50", Workload: "video-0", N: 100},
+		// One default ramp's overhead is the smallest classification
+		// budget; generative runs deploy no ramps and take any budget.
+		{Model: "resnet50", Workload: "video-0", N: 100, RampBudget: 0.004},
+		{Model: "t5-large", Workload: "squad", N: 10, RampBudget: 1e-9},
+	} {
+		if err := good.Validate(); err != nil {
+			t.Errorf("Validate rejected %+v: %v", good, err)
+		}
 	}
 }
 

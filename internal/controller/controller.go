@@ -76,10 +76,13 @@ type Controller struct {
 	// spare is the unused tail of the chunk that slot storage is carved
 	// from (see carve).
 	spare []ramp.Observation
-	// tabBuf is the storage of the window table: room for a full ring
-	// over the active set, allocated again only when the set outgrows
-	// it.
-	tabBuf []ramp.Observation
+	// tab holds the window table, kept current by Observe: rows
+	// [tabEnd-filled, tabEnd) over the columns of tabLay (see
+	// syncTable). saving is the savings row of its last view.
+	tab    []ramp.Observation
+	tabEnd int
+	tabLay *layout
+	saving []float64
 
 	sinceAdjust int
 
@@ -116,12 +119,19 @@ func New(cfg *ramp.Config, opts Config) *Controller {
 // loops at their respective cadences. It returns true if the exit
 // configuration changed.
 func (c *Controller) Observe(out ramp.Outcome) bool {
+	lay := c.layoutFor(len(out.PerRamp))
+	// The recorded layout is the table's while the active set stands;
+	// when it is not, the set may have changed since the last input.
+	if lay != c.tabLay || len(lay.nodes) != len(c.Cfg.Active) {
+		c.syncTable()
+	}
+	c.putRow(out.PerRamp)
 	s := &c.ring[c.next]
 	if cap(s.obs) < len(out.PerRamp) {
 		s.obs = c.carve(len(out.PerRamp))
 	}
 	s.obs = append(s.obs[:0], out.PerRamp...)
-	s.lay = c.layoutFor(len(out.PerRamp))
+	s.lay = lay
 	c.next = (c.next + 1) % len(c.ring)
 	if c.filled < len(c.ring) {
 		c.filled++
@@ -146,8 +156,14 @@ func (c *Controller) Observe(out ramp.Outcome) bool {
 		if c.Opts.DisableRampAdjust {
 			c.TuneThresholds()
 			changed = true
-		} else if c.AdjustRamps() {
-			changed = true
+		} else {
+			if c.AdjustRamps() {
+				changed = true
+			}
+			// Ramp adjustment is what changes the active set (a shift
+			// that fails to activate reports no change but has
+			// deactivated a ramp), so the table follows it here.
+			c.syncTable()
 		}
 	}
 	return changed

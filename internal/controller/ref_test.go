@@ -196,10 +196,106 @@ func refGrid(cfg *ramp.Config, recs []record, accBudget, step float64) TuneResul
 	return best
 }
 
+// refWindowTable is the window table rebuilt from the ring's slots, as
+// every round once built it: the reference the kept table must equal.
+func refWindowTable(c *Controller) Table {
+	cfg := c.Cfg
+	t := Table{n: c.filled, cols: len(cfg.Active), saving: savings(nil, cfg)}
+	t.obs = make([]ramp.Observation, 0, c.filled*t.cols)
+	// col[i] is the index of active ramp i in the current slot's layout,
+	// or -1; it is recomputed only when the layout changes.
+	col := make([]int, t.cols)
+	var lay *layout
+	missing := ramp.Observation{Err: math.Inf(1)}
+	start := c.next - c.filled + len(c.ring)
+	for k := 0; k < c.filled; k++ {
+		s := &c.ring[(start+k)%len(c.ring)]
+		if s.lay != lay {
+			lay = s.lay
+			for i, r := range cfg.Active {
+				col[i] = -1
+				for j, id := range lay.nodes {
+					if id == r.Site.NodeID {
+						col[i] = j
+						break
+					}
+				}
+			}
+		}
+		for _, j := range col {
+			if j < 0 {
+				t.obs = append(t.obs, missing)
+			} else {
+				t.obs = append(t.obs, s.obs[j])
+			}
+		}
+	}
+	return t
+}
+
+// checkKept fails unless, after input step, the controller's kept window
+// table follows the active set and equals the table rebuilt from its
+// slots, cell for cell.
+func checkKept(t *testing.T, ctl *Controller, step int) {
+	t.Helper()
+	if !ctl.tableCurrent() {
+		t.Fatalf("input %d: the kept table's columns are not the active set", step)
+	}
+	got, want := ctl.windowTable(), refWindowTable(ctl)
+	if got.n != want.n || got.cols != want.cols {
+		t.Fatalf("input %d: kept table is %d×%d, reference %d×%d", step, got.n, got.cols, want.n, want.cols)
+	}
+	if !slices.Equal(got.saving, want.saving) {
+		t.Fatalf("input %d: kept savings %v, reference %v", step, got.saving, want.saving)
+	}
+	for r := 0; r < want.n; r++ {
+		if !slices.Equal(got.row(r), want.row(r)) {
+			t.Fatalf("input %d: row %d of %d is %v, reference %v", step, r, want.n, got.row(r), want.row(r))
+		}
+	}
+}
+
+// TestKeptTableFollowsAdaptation checks the kept window table after
+// every input of a drifting stream on which both loops fire: threshold
+// tuning on accuracy drops and ramp adjustment every 32 inputs, which
+// activates and deactivates ramps, over a 128-slot ring that wraps many
+// times.
+func TestKeptTableFollowsAdaptation(t *testing.T) {
+	cfg := newCfg()
+	const window = 128
+	ctl := New(cfg, Config{RecordWindow: window, AdjustEvery: 32})
+	changes := 0
+	nodes := func() []int {
+		var ids []int
+		for _, r := range cfg.Active {
+			ids = append(ids, r.Site.NodeID)
+		}
+		return ids
+	}
+	prev := nodes()
+	for i, s := range workload.Video(3, 4000, 30, 5).Samples() {
+		ctl.Observe(cfg.Evaluate(s, 1))
+		checkKept(t, ctl, i)
+		if cur := nodes(); !slices.Equal(cur, prev) {
+			if i >= window {
+				changes++
+			}
+			prev = cur
+		}
+	}
+	t.Logf("%d tune rounds, %d adjust rounds, %d active-set changes after the ring wrapped", ctl.TuneRounds, ctl.AdjustRounds, changes)
+	if ctl.TuneRounds == 0 || ctl.AdjustRounds == 0 || changes == 0 {
+		t.Fatalf("%d tune rounds, %d adjust rounds and %d active-set changes after the ring wrapped; the test needs all three",
+			ctl.TuneRounds, ctl.AdjustRounds, changes)
+	}
+}
+
 // TestWindowTableMatchesReference records a drifting video stream while
 // the active set changes under the window — ramps deactivated and
-// activated, the whole set emptied and rebuilt — and checks every
-// table-based evaluator against its reference on the same records.
+// activated, the whole set emptied and rebuilt, one outcome recorded
+// after a ramp joined behind it — checks the kept table after every
+// input, and checks every table-based evaluator against its reference
+// on the same records.
 func TestWindowTableMatchesReference(t *testing.T) {
 	cfg := newCfg()
 	const window = 300
@@ -228,7 +324,13 @@ func TestWindowTableMatchesReference(t *testing.T) {
 			activate(len(sites) / 4)
 		}
 		out := cfg.Evaluate(s, 1)
+		if i == 870 {
+			// An outcome evaluated before the deepest site joined the
+			// set records only the ramps ahead of it.
+			activate(len(sites) - 1)
+		}
 		ctl.Observe(out)
+		checkKept(t, ctl, i)
 		recs = append(recs, newRecord(cfg, out))
 	}
 	recs = recs[len(recs)-window:]
@@ -319,8 +421,9 @@ func checkGreedy(t *testing.T, tab Table, cfg *ramp.Config, recs []record) {
 }
 
 // TestObserveSteadyStateZeroAlloc pins the recording path: once every
-// window slot has been written, Observe reuses the slot storage and the
-// active-set layout and allocates nothing unless a round fires.
+// window slot has been written and the ring has wrapped, Observe reuses
+// the slot storage, the kept window table and the active-set layout and
+// allocates nothing unless a round fires.
 func TestObserveSteadyStateZeroAlloc(t *testing.T) {
 	cfg := newCfg()
 	ctl := New(cfg, Config{AdjustEvery: 1 << 30})
@@ -350,7 +453,8 @@ func TestObserveSteadyStateZeroAlloc(t *testing.T) {
 // TestObserveWarmUpAllocBudget pins the recording path while the window
 // fills: a fresh controller's first 375 observations, one cluster-chaos
 // replica's share of its scenario, take slot storage from chunks that
-// slots share, so they allocate per chunk and once for the layout, not
+// slots share, so they allocate per chunk, once for the layout and twice
+// for the kept window table (a quarter of the ring, then all of it), not
 // once per input.
 func TestObserveWarmUpAllocBudget(t *testing.T) {
 	const n, runs, budget = 375, 20, 16

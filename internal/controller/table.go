@@ -2,6 +2,7 @@ package controller
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/exitsim"
 	"repro/internal/ramp"
@@ -15,8 +16,8 @@ import (
 // candidate. A ramp that was not active when its row was recorded holds
 // Err = +Inf: it never exits that input and always charges it overhead.
 //
-// A table is a view: Rows slices it without copying, and the next
-// rebuild of a controller's window table reuses its storage.
+// A table is a view: Rows slices it without copying, and a controller's
+// window table is a view of storage that its next Observe writes.
 type Table struct {
 	n, cols int
 	obs     []ramp.Observation // row-major, n × cols
@@ -31,7 +32,7 @@ type Table struct {
 // NewTable evaluates the samples through cfg's active ramps and returns
 // their replay table, one row per sample.
 func NewTable(cfg *ramp.Config, samples []exitsim.Sample) Table {
-	t := Table{n: len(samples), cols: len(cfg.Active), saving: savings(cfg)}
+	t := Table{n: len(samples), cols: len(cfg.Active), saving: savings(nil, cfg)}
 	t.obs = make([]ramp.Observation, 0, t.n*t.cols)
 	for _, s := range samples {
 		for _, r := range cfg.Active {
@@ -42,15 +43,17 @@ func NewTable(cfg *ramp.Config, samples []exitsim.Sample) Table {
 	return t
 }
 
-func savings(cfg *ramp.Config) []float64 {
-	out := make([]float64, len(cfg.Active))
+// savings appends the saving of an exit at each of cfg's active ramps to
+// dst[:0].
+func savings(dst []float64, cfg *ramp.Config) []float64 {
+	dst = slices.Grow(dst[:0], len(cfg.Active))
 	allOverhead := cfg.OverheadFrac()
 	overheadUpTo := 0.0
-	for i, r := range cfg.Active {
+	for _, r := range cfg.Active {
 		overheadUpTo += r.Style.OverheadFrac
-		out[i] = (1 + allOverhead) - (r.Site.Frac + overheadUpTo)
+		dst = append(dst, (1+allOverhead)-(r.Site.Frac+overheadUpTo))
 	}
-	return out
+	return dst
 }
 
 // Len returns the number of rows.
@@ -114,28 +117,63 @@ func (c *Controller) layoutFor(n int) *layout {
 	return l
 }
 
-// windowTable returns the replay table of the recorded window, oldest
-// first, over the current active set. It reuses the storage of the
-// previous window table, which must no longer be in use.
-func (c *Controller) windowTable() Table {
-	cfg := c.Cfg
-	if size := len(c.ring) * len(cfg.Active); cap(c.tabBuf) < size {
-		c.tabBuf = make([]ramp.Observation, 0, size)
+// The window table is kept current as inputs arrive rather than rebuilt
+// for each round: its columns follow the active set, layout tabLay, and
+// its rows are the window, oldest first, ending before row tabEnd of tab.
+// Each input appends its row, so a round's table is a view with no copy,
+// and the table is rebuilt from the ring's slots only when the active set
+// changes.
+
+// tableCurrent reports whether the window table's columns are the active
+// set.
+func (c *Controller) tableCurrent() bool {
+	l := c.tabLay
+	if l == nil || len(l.nodes) != len(c.Cfg.Active) {
+		return false
 	}
-	t := Table{n: c.filled, cols: len(cfg.Active), obs: c.tabBuf[:0], saving: savings(cfg)}
-	// col[i] is the index of active ramp i in the current slot's layout,
-	// or -1; it is recomputed only when the layout changes.
-	col := make([]int, t.cols)
-	var lay *layout
-	missing := ramp.Observation{Err: math.Inf(1)}
+	for i, r := range c.Cfg.Active {
+		if r.Site.NodeID != l.nodes[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// syncTable rebuilds the window table from the ring's slots if the active
+// set has changed since it was built.
+func (c *Controller) syncTable() {
+	if c.tableCurrent() {
+		return
+	}
+	active := c.Cfg.Active
+	lay := c.layoutFor(len(active))
+	c.tabLay = lay
+	cols := len(active)
+	if need := c.tabRows(c.filled) * cols; need > len(c.tab) {
+		c.tab = make([]ramp.Observation, need)
+	}
+	c.tabEnd = c.filled
+	// col[i] is the index of active ramp i in a slot's layout, or -1; it
+	// is recomputed only when the layout changes, and a slot recorded
+	// under the table's own layout is copied as it is.
+	var col []int
+	var slotLay *layout
 	start := c.next - c.filled + len(c.ring)
 	for k := 0; k < c.filled; k++ {
 		s := &c.ring[(start+k)%len(c.ring)]
-		if s.lay != lay {
-			lay = s.lay
-			for i, r := range cfg.Active {
+		row := c.tab[k*cols : (k+1)*cols]
+		if s.lay == lay {
+			copy(row, s.obs)
+			continue
+		}
+		if s.lay != slotLay {
+			slotLay = s.lay
+			if col == nil {
+				col = make([]int, cols)
+			}
+			for i, r := range active {
 				col[i] = -1
-				for j, id := range lay.nodes {
+				for j, id := range slotLay.nodes {
 					if id == r.Site.NodeID {
 						col[i] = j
 						break
@@ -143,13 +181,64 @@ func (c *Controller) windowTable() Table {
 				}
 			}
 		}
-		for _, j := range col {
+		for i, j := range col {
 			if j < 0 {
-				t.obs = append(t.obs, missing)
+				row[i] = missing
 			} else {
-				t.obs = append(t.obs, s.obs[j])
+				row[i] = s.obs[j]
 			}
 		}
 	}
-	return t
+}
+
+// missing is the cell of a ramp that was not active when its row was
+// recorded.
+var missing = ramp.Observation{Err: math.Inf(1)}
+
+// tabRows is the table's room in rows for a window of n rows. It steps
+// with what the ring holds, from a quarter of the ring to all of it, so a
+// ring that never fills holds at most one row per slot. A full window gets
+// a quarter of the ring more, so it slides to the front of its storage
+// once per that many inputs rather than once per input.
+func (c *Controller) tabRows(n int) int {
+	r := len(c.ring)
+	switch {
+	case n <= r/4:
+		return r / 4
+	case n < r:
+		return r
+	}
+	return r + r/4
+}
+
+// putRow appends the row of the input about to be recorded, whose
+// observations are obs: a slot records the first len(obs) active ramps.
+func (c *Controller) putRow(obs []ramp.Observation) {
+	cols := len(c.tabLay.nodes)
+	if (c.tabEnd+1)*cols > len(c.tab) {
+		// Slide the rows that stay in the window to the front, into
+		// more room while the ring fills.
+		keep := min(c.filled, len(c.ring)-1)
+		tab := c.tab
+		if need := c.tabRows(keep+1) * cols; need > len(tab) {
+			tab = make([]ramp.Observation, need)
+		}
+		copy(tab, c.tab[(c.tabEnd-keep)*cols:c.tabEnd*cols])
+		c.tab, c.tabEnd = tab, keep
+	}
+	row := c.tab[c.tabEnd*cols : (c.tabEnd+1)*cols]
+	for i := copy(row, obs); i < cols; i++ {
+		row[i] = missing
+	}
+	c.tabEnd++
+}
+
+// windowTable returns the replay table of the recorded window, oldest
+// first, over the current active set: a view of the kept table, valid
+// until the next Observe.
+func (c *Controller) windowTable() Table {
+	c.syncTable()
+	c.saving = savings(c.saving, c.Cfg)
+	cols := len(c.tabLay.nodes)
+	return Table{n: c.filled, cols: cols, obs: c.tab[(c.tabEnd-c.filled)*cols : c.tabEnd*cols], saving: c.saving}
 }

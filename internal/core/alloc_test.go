@@ -22,7 +22,7 @@ func TestChaosScenarioAllocBudget(t *testing.T) {
 		Faults:       "mtbf:20000/1000;delaydist=exp:1;loss=0.001",
 		Retry:        "attempts=3/hedge=95",
 	}
-	const budget = 4000 // measured: 2,241; 4,250 with a slice per recorded input
+	const budget = 4000 // measured: 2,213; 4,250 with a slice per recorded input
 	avg := testing.AllocsPerRun(3, func() {
 		if _, err := RunScenario(sc); err != nil {
 			t.Fatal(err)

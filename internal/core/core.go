@@ -151,9 +151,10 @@ func (s *System) Serve(stream *workload.Stream) *serving.Stats {
 }
 
 // ServeVanilla runs the same workload with the unmodified model on the
-// same platform configuration, for comparison.
+// same platform configuration, for comparison. The unmodified model
+// reads no sample, so it is served the stream's sample-free pass.
 func (s *System) ServeVanilla(stream *workload.Stream) *serving.Stats {
-	return serving.Run(stream.Iter(), &serving.VanillaHandler{Model: s.Model}, s.Opts)
+	return serving.Run(stream.WithoutSamples().Iter(), &serving.VanillaHandler{Model: s.Model}, s.Opts)
 }
 
 // Controller exposes the runtime controller for inspection.

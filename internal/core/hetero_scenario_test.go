@@ -80,3 +80,32 @@ func TestRunScenarioHeterogeneousCluster(t *testing.T) {
 		t.Fatalf("result lost the hetero axis: %+v", res.Scenario)
 	}
 }
+
+// TestRunScenarioNothingDelivered runs a cluster so slow that the
+// Apparate run delivers nothing: at half speed resnet50's worst case
+// with ramps exceeds its SLO, so Clockwork drops every request. The run
+// must report drop rate 1 and zero latency percentiles rather than
+// summarize an empty distribution. TF-Serve, which queues instead of
+// dropping, still delivers on the same cluster.
+func TestRunScenarioNothingDelivered(t *testing.T) {
+	base := Scenario{Model: "resnet50", Workload: "video-0", N: 300, Replicas: 2, Hetero: "0.5"}
+	res, err := RunScenario(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := res.Apparate; a != (RunSummary{DropRate: 1}) {
+		t.Fatalf("apparate summary %+v, want drop rate 1 and nothing else", a)
+	}
+	if v := res.Vanilla; v.DropRate == 1 || v.P50ms == 0 {
+		t.Fatalf("vanilla summary %+v: the baseline should deliver", v)
+	}
+	tf := base
+	tf.Platform = "tf-serve"
+	res, err = RunScenario(tf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Apparate.DropRate == 1 || res.Apparate.P50ms == 0 {
+		t.Fatalf("tf-serve apparate summary %+v: it should deliver", res.Apparate)
+	}
+}

@@ -706,7 +706,9 @@ func runClassScenario(sc Scenario, open openSinks) (*Result, ObsData, error) {
 		return h
 	}
 	mkVanilla := func(int) serving.Handler { return &serving.VanillaHandler{Model: m} }
-	v := serving.RunCluster(stream, mkVanilla, opts)
+	// Vanilla serving never reads a sample, so the baseline runs on the
+	// stream's sample-free pass: the same arrivals, no sample draws.
+	v := serving.RunCluster(stream.WithoutSamples(), mkVanilla, opts)
 	// The vanilla baseline above ran with the zero-valued sinks, so only
 	// the Apparate cluster is traced.
 	opts.Options.Trace, opts.Options.Timeline = od.Trace, od.Timeline
@@ -740,15 +742,22 @@ func runClassScenario(sc Scenario, open openSinks) (*Result, ObsData, error) {
 }
 
 func fillClass(res *Result, v, a *serving.Stats) {
-	vl, al := v.Latencies(), a.Latencies()
-	res.Vanilla = summaryFromDist(vl)
-	res.Apparate = summaryFromDist(al)
-	res.Vanilla.Accuracy, res.Apparate.Accuracy = v.Accuracy, a.Accuracy
-	res.Vanilla.Throughput, res.Apparate.Throughput = v.ThroughputQPS, a.ThroughputQPS
-	res.Vanilla.DropRate, res.Apparate.DropRate = v.DropRate, a.DropRate
-	res.Vanilla.SLOMissRate, res.Apparate.SLOMissRate = v.SLOMissRate, a.SLOMissRate
-	res.Vanilla.Goodput, res.Apparate.Goodput = v.GoodputQPS, a.GoodputQPS
+	res.Vanilla, res.Apparate = classSummary(v), classSummary(a)
 	fillWins(res)
+}
+
+// classSummary reports a classification run's latency percentiles,
+// accuracy, rates and goodput. A run that delivered nothing (every
+// request dropped) has no latency distribution to summarize, so its
+// percentiles stay zero, like a token-free generative run's.
+func classSummary(st *serving.Stats) RunSummary {
+	var sum RunSummary
+	if st.Delivered > 0 {
+		sum = summaryFromDist(st.Latencies())
+	}
+	sum.Accuracy, sum.Throughput = st.Accuracy, st.ThroughputQPS
+	sum.DropRate, sum.SLOMissRate, sum.Goodput = st.DropRate, st.SLOMissRate, st.GoodputQPS
+	return sum
 }
 
 // runGenScenario runs a generative scenario, attaching the

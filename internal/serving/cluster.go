@@ -879,7 +879,16 @@ func runCluster(it *workload.Iter, makeHandler func(i int) Handler, opts Cluster
 	}
 
 	cs := &ClusterStats{PerReplica: make([]*Stats, len(c.replicas)), Scale: c.plan}
-	merged := &Stats{Lat: metrics.NewRecorder(c.base.Metrics, it.Len())}
+	merged := &Stats{}
+	if len(c.replicas) == 1 && c.fm == nil {
+		// The one replica's recorder holds every latency of the run, and
+		// nothing queried it while the run went, so it is the merged
+		// recorder: a copy would make the same additions in the same
+		// order.
+		merged.Lat = c.replicas[0].st.Lat
+	} else {
+		merged.Lat = metrics.NewRecorder(c.base.Metrics, it.Len())
+	}
 	var batches metrics.Counter
 	for i, rep := range c.replicas {
 		rep.st.finalize()
@@ -909,7 +918,7 @@ func mergeStats(dst, src *Stats) {
 	dst.SLOMisses += src.SLOMisses
 	dst.Correct += src.Correct
 	dst.Exits += src.Exits
-	if src.Lat.Len() > 0 {
+	if src.Lat != dst.Lat && src.Lat.Len() > 0 {
 		dst.Lat.Merge(src.Lat)
 	}
 	if src.sawArrival && (!dst.sawArrival || src.FirstArrivalMS < dst.FirstArrivalMS) {

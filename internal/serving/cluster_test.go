@@ -1,10 +1,12 @@
 package serving
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/controller"
 	"repro/internal/exitsim"
+	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -260,6 +262,112 @@ func TestDispatchTieBreaking(t *testing.T) {
 				if id%replicas != i {
 					t.Fatalf("%v: tie-break sent request %d to replica %d (want %d)", d, id, i, id%replicas)
 				}
+			}
+		}
+	}
+}
+
+// TestVanillaSampleFreePassEquivalence pins the vanilla baseline's
+// sample-free pass: vanilla serving never reads a sample, so a run on
+// the stream's WithoutSamples pass equals one on the full stream —
+// every per-request result, the merged Stats and every replica's —
+// on one replica, and on cluster-chaos's 8-replica cluster with its
+// faults, retry and hedging, heterogeneous speeds and a square-wave
+// rate.
+func TestVanillaSampleFreePassEquivalence(t *testing.T) {
+	m := model.BERTBase()
+	square, err := trace.ParseSchedule("square:30/0.5/2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		stream *workload.Stream
+		opts   ClusterOptions
+	}{
+		{"one-replica/clockwork", workload.Amazon(3000, 3*trace.TargetQPS(m), 5),
+			ClusterOptions{Options: Options{Platform: Clockwork, SLOms: m.SLO()}, Replicas: 1}},
+		{"one-replica/tf-serve", workload.Amazon(3000, 3*trace.TargetQPS(m), 5),
+			ClusterOptions{Options: Options{Platform: TFServe, SLOms: m.SLO(), MaxBatch: 4, QueueCap: 8}, Replicas: 1}},
+		{"chaos", mustStream(t, "amazon", 4000, 8*trace.TargetQPS(m), 5, square),
+			ClusterOptions{Options: Options{Platform: Clockwork, SLOms: m.SLO()}, Replicas: 8,
+				Dispatch: LeastLoaded, Speeds: []float64{1, 0.5},
+				Faults: mustFaults(t, "mtbf:20000/1000;delaydist=exp:1;loss=0.001"),
+				Retry:  mustRetry(t, "attempts=3/hedge=95"), FaultSeed: 5}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			run := func(s *workload.Stream) (*ClusterStats, []Result) {
+				var rs []Result
+				opts := c.opts
+				opts.Observer = func(r Result) { rs = append(rs, r) }
+				return RunCluster(s, func(int) Handler { return &VanillaHandler{Model: m} }, opts), rs
+			}
+			full, fullRes := run(c.stream)
+			bare, bareRes := run(c.stream.WithoutSamples())
+			sameResults(t, c.name, fullRes, bareRes)
+			if got, want := statsFingerprint(bare.Merged), statsFingerprint(full.Merged); got != want {
+				t.Fatalf("merged stats differ:\n full: %s\n bare: %s", want, got)
+			}
+			if len(bare.PerReplica) != len(full.PerReplica) {
+				t.Fatalf("%d replicas on the bare pass, %d on the full one", len(bare.PerReplica), len(full.PerReplica))
+			}
+			for i := range full.PerReplica {
+				if got, want := statsFingerprint(bare.PerReplica[i]), statsFingerprint(full.PerReplica[i]); got != want {
+					t.Fatalf("replica %d stats differ:\n full: %s\n bare: %s", i, want, got)
+				}
+			}
+			if !reflect.DeepEqual(bare.Faults, full.Faults) {
+				t.Fatalf("fault stats differ: full %+v, bare %+v", full.Faults, bare.Faults)
+			}
+			if c.opts.Faults != nil && (full.Faults == nil || full.Faults.Crashes == 0 || full.Faults.Hedged == 0) {
+				t.Fatalf("the chaos case realized no crash or hedge: %+v", full.Faults)
+			}
+		})
+	}
+}
+
+func mustStream(t *testing.T, name string, n int, qps float64, seed uint64, sched trace.Schedule) *workload.Stream {
+	t.Helper()
+	s, err := workload.ByNameSched(name, n, qps, seed, sched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestMergedSharesLoneRecorder pins when a run's merged latencies are
+// the replica's own recorder: only when that one recorder saw every
+// latency and nothing queried it during the run, that is at width one
+// without fault mode. Fault mode records through the dispatcher's
+// arbiter, and a wider cluster merges several recorders.
+func TestMergedSharesLoneRecorder(t *testing.T) {
+	m := model.ResNet50()
+	s := workload.Video(0, 600, 30, 3)
+	for _, mode := range []metrics.Mode{metrics.ModeExact, metrics.ModeSketch} {
+		for _, c := range []struct {
+			name     string
+			replicas int
+			retry    string
+			shared   bool
+		}{
+			{"one", 1, "", true},
+			{"one-retry", 1, "attempts=2", false},
+			{"two", 2, "", false},
+		} {
+			opts := ClusterOptions{Options: Options{Platform: Clockwork, SLOms: m.SLO(), Metrics: mode}, Replicas: c.replicas}
+			if c.retry != "" {
+				opts.Retry = mustRetry(t, c.retry)
+			}
+			cs := RunCluster(s, func(int) Handler { return &VanillaHandler{Model: m} }, opts)
+			shared := false
+			for _, st := range cs.PerReplica {
+				shared = shared || st.Lat == cs.Merged.Lat
+			}
+			if shared != c.shared {
+				t.Fatalf("%v/%s: merged recorder shared %v, want %v", mode, c.name, shared, c.shared)
+			}
+			if cs.Merged.Lat.Len() != cs.Merged.Delivered || cs.Merged.Delivered == 0 {
+				t.Fatalf("%v/%s: merged recorder holds %d latencies for %d delivered", mode, c.name, cs.Merged.Lat.Len(), cs.Merged.Delivered)
 			}
 		}
 	}

@@ -40,7 +40,10 @@ func TestVanillaLowRateBatchOne(t *testing.T) {
 // waits behind another. On Clockwork every latency is the batch-1
 // service time. On TF-Serve every request also waits out the batch
 // timeout, except the last, which is flushed at once because nothing
-// more will arrive.
+// more will arrive. A second pin rides along: doubling every replica's
+// speed halves the service time, so a 2-replica cluster at speed 2
+// serves each request in half the batch-1 time, and the batch timeout,
+// which is not service time, stays whole.
 func TestVanishingRateNeverQueues(t *testing.T) {
 	const n = 300
 	for _, m := range []*model.Model{model.ResNet18(), model.ResNet50()} {
@@ -51,22 +54,32 @@ func TestVanishingRateNeverQueues(t *testing.T) {
 				if p == TFServe {
 					wait = opts.withDefaults().BatchTimeoutMS
 				}
-				opts.Observer = func(r Result) {
-					want := m.Latency(1)
-					if r.ID != n-1 {
-						want += wait
-					}
-					// Arrival times reach ~6e6 ms, so latencies computed
-					// as differences of absolute times carry ~1e-9 ms of
-					// rounding.
-					if r.Dropped || r.BatchSize != 1 || math.Abs(r.LatencyMS-want) > 1e-6 {
-						t.Errorf("request %d: dropped %v, batch %d, latency %v ms, want %v ms",
-							r.ID, r.Dropped, r.BatchSize, r.LatencyMS, want)
+				observe := func(speed float64) func(Result) {
+					return func(r Result) {
+						want := m.Latency(1) / speed
+						if r.ID != n-1 {
+							want += wait
+						}
+						// Arrival times reach ~6e6 ms, so latencies
+						// computed as differences of absolute times
+						// carry ~1e-9 ms of rounding.
+						if r.Dropped || r.BatchSize != 1 || math.Abs(r.LatencyMS-want) > 1e-6 {
+							t.Errorf("speed %v, request %d: dropped %v, batch %d, latency %v ms, want %v ms",
+								speed, r.ID, r.Dropped, r.BatchSize, r.LatencyMS, want)
+						}
 					}
 				}
-				stats := Run(workload.Video(1, n, 0.05, 7).Iter(), &VanillaHandler{Model: m}, opts)
+				s := workload.Video(1, n, 0.05, 7)
+				opts.Observer = observe(1)
+				stats := Run(s.Iter(), &VanillaHandler{Model: m}, opts)
 				if stats.Delivered != n {
 					t.Fatalf("delivered %d of %d requests", stats.Delivered, n)
+				}
+				opts.Observer = observe(2)
+				cs := RunCluster(s, func(int) Handler { return &VanillaHandler{Model: m} },
+					ClusterOptions{Options: opts, Replicas: 2, Speeds: []float64{2}})
+				if cs.Merged.Delivered != n {
+					t.Fatalf("speed 2: delivered %d of %d requests", cs.Merged.Delivered, n)
 				}
 			})
 		}

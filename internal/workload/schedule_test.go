@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/exitsim"
 	"repro/internal/trace"
 )
 
@@ -102,5 +103,58 @@ func TestScheduledStreamModulatesRate(t *testing.T) {
 	}
 	if hi < 3*lo {
 		t.Fatalf("high phases got %d requests vs %d in low phases; want ~4x", hi, lo)
+	}
+}
+
+// TestWithoutSamplesKeepsArrivals pins the sample-free pass: for every
+// classification workload, native and under a rate schedule, it yields
+// the full pass's IDs and bit-identical arrival times with every Sample
+// zero, and taking it leaves the stream's own passes as they were.
+func TestWithoutSamplesKeepsArrivals(t *testing.T) {
+	const n = 4000 // past video's first scene change and amazon's first category
+	for _, spec := range []string{"", "square:30/0.5/2"} {
+		var sched trace.Schedule
+		if spec != "" {
+			sched = mustSchedule(t, spec)
+		}
+		for _, name := range Names() {
+			s, err := ByNameSched(name, n, 40, 11, sched)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bare := s.WithoutSamples()
+			if bare.Len() != s.Len() || bare.Name != s.Name || bare.Kind != s.Kind {
+				t.Fatalf("%s %q: bare stream %q/%v/%d, want %q/%v/%d", name, spec,
+					bare.Name, bare.Kind, bare.Len(), s.Name, s.Kind, s.Len())
+			}
+			full, it := s.Iter(), bare.Iter()
+			sampled := 0
+			for i := 0; ; i++ {
+				r, ok := full.Next()
+				b, bok := it.Next()
+				if ok != bok {
+					t.Fatalf("%s %q: passes end apart at request %d", name, spec, i)
+				}
+				if !ok {
+					break
+				}
+				if b.ID != r.ID || math.Float64bits(b.ArrivalMS) != math.Float64bits(r.ArrivalMS) {
+					t.Fatalf("%s %q: request %d is %d@%v bare, %d@%v in full", name, spec, i, b.ID, b.ArrivalMS, r.ID, r.ArrivalMS)
+				}
+				if b.Sample != (exitsim.Sample{}) {
+					t.Fatalf("%s %q: request %d carries sample %+v on the bare pass", name, spec, i, b.Sample)
+				}
+				if r.Sample != (exitsim.Sample{}) {
+					sampled++
+				}
+			}
+			if sampled != n {
+				t.Fatalf("%s %q: %d of %d full-pass requests carry a sample", name, spec, sampled, n)
+			}
+		}
+	}
+	reqs := []Request{{ID: 0, ArrivalMS: 1, Sample: exitsim.Sample{Difficulty: 0.5}}}
+	if r, _ := FromSlice("manual", exitsim.KindVideo, reqs).WithoutSamples().Iter().Next(); r != (Request{ID: 0, ArrivalMS: 1}) {
+		t.Fatalf("bare pass of a slice stream yields %+v", r)
 	}
 }

@@ -12,6 +12,8 @@
 // stream's seed on demand. Generating a million-request trace therefore
 // costs O(1) memory; Materialize and Samples exist as compatibility
 // shims for tests and small offline studies that want the whole slice.
+// A stream's WithoutSamples form yields the same arrivals without
+// drawing any sample, for serving that never reads one.
 package workload
 
 import (
@@ -42,15 +44,28 @@ type Stream struct {
 	n int
 	// gen returns a fresh generator closure; the closure is called once
 	// per request, in order, and must be deterministic given the
-	// stream's construction parameters.
-	gen func() func(i int) Request
+	// stream's construction parameters. With samples false it yields the
+	// same IDs and arrival times with every Sample zero, and draws none.
+	gen func(samples bool) func(i int) Request
+	// bare marks the WithoutSamples form.
+	bare bool
 }
 
 // NewStream builds a lazy stream from a generator factory. n is the
 // request count; gen must return a closure producing request i on its
 // i-th call.
 func NewStream(name string, kind exitsim.Kind, n int, gen func() func(i int) Request) *Stream {
-	return &Stream{Name: name, Kind: kind, n: n, gen: gen}
+	return &Stream{Name: name, Kind: kind, n: n, gen: func(samples bool) func(i int) Request {
+		next := gen()
+		if samples {
+			return next
+		}
+		return func(i int) Request {
+			r := next(i)
+			r.Sample = exitsim.Sample{}
+			return r
+		}
+	}}
 }
 
 // FromSlice wraps an explicit request slice in a Stream, for tests and
@@ -67,7 +82,17 @@ func (s *Stream) Len() int { return s.n }
 // Iter returns a fresh iterator over the stream's requests in arrival
 // order.
 func (s *Stream) Iter() *Iter {
-	return &Iter{next: s.gen(), n: s.n}
+	return &Iter{next: s.gen(!s.bare), n: s.n}
+}
+
+// WithoutSamples returns the stream's sample-free form: every pass yields
+// the same IDs and bit-identical arrival times as the stream's, with every
+// Sample zero, and skips the per-request sample draws. It serves handlers
+// that never read a sample, such as the vanilla baseline.
+func (s *Stream) WithoutSamples() *Stream {
+	bare := *s
+	bare.bare = true
+	return &bare
 }
 
 // Iter is a pull-based pass over one stream; obtain one with
@@ -164,7 +189,7 @@ func videoSched(id, frames int, fps float64, seed uint64, sched trace.Schedule) 
 	if id < 0 || id >= numVideos {
 		panic(fmt.Sprintf("workload: video id %d out of [0,7]", id))
 	}
-	gen := func() func(i int) Request {
+	gen := func(samples bool) func(i int) Request {
 		r := rng.New(seed ^ uint64(id)*0x9e37)
 		// Day scenes (even ids) are easier than night scenes (odd ids).
 		baseMu := 0.22 + 0.05*float64(id%4)
@@ -192,6 +217,9 @@ func videoSched(id, frames int, fps float64, seed uint64, sched trace.Schedule) 
 		}
 		nextSwitch := 1500 + r.Intn(2000)
 		return func(i int) Request {
+			if !samples {
+				return Request{ID: i, ArrivalMS: arrivals.Next()}
+			}
 			if i == nextSwitch {
 				// Scene change: new regime mean; novel scenes carry a
 				// transient miscalibration bias for ramps trained on
@@ -230,7 +258,7 @@ func videoSched(id, frames int, fps float64, seed uint64, sched trace.Schedule) 
 			}
 		}
 	}
-	return NewStream(videoName(id), exitsim.KindVideo, frames, gen)
+	return &Stream{Name: videoName(id), Kind: exitsim.KindVideo, n: frames, gen: gen}
 }
 
 // Amazon returns the Amazon-reviews classification workload: requests
@@ -246,9 +274,10 @@ func Amazon(n int, meanQPS float64, seed uint64) *Stream {
 // amazonSched is Amazon with an optional arrival-rate schedule
 // replacing the native MAF process. The rng split feeding the arrival
 // source is identical either way, so the difficulty stream is the same
-// trace under either arrival process.
+// trace under either arrival process; it is taken before any sample
+// draw, so the sample-free pass yields the same arrivals too.
 func amazonSched(n int, meanQPS float64, seed uint64, sched trace.Schedule) *Stream {
-	gen := func() func(i int) Request {
+	gen := func(samples bool) func(i int) Request {
 		r := rng.New(seed)
 		arrivals := scheduledOrNative(meanQPS, sched, r.Split())
 		catMu := 0.0
@@ -256,6 +285,9 @@ func amazonSched(n int, meanQPS float64, seed uint64, sched trace.Schedule) *Str
 		userOffset := 0.0
 		catLeft, userLeft := 0, 0
 		return func(i int) Request {
+			if !samples {
+				return Request{ID: i, ArrivalMS: arrivals.Next()}
+			}
 			if catLeft == 0 {
 				catLeft = 2000 + r.Intn(8000)
 				catMu = 0.22 + r.Float64()*0.33
@@ -287,7 +319,7 @@ func amazonSched(n int, meanQPS float64, seed uint64, sched trace.Schedule) *Str
 			}
 		}
 	}
-	return NewStream("amazon", exitsim.KindAmazon, n, gen)
+	return &Stream{Name: "amazon", Kind: exitsim.KindAmazon, n: n, gen: gen}
 }
 
 // imdbSched returns the IMDB movie-review workload streamed sentence by
@@ -295,13 +327,16 @@ func amazonSched(n int, meanQPS float64, seed uint64, sched trace.Schedule) *Str
 // level (mild continuity), while consecutive reviews are unrelated. A
 // non-nil schedule replaces the native MAF arrival process.
 func imdbSched(n int, meanQPS float64, seed uint64, sched trace.Schedule) *Stream {
-	gen := func() func(i int) Request {
+	gen := func(samples bool) func(i int) Request {
 		r := rng.New(seed)
 		arrivals := scheduledOrNative(meanQPS, sched, r.Split())
 		reviewMu := 0.0
 		reviewBias := 0.0
 		sentLeft := 0
 		return func(i int) Request {
+			if !samples {
+				return Request{ID: i, ArrivalMS: arrivals.Next()}
+			}
 			if sentLeft == 0 {
 				sentLeft = 3 + r.Intn(12)
 				reviewMu = 0.14 + r.Float64()*0.5
@@ -325,7 +360,7 @@ func imdbSched(n int, meanQPS float64, seed uint64, sched trace.Schedule) *Strea
 			}
 		}
 	}
-	return NewStream("imdb", exitsim.KindIMDB, n, gen)
+	return &Stream{Name: "imdb", Kind: exitsim.KindIMDB, n: n, gen: gen}
 }
 
 // numVideos is the number of video workloads, video-0 through video-7.

@@ -211,6 +211,10 @@ func printResult(res *core.Result) {
 		fmt.Printf("accuracy   %10.2f%% %9.2f%%   (loss %.3f%%, constraint %.1f%%)\n",
 			res.Vanilla.Accuracy*100, res.Apparate.Accuracy*100, res.AccDelta*100, sc.AccLoss*100)
 		fmt.Printf("throughput %8.1fqps %7.1fqps\n", res.Vanilla.Throughput, res.Apparate.Throughput)
+		if res.Vanilla.DropRate == 1 || res.Apparate.DropRate == 1 {
+			fmt.Printf("drop rate  %10.2f%% %9.2f%%   (a run that delivered nothing has no latency or accuracy to compare)\n",
+				res.Vanilla.DropRate*100, res.Apparate.DropRate*100)
+		}
 	}
 	fmt.Printf("adaptation: %d threshold tuning rounds, %d ramp adjustment rounds, %d active ramps\n",
 		res.TuneRounds, res.AdjustRounds, res.ActiveRamps)

@@ -146,26 +146,20 @@ func (c *Controller) syncTable() {
 		return
 	}
 	active := c.Cfg.Active
-	lay := c.layoutFor(len(active))
-	c.tabLay = lay
+	c.tabLay = c.layoutFor(len(active))
 	cols := len(active)
 	if need := c.tabRows(c.filled) * cols; need > len(c.tab) {
 		c.tab = make([]ramp.Observation, need)
 	}
 	c.tabEnd = c.filled
 	// col[i] is the index of active ramp i in a slot's layout, or -1; it
-	// is recomputed only when the layout changes, and a slot recorded
-	// under the table's own layout is copied as it is.
+	// is recomputed only when the layout changes.
 	var col []int
 	var slotLay *layout
 	start := c.next - c.filled + len(c.ring)
 	for k := 0; k < c.filled; k++ {
 		s := &c.ring[(start+k)%len(c.ring)]
 		row := c.tab[k*cols : (k+1)*cols]
-		if s.lay == lay {
-			copy(row, s.obs)
-			continue
-		}
 		if s.lay != slotLay {
 			slotLay = s.lay
 			if col == nil {

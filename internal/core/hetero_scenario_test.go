@@ -85,7 +85,8 @@ func TestRunScenarioHeterogeneousCluster(t *testing.T) {
 // Apparate run delivers nothing: at half speed resnet50's worst case
 // with ramps exceeds its SLO, so Clockwork drops every request. The run
 // must report drop rate 1 and zero latency percentiles rather than
-// summarize an empty distribution. TF-Serve, which queues instead of
+// summarize an empty distribution, and with nothing to compare, no
+// latency win and no accuracy loss. TF-Serve, which queues instead of
 // dropping, still delivers on the same cluster.
 func TestRunScenarioNothingDelivered(t *testing.T) {
 	base := Scenario{Model: "resnet50", Workload: "video-0", N: 300, Replicas: 2, Hetero: "0.5"}
@@ -99,6 +100,10 @@ func TestRunScenarioNothingDelivered(t *testing.T) {
 	if v := res.Vanilla; v.DropRate == 1 || v.P50ms == 0 {
 		t.Fatalf("vanilla summary %+v: the baseline should deliver", v)
 	}
+	if res.P50Win != 0 || res.P95Win != 0 || res.P99Win != 0 || res.AccDelta != 0 {
+		t.Fatalf("wins %v/%v/%v%%, accuracy loss %v: want all zero when apparate delivered nothing",
+			res.P50Win, res.P95Win, res.P99Win, res.AccDelta)
+	}
 	tf := base
 	tf.Platform = "tf-serve"
 	res, err = RunScenario(tf)
@@ -107,5 +112,8 @@ func TestRunScenarioNothingDelivered(t *testing.T) {
 	}
 	if res.Apparate.DropRate == 1 || res.Apparate.P50ms == 0 {
 		t.Fatalf("tf-serve apparate summary %+v: it should deliver", res.Apparate)
+	}
+	if res.P95Win == 0 {
+		t.Fatal("tf-serve scenario reports no p95 win: both runs delivered, so they compare")
 	}
 }

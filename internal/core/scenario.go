@@ -743,7 +743,13 @@ func runClassScenario(sc Scenario, open openSinks) (*Result, ObsData, error) {
 
 func fillClass(res *Result, v, a *serving.Stats) {
 	res.Vanilla, res.Apparate = classSummary(v), classSummary(a)
-	fillWins(res)
+	// Latency and accuracy are measured over delivered requests, so a
+	// scenario in which either run delivered nothing has nothing to
+	// compare: it reports no win and no accuracy loss, and its drop rate
+	// of 1 says why.
+	if v.Delivered > 0 && a.Delivered > 0 {
+		fillWins(res)
+	}
 }
 
 // classSummary reports a classification run's latency percentiles,

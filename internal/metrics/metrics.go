@@ -251,9 +251,12 @@ func summarize(r Recorder) Summary {
 }
 
 // WinPercent reports the relative improvement of got over base at a given
-// quantile, in percent: positive means got is faster (smaller).
+// quantile, in percent: positive means got is faster (smaller). Every
+// served request takes time, so a zero on either side is a run with no
+// latency to compare (nothing delivered, no token generated), which has
+// no win.
 func WinPercent(base, got float64) float64 {
-	if base == 0 {
+	if base == 0 || got == 0 {
 		return 0
 	}
 	return (base - got) / base * 100

@@ -194,6 +194,9 @@ func TestWinPercent(t *testing.T) {
 	if got := WinPercent(0, 5); got != 0 {
 		t.Errorf("WinPercent(0,5) = %v, want 0", got)
 	}
+	if got := WinPercent(5, 0); got != 0 {
+		t.Errorf("WinPercent(5,0) = %v, want 0", got)
+	}
 }
 
 func TestAccuracyWindowBasics(t *testing.T) {

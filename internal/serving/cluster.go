@@ -155,9 +155,13 @@ type ClusterOptions struct {
 
 // ClusterStats aggregates a cluster run.
 type ClusterStats struct {
+	// PerReplica holds each replica's own outcomes.
 	PerReplica []*Stats
 	// Merged aggregates every request's outcome across replicas:
-	// summed counts, merged latency recorders, cluster-wide rates.
+	// summed counts, merged latency recorders, cluster-wide rates. A
+	// one-replica run without fault mode shares one latency recorder
+	// between Merged and PerReplica[0], so both are read-only: adding
+	// to either one changes the other.
 	Merged *Stats
 	// Scale is the realized autoscaling plan (nil for fixed-replica
 	// runs).

@@ -35,9 +35,16 @@ func rankKey(r Result, metric string) (float64, error) {
 	return 0, fmt.Errorf("sweep: unknown rank metric %q (want %s)", metric, strings.Join(RankMetrics(), " | "))
 }
 
+// measured reports whether both runs of a scenario have latencies. A run
+// that delivered nothing, or generated no token, reports zero percentiles
+// and no win or accuracy loss, which every metric but throughput would
+// rank as the best.
+func measured(r Result) bool { return r.Vanilla.P50ms > 0 && r.Apparate.P50ms > 0 }
+
 // Rank returns a copy of the results sorted best-first under the metric.
-// Failed scenarios sort last; ties break on scenario identity so the
-// order is total and reproducible.
+// Scenarios in which a run has no latencies sort after every scenario
+// whose runs both have, and failed scenarios sort last; ties break on
+// scenario identity so the order is total and reproducible.
 func Rank(results []Result, metric string) ([]Result, error) {
 	if _, err := rankKey(Result{}, metric); err != nil {
 		return nil, err
@@ -47,6 +54,9 @@ func Rank(results []Result, metric string) ([]Result, error) {
 	sort.SliceStable(out, func(i, j int) bool {
 		if (out[i].Err != "") != (out[j].Err != "") {
 			return out[i].Err == ""
+		}
+		if mi, mj := measured(out[i]), measured(out[j]); mi != mj {
+			return mi
 		}
 		ki, _ := rankKey(out[i], metric)
 		kj, _ := rankKey(out[j], metric)

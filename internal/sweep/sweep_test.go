@@ -308,6 +308,45 @@ func TestRankAndTable(t *testing.T) {
 	}
 }
 
+// TestRankPutsUndeliveredLast sweeps a cluster so slow that Clockwork's
+// Apparate run delivers nothing. Its zero percentiles, win and accuracy
+// loss must not rank it above the TF-Serve scenario, which delivered,
+// under any metric; only a failed scenario ranks below it.
+func TestRankPutsUndeliveredLast(t *testing.T) {
+	scs, err := (Grid{
+		Models:    []string{"resnet50"},
+		Workloads: []string{"video-0"},
+		Platforms: []string{"clockwork", "tf-serve"},
+		Replicas:  []int{2},
+		Heteros:   []string{"0.5"},
+		N:         300,
+	}).Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := Run(scs, Options{})
+	for _, r := range results {
+		if r.Err != "" {
+			t.Fatalf("%s: %s", r.Scenario.Platform, r.Err)
+		}
+	}
+	failed := Result{Result: core.Result{Scenario: core.Scenario{Model: "resnet18", Workload: "video-1"}}, Err: "failed"}
+	results = append(results, failed)
+	for _, metric := range RankMetrics() {
+		ranked, err := Rank(results, metric)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var order []string
+		for _, r := range ranked {
+			order = append(order, r.Scenario.Platform)
+		}
+		if want := []string{"tf-serve", "clockwork", ""}; !reflect.DeepEqual(order, want) {
+			t.Errorf("rank %s: platforms %q, want %q", metric, order, want)
+		}
+	}
+}
+
 func TestProgressCallback(t *testing.T) {
 	scs, err := (Grid{
 		Models:    []string{"resnet18"},

@@ -95,36 +95,37 @@ GENKV_OBS_FLAGS = -models t5-large -workloads cnn-dailymail,squad \
 	-kv-blocks 0,64 -prefix-hit 0,0.4 -prefill-chunk 128 \
 	-gen-n 10 -seed 8 -quiet
 
+# Every grid writes into one fresh temporary directory, removed on exit,
+# so concurrent runs never share a path and no run leaves files behind.
 sweep-smoke:
-	$(GO) run ./cmd/apparate-sweep $(SMOKE_FLAGS) -workers 8 -out /tmp/sweep-w8.json
-	$(GO) run ./cmd/apparate-sweep $(SMOKE_FLAGS) -workers 1 -out /tmp/sweep-w1.json >/dev/null
-	cmp /tmp/sweep-w1.json /tmp/sweep-w8.json
-	$(GO) run ./cmd/apparate-sweep $(SMOKE_FLAGS) -metrics sketch -workers 8 -out /tmp/sweep-sk-w8.json >/dev/null
-	$(GO) run ./cmd/apparate-sweep $(SMOKE_FLAGS) -metrics sketch -workers 1 -out /tmp/sweep-sk-w1.json >/dev/null
-	cmp /tmp/sweep-sk-w1.json /tmp/sweep-sk-w8.json
-	$(GO) run ./cmd/apparate-sweep $(AUTOSCALE_FLAGS) -workers 8 -out /tmp/sweep-as-w8.json >/dev/null
-	$(GO) run ./cmd/apparate-sweep $(AUTOSCALE_FLAGS) -workers 1 -out /tmp/sweep-as-w1.json >/dev/null
-	cmp /tmp/sweep-as-w1.json /tmp/sweep-as-w8.json
-	$(GO) run ./cmd/apparate-sweep $(AUTOSCALE_FLAGS) -metrics sketch -workers 8 -out /tmp/sweep-as-sk-w8.json >/dev/null
-	$(GO) run ./cmd/apparate-sweep $(AUTOSCALE_FLAGS) -metrics sketch -workers 1 -out /tmp/sweep-as-sk-w1.json >/dev/null
-	cmp /tmp/sweep-as-sk-w1.json /tmp/sweep-as-sk-w8.json
-	$(GO) run ./cmd/apparate-sweep $(FAULTS_FLAGS) -workers 8 -out /tmp/sweep-flt-w8.json >/dev/null
-	$(GO) run ./cmd/apparate-sweep $(FAULTS_FLAGS) -workers 1 -out /tmp/sweep-flt-w1.json >/dev/null
-	cmp /tmp/sweep-flt-w1.json /tmp/sweep-flt-w8.json
-	rm -rf /tmp/sweep-obs-w8 /tmp/sweep-obs-w1
-	$(GO) run ./cmd/apparate-sweep $(OBS_FLAGS) -obs-dir /tmp/sweep-obs-w8 -workers 8 -out /tmp/sweep-obs-w8.json >/dev/null
-	$(GO) run ./cmd/apparate-sweep $(OBS_FLAGS) -obs-dir /tmp/sweep-obs-w1 -workers 1 -out /tmp/sweep-obs-w1.json >/dev/null
-	cmp /tmp/sweep-obs-w1.json /tmp/sweep-obs-w8.json
-	diff -r /tmp/sweep-obs-w1 /tmp/sweep-obs-w8
-	$(GO) run ./cmd/apparate-sweep $(GENKV_FLAGS) -workers 8 -out /tmp/sweep-kv-w8.json >/dev/null
-	$(GO) run ./cmd/apparate-sweep $(GENKV_FLAGS) -workers 1 -out /tmp/sweep-kv-w1.json >/dev/null
-	cmp /tmp/sweep-kv-w1.json /tmp/sweep-kv-w8.json
-	rm -rf /tmp/sweep-kvobs-w8 /tmp/sweep-kvobs-w1
-	$(GO) run ./cmd/apparate-sweep $(GENKV_OBS_FLAGS) -obs-dir /tmp/sweep-kvobs-w8 -workers 8 -out /tmp/sweep-kvobs-w8.json >/dev/null
-	$(GO) run ./cmd/apparate-sweep $(GENKV_OBS_FLAGS) -obs-dir /tmp/sweep-kvobs-w1 -workers 1 -out /tmp/sweep-kvobs-w1.json >/dev/null
-	cmp /tmp/sweep-kvobs-w1.json /tmp/sweep-kvobs-w8.json
-	diff -r /tmp/sweep-kvobs-w1 /tmp/sweep-kvobs-w8
-	@echo "sweep-smoke: deterministic across worker counts (exact + sketch, incl. autoscale, faulty, traced, generative-KV, and traced generative-KV grids)"
+	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; set -x; \
+	$(GO) run ./cmd/apparate-sweep $(SMOKE_FLAGS) -workers 8 -out $$d/sweep-w8.json; \
+	$(GO) run ./cmd/apparate-sweep $(SMOKE_FLAGS) -workers 1 -out $$d/sweep-w1.json >/dev/null; \
+	cmp $$d/sweep-w1.json $$d/sweep-w8.json; \
+	$(GO) run ./cmd/apparate-sweep $(SMOKE_FLAGS) -metrics sketch -workers 8 -out $$d/sweep-sk-w8.json >/dev/null; \
+	$(GO) run ./cmd/apparate-sweep $(SMOKE_FLAGS) -metrics sketch -workers 1 -out $$d/sweep-sk-w1.json >/dev/null; \
+	cmp $$d/sweep-sk-w1.json $$d/sweep-sk-w8.json; \
+	$(GO) run ./cmd/apparate-sweep $(AUTOSCALE_FLAGS) -workers 8 -out $$d/sweep-as-w8.json >/dev/null; \
+	$(GO) run ./cmd/apparate-sweep $(AUTOSCALE_FLAGS) -workers 1 -out $$d/sweep-as-w1.json >/dev/null; \
+	cmp $$d/sweep-as-w1.json $$d/sweep-as-w8.json; \
+	$(GO) run ./cmd/apparate-sweep $(AUTOSCALE_FLAGS) -metrics sketch -workers 8 -out $$d/sweep-as-sk-w8.json >/dev/null; \
+	$(GO) run ./cmd/apparate-sweep $(AUTOSCALE_FLAGS) -metrics sketch -workers 1 -out $$d/sweep-as-sk-w1.json >/dev/null; \
+	cmp $$d/sweep-as-sk-w1.json $$d/sweep-as-sk-w8.json; \
+	$(GO) run ./cmd/apparate-sweep $(FAULTS_FLAGS) -workers 8 -out $$d/sweep-flt-w8.json >/dev/null; \
+	$(GO) run ./cmd/apparate-sweep $(FAULTS_FLAGS) -workers 1 -out $$d/sweep-flt-w1.json >/dev/null; \
+	cmp $$d/sweep-flt-w1.json $$d/sweep-flt-w8.json; \
+	$(GO) run ./cmd/apparate-sweep $(OBS_FLAGS) -obs-dir $$d/sweep-obs-w8 -workers 8 -out $$d/sweep-obs-w8.json >/dev/null; \
+	$(GO) run ./cmd/apparate-sweep $(OBS_FLAGS) -obs-dir $$d/sweep-obs-w1 -workers 1 -out $$d/sweep-obs-w1.json >/dev/null; \
+	cmp $$d/sweep-obs-w1.json $$d/sweep-obs-w8.json; \
+	diff -r $$d/sweep-obs-w1 $$d/sweep-obs-w8; \
+	$(GO) run ./cmd/apparate-sweep $(GENKV_FLAGS) -workers 8 -out $$d/sweep-kv-w8.json >/dev/null; \
+	$(GO) run ./cmd/apparate-sweep $(GENKV_FLAGS) -workers 1 -out $$d/sweep-kv-w1.json >/dev/null; \
+	cmp $$d/sweep-kv-w1.json $$d/sweep-kv-w8.json; \
+	$(GO) run ./cmd/apparate-sweep $(GENKV_OBS_FLAGS) -obs-dir $$d/sweep-kvobs-w8 -workers 8 -out $$d/sweep-kvobs-w8.json >/dev/null; \
+	$(GO) run ./cmd/apparate-sweep $(GENKV_OBS_FLAGS) -obs-dir $$d/sweep-kvobs-w1 -workers 1 -out $$d/sweep-kvobs-w1.json >/dev/null; \
+	cmp $$d/sweep-kvobs-w1.json $$d/sweep-kvobs-w8.json; \
+	diff -r $$d/sweep-kvobs-w1 $$d/sweep-kvobs-w8; \
+	set +x; echo "sweep-smoke: deterministic across worker counts (exact + sketch, incl. autoscale, faulty, traced, generative-KV, and traced generative-KV grids)"
 
 # Memory guard: one 10,000,000-request scheduled-rate scenario in
 # sketch mode must complete under a 256 MiB soft heap limit with a

@@ -66,8 +66,13 @@ func (h *OnlineOptimalHandler) retune() {
 	if upcoming.Len() == 0 {
 		return
 	}
-	bestSav := -1.0
-	var bestTS []float64
+	// Tune on each history once. Keep the configuration that saves the
+	// most on the upcoming chunk within the constraint; failing that, the
+	// least-inaccurate one rather than giving up on exits entirely,
+	// mirroring the paper's "performs best on the upcoming data"
+	// selection.
+	bestSav, bestLoss := -1.0, 2.0
+	var bestTS, leastLossTS []float64
 	for _, hist := range h.histories {
 		lo := h.idx - hist
 		if lo < 0 {
@@ -82,33 +87,16 @@ func (h *OnlineOptimalHandler) retune() {
 		if ev.AccLoss <= h.accBudget && ev.SavingFrac > bestSav {
 			bestSav, bestTS = ev.SavingFrac, ts
 		}
+		if ev.AccLoss < bestLoss {
+			bestLoss, leastLossTS = ev.AccLoss, ts
+		}
 	}
 	if bestTS != nil {
 		h.Cfg.SetThresholds(bestTS)
 		return
 	}
-	// No history-derived configuration meets the constraint on the
-	// upcoming chunk: keep the least-inaccurate one rather than giving
-	// up on exits entirely, mirroring the paper's "performs best on the
-	// upcoming data" selection.
-	bestLoss := 2.0
-	for _, hist := range h.histories {
-		lo := h.idx - hist
-		if lo < 0 {
-			lo = 0
-		}
-		past := h.tab.Rows(lo, h.idx)
-		if past.Len() == 0 {
-			continue
-		}
-		ts := tunePerRamp(h.Cfg, past, h.accBudget)
-		loss := controller.EvalThresholds(upcoming, ts).AccLoss
-		if loss < bestLoss {
-			bestLoss, bestTS = loss, ts
-		}
-	}
-	if bestTS != nil && bestLoss <= 2*h.accBudget {
-		h.Cfg.SetThresholds(bestTS)
+	if leastLossTS != nil && bestLoss <= 2*h.accBudget {
+		h.Cfg.SetThresholds(leastLossTS)
 	} else {
 		h.Cfg.SetThresholds(make([]float64, len(h.Cfg.Active)))
 	}

@@ -362,21 +362,6 @@ type Result struct {
 	QueueMS     float64 `json:"queue_ms,omitempty"`
 }
 
-// kindFor maps a workload name to its calibration kind.
-func kindFor(name string) exitsim.Kind {
-	switch {
-	case name == "amazon":
-		return exitsim.KindAmazon
-	case name == "imdb":
-		return exitsim.KindIMDB
-	case name == "cnn-dailymail":
-		return exitsim.KindCNNDailyMail
-	case name == "squad":
-		return exitsim.KindSQuAD
-	}
-	return exitsim.KindVideo
-}
-
 // Validate checks the scenario without running it: the model exists, the
 // model/workload pairing matches the paper's corpus (CV models serve
 // video, NLP classifiers serve review streams, generative models serve
@@ -425,15 +410,8 @@ func (sc Scenario) Validate() error {
 	if !slices.Contains(workload.Names(), sc.Workload) && !slices.Contains(workload.GenNames(), sc.Workload) {
 		return fmt.Errorf("scenario: unknown workload %q", sc.Workload)
 	}
-	switch {
-	case workload.IsGenerative(sc.Workload) && !m.Generative:
-		return fmt.Errorf("scenario: model %s is not generative; cannot serve %s", sc.Model, sc.Workload)
-	case !workload.IsGenerative(sc.Workload) && m.Generative:
-		return fmt.Errorf("scenario: generative model %s cannot serve classification workload %s", sc.Model, sc.Workload)
-	case workload.IsVideo(sc.Workload) && !m.Family.IsCV():
-		return fmt.Errorf("scenario: non-CV model %s cannot serve video workload %s", sc.Model, sc.Workload)
-	case (sc.Workload == "amazon" || sc.Workload == "imdb") && m.Family.IsCV():
-		return fmt.Errorf("scenario: CV model %s cannot serve NLP workload %s", sc.Model, sc.Workload)
+	if err := CheckPairing(m, sc.Workload); err != nil {
+		return err
 	}
 	if sc.ExitRule != "" {
 		if _, err := exitrule.ByName(sc.ExitRule); err != nil {
@@ -520,6 +498,25 @@ func (sc Scenario) Validate() error {
 		if max := fs.MaxReplica(); max >= width {
 			return fmt.Errorf("scenario: faults spec names replica r%d but the cluster realizes at most %d replicas", max, width)
 		}
+	}
+	return nil
+}
+
+// CheckPairing reports why model m cannot serve the named workload
+// under the paper's corpus pairing, or nil when it can: generative
+// models serve only the sequence workloads, CV models only the videos,
+// and NLP classifiers every other classification workload. Validate
+// and the sweep's grid expansion share it.
+func CheckPairing(m *model.Model, wl string) error {
+	switch {
+	case workload.IsGenerative(wl) && !m.Generative:
+		return fmt.Errorf("scenario: model %s is not generative; cannot serve %s", m.Name, wl)
+	case !workload.IsGenerative(wl) && m.Generative:
+		return fmt.Errorf("scenario: generative model %s cannot serve classification workload %s", m.Name, wl)
+	case workload.IsVideo(wl) && !m.Family.IsCV():
+		return fmt.Errorf("scenario: non-CV model %s cannot serve video workload %s", m.Name, wl)
+	case !workload.IsVideo(wl) && m.Family.IsCV():
+		return fmt.Errorf("scenario: CV model %s cannot serve NLP workload %s", m.Name, wl)
 	}
 	return nil
 }
@@ -647,7 +644,6 @@ func runClassScenario(sc Scenario, open openSinks) (*Result, ObsData, error) {
 	if err != nil {
 		return nil, ObsData{}, err
 	}
-	kind := kindFor(sc.Workload)
 	sched, _ := trace.ParseSchedule(sc.RateSchedule)
 	stream, err := workload.ByNameSched(sc.Workload, sc.N, sc.arrivalQPS(m), sc.Seed, sched)
 	if err != nil {
@@ -693,7 +689,7 @@ func runClassScenario(sc Scenario, open openSinks) (*Result, ObsData, error) {
 	// are fixed once ByName returns it, and the graph analysis it caches
 	// on first use is a pure function of the graph.
 	handlers := make([]*serving.ApparateHandler, maxReplicas)
-	profile := exitsim.ProfileFor(m, kind)
+	profile := exitsim.ProfileFor(m, stream.Kind)
 	mkApparate := func(i int) serving.Handler {
 		h := serving.NewApparate(m, profile, sc.RampBudget, controller.Config{
 			AccConstraint: sc.AccLoss,
@@ -773,7 +769,6 @@ func runGenScenario(sc Scenario, open openSinks) (*Result, ObsData, error) {
 	if err != nil {
 		return nil, ObsData{}, err
 	}
-	kind := kindFor(sc.Workload)
 	stream, err := workload.GenByName(sc.Workload, sc.N, sc.arrivalQPS(m), sc.Seed)
 	if err != nil {
 		return nil, ObsData{}, err
@@ -791,7 +786,7 @@ func runGenScenario(sc Scenario, open openSinks) (*Result, ObsData, error) {
 		Seed:               sc.Seed,
 		Metrics:            mode,
 	}
-	g := NewGen(m, kind, cfg)
+	g := NewGen(m, stream.Kind, cfg)
 	res := &Result{Scenario: sc, Generative: true, Requests: stream.Len()}
 	// Each run is summarized before the next starts, so at most one
 	// exact TPT recorder (every token of a run) is live at a time.

@@ -4,9 +4,15 @@
 // of the prediction [76], windowed entropy averaged over the past k
 // ramps (§2.2), or patience counters across ramps [84] — and that
 // Apparate is agnostic to the technique. Rules plug into
-// ramp.Config.Evaluate; the controller's threshold machinery is
-// unchanged because every rule consumes the same per-ramp error score
-// and per-ramp threshold.
+// ramp.Config.Evaluate, which serves every input with the configured
+// rule; every rule consumes the same per-ramp error score and per-ramp
+// threshold. The controller's threshold tuning does not consult the
+// rule: its replay of the recent window (exitCol and the ramp utilities
+// in internal/controller) exits a row at the first ramp whose error is
+// below its threshold, which is the entropy rule. Windowed and patience
+// runs are therefore tuned as if they exited on entropy, and the
+// savings and accuracy the controller predicts for them are the entropy
+// rule's, not their own.
 package exitrule
 
 import "fmt"

@@ -209,9 +209,8 @@ func fig17() []Table {
 				Platform: serving.TFServe, SLOms: slo,
 				MaxBatch: 16, BatchTimeoutMS: slo / 2, QueueCap: 256,
 			}
-			v := serving.Run(stream.Iter(), &serving.VanillaHandler{Model: c.m}, opts)
-			fresh, _ := model.ByName(c.m.Name)
-			h := serving.NewApparate(fresh, exitsim.ProfileFor(c.m, kind), 0.02, controller.Config{})
+			v := serveVanilla(c.m, stream, opts)
+			h := serving.NewApparate(c.m, exitsim.ProfileFor(c.m, kind), 0.02, controller.Config{})
 			a := serving.Run(stream.Iter(), h, opts)
 			t.Rows = append(t.Rows, []string{
 				c.m.Name, fmt.Sprintf("%gx", mult), f1(slo),
@@ -269,7 +268,7 @@ func table2() []Table {
 	collect := func(m *model.Model, kind exitsim.Kind, stream *workload.Stream,
 		build func(boot, test []exitsim.Sample) serving.Handler) run {
 		opts := serving.Options{Platform: serving.Clockwork, SLOms: m.SLO()}
-		v := serving.Run(stream.Iter(), &serving.VanillaHandler{Model: m}, opts)
+		v := serveVanilla(m, stream, opts)
 		samples := stream.Samples()
 		h := build(samples[:len(samples)/10], samples)
 		s := serving.Run(stream.Iter(), h, opts)
@@ -288,8 +287,7 @@ func table2() []Table {
 			build func(boot, test []exitsim.Sample) serving.Handler
 		}{
 			{label + "-apparate", func(boot, test []exitsim.Sample) serving.Handler {
-				fresh, _ := model.ByName(m.Name)
-				return serving.NewApparate(fresh, prof, 0.02, controller.Config{})
+				return serving.NewApparate(m, prof, 0.02, controller.Config{})
 			}},
 			{label, func(boot, test []exitsim.Sample) serving.Handler {
 				return baselines.StaticEE(m, prof, style, overhead, baselines.SharedThreshold, boot, nil, 0.01)
@@ -383,8 +381,7 @@ func table4() []Table {
 			} else {
 				stream = nlpStream("amazon", c.m, 24)
 			}
-			fresh, _ := model.ByName(c.m.Name)
-			h := serving.NewApparate(fresh, exitsim.ProfileFor(c.m, kind), 0.02, controller.Config{})
+			h := serving.NewApparate(c.m, exitsim.ProfileFor(c.m, kind), 0.02, controller.Config{})
 			stats := serving.Run(stream.Iter(), h, serving.Options{
 				Platform: platform, SLOms: c.m.SLO(), MaxBatch: 8, BatchTimeoutMS: 5,
 			})
@@ -433,10 +430,9 @@ func rampStyle() []Table {
 	m := model.BERTBase()
 	stream := nlpStream("amazon", m, 26)
 	opts := serving.Options{Platform: serving.Clockwork, SLOms: m.SLO()}
-	v := serving.Run(stream.Iter(), &serving.VanillaHandler{Model: m}, opts)
+	v := serveVanilla(m, stream, opts)
 	for _, style := range []ramp.Style{ramp.StyleDefault, ramp.StyleDeeBERTPooler} {
-		fresh, _ := model.ByName(m.Name)
-		h := serving.NewApparate(fresh, exitsim.ProfileFor(m, exitsim.KindAmazon), 0.02, controller.Config{})
+		h := serving.NewApparate(m, exitsim.ProfileFor(m, exitsim.KindAmazon), 0.02, controller.Config{})
 		h.Cfg.DeployInitial(style)
 		stats := serving.Run(stream.Iter(), h, opts)
 		t.Rows = append(t.Rows, []string{
@@ -468,8 +464,7 @@ func ablation() []Table {
 			stream = nlpStream("amazon", c.m, 27)
 		}
 		v, full := servePair(c.m, kind, stream, 0.02, 0.01)
-		fresh, _ := model.ByName(c.m.Name)
-		h := serving.NewApparate(fresh, exitsim.ProfileFor(c.m, kind), 0.02,
+		h := serving.NewApparate(c.m, exitsim.ProfileFor(c.m, kind), 0.02,
 			controller.Config{DisableRampAdjust: true})
 		no := serving.Run(stream.Iter(), h, serving.Options{Platform: serving.Clockwork, SLOms: c.m.SLO()})
 		vMed := v.Latencies().Median()

@@ -156,16 +156,22 @@ func distFrom(vs []float64) *metrics.Dist {
 }
 
 // servePair runs vanilla and Apparate over the same stream on Clockwork
-// with the model's default SLO.
+// with the model's default SLO. Both runs share m, as every handler an
+// experiment builds shares its model: a Model's fields are fixed once it
+// is built, and the graph analysis it caches on first use is a pure
+// function of the graph.
 func servePair(m *model.Model, kind exitsim.Kind, stream *workload.Stream,
 	budget, acc float64) (vanilla, apparate *serving.Stats) {
 	opts := serving.Options{Platform: serving.Clockwork, SLOms: m.SLO()}
-	vanilla = serving.Run(stream.Iter(), &serving.VanillaHandler{Model: m}, opts)
-	fresh, err := model.ByName(m.Name)
-	if err != nil {
-		panic(err)
-	}
-	h := serving.NewApparate(fresh, exitsim.ProfileFor(m, kind), budget, controller.Config{AccConstraint: acc})
+	vanilla = serveVanilla(m, stream, opts)
+	h := serving.NewApparate(m, exitsim.ProfileFor(m, kind), budget, controller.Config{AccConstraint: acc})
 	apparate = serving.Run(stream.Iter(), h, opts)
 	return vanilla, apparate
+}
+
+// serveVanilla serves the original model over the stream. Vanilla
+// serving never reads a sample, so it runs on the stream's sample-free
+// pass: the same arrivals, no sample draws.
+func serveVanilla(m *model.Model, stream *workload.Stream, opts serving.Options) *serving.Stats {
+	return serving.Run(stream.WithoutSamples().Iter(), &serving.VanillaHandler{Model: m}, opts)
 }

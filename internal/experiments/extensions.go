@@ -32,14 +32,13 @@ func exitRules() []Table {
 	m := model.ResNet50()
 	stream := cvStream(0, 28)
 	opts := serving.Options{Platform: serving.Clockwork, SLOms: m.SLO()}
-	v := serving.Run(stream.Iter(), &serving.VanillaHandler{Model: m}, opts)
+	v := serveVanilla(m, stream, opts)
 	for _, rule := range []exitrule.Rule{
 		exitrule.Entropy{},
 		exitrule.Windowed{K: 2},
 		exitrule.Patience{P: 2},
 	} {
-		fresh, _ := model.ByName(m.Name)
-		h := serving.NewApparate(fresh, exitsim.ProfileFor(m, exitsim.KindVideo), 0.02, controller.Config{})
+		h := serving.NewApparate(m, exitsim.ProfileFor(m, exitsim.KindVideo), 0.02, controller.Config{})
 		h.Cfg.Rule = rule
 		stats := serving.Run(stream.Iter(), h, opts)
 		t.Rows = append(t.Rows, []string{
@@ -72,8 +71,7 @@ func cluster() []Table {
 				continue // identical to round-robin with one replica
 			}
 			cs := serving.RunCluster(streamHot, func(int) serving.Handler {
-				fresh, _ := model.ByName(m.Name)
-				return serving.NewApparate(fresh, prof, 0.02, controller.Config{})
+				return serving.NewApparate(m, prof, 0.02, controller.Config{})
 			}, serving.ClusterOptions{Options: opts, Replicas: replicas, Dispatch: d})
 			st := cs.Merged
 			t.Rows = append(t.Rows, []string{

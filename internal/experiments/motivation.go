@@ -63,8 +63,7 @@ func fig2() []Table {
 	for _, c := range cases {
 		qps := trace.TargetQPS(c.m)
 		for _, mb := range []int{1, 4, 8, 16} {
-			h := &serving.VanillaHandler{Model: c.m}
-			stats := serving.Run(c.stream.Iter(), h, serving.Options{
+			stats := serveVanilla(c.m, c.stream, serving.Options{
 				Platform: serving.TFServe, SLOms: c.m.SLO(),
 				MaxBatch: mb, BatchTimeoutMS: 1 + float64(mb-1)*1000/qps,
 			})
@@ -96,7 +95,7 @@ func fig4() []Table {
 	}
 	for _, c := range cases {
 		opts := serving.Options{Platform: serving.Clockwork, SLOms: c.m.SLO()}
-		v := serving.Run(c.stream.Iter(), &serving.VanillaHandler{Model: c.m}, opts)
+		v := serveVanilla(c.m, c.stream, opts)
 		o := serving.Run(c.stream.Iter(), baselines.NewOptimal(c.m, exitsim.ProfileFor(c.m, c.kind)), opts)
 		for _, r := range []struct {
 			name  string
@@ -180,7 +179,7 @@ func table1() []Table {
 	run := func(m *model.Model, kind exitsim.Kind, stream *workload.Stream, strategy string) result {
 		prof := exitsim.ProfileFor(m, kind)
 		opts := serving.Options{Platform: serving.Clockwork, SLOms: m.SLO()}
-		v := serving.Run(stream.Iter(), &serving.VanillaHandler{Model: m}, opts)
+		v := serveVanilla(m, stream, opts)
 		var stats *serving.Stats
 		switch strategy {
 		case "initial-only":

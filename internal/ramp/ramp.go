@@ -74,10 +74,11 @@ type Config struct {
 	Active []*Ramp
 	// Rule selects the exit strategy (§5); nil means the default
 	// entropy rule. The controller's window replay models the entropy
-	// rule, so with stricter rules (patience, windowed) tuned
-	// thresholds are conservative: deployed exits are a subset of the
-	// modeled ones, keeping the accuracy guarantee while estimating
-	// savings optimistically.
+	// rule whatever Rule is, so windowed and patience runs are tuned as
+	// if they exited on entropy: patience exits the inputs the replay
+	// exits, or fewer, and later; windowed can also exit an input the
+	// replay keeps, when a low earlier score pulls its average under
+	// the threshold.
 	Rule exitrule.Rule
 
 	// perRamp is the storage of Evaluate's observations, reused by every

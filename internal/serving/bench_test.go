@@ -46,11 +46,12 @@ func BenchmarkRun(b *testing.B) {
 	}
 }
 
-// BenchmarkDispatch times clusterSim.dispatch, the choice of an arrival's
-// target replica, under each policy at 1, 16 and 64 replicas. Each
-// bert-base replica holds 0–7 queued requests behind an in-flight batch
-// of 1–4 that ends 0–2 ms after the dispatch instant, the state
-// least-loaded and join-shortest-queue read. It reports ns per dispatch.
+// BenchmarkDispatch times the choice of an arrival's target replica,
+// clusterSim.pickAmong over every active replica, under each policy at
+// 1, 16 and 64 replicas. Each bert-base replica holds 0–7 queued
+// requests behind an in-flight batch of 1–4 that ends 0–2 ms after the
+// dispatch instant, the state least-loaded and join-shortest-queue
+// read. It reports ns per dispatch.
 func BenchmarkDispatch(b *testing.B) {
 	m := model.BERTBase()
 	for _, p := range []Dispatch{RoundRobin, LeastLoaded, JoinShortestQueue} {
@@ -70,7 +71,7 @@ func BenchmarkDispatch(b *testing.B) {
 				}
 				b.ReportAllocs()
 				for b.Loop() {
-					c.dispatch(now)
+					c.pickAmong(c.ids[:c.active], now)
 				}
 			})
 		}

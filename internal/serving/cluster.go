@@ -260,14 +260,21 @@ func (r *replicaSim) record(res Result) {
 		r.c.fm.complete(r, res)
 		return
 	}
+	r.finish(res)
+}
+
+// finish records a request's final outcome in the replica's Stats and
+// hands it to the observability sinks.
+func (r *replicaSim) finish(res Result) {
 	r.st.record(res, r.opts.Observer)
 	r.c.observeResult(res, r.idx)
 }
 
 // observeResult traces one finalized result on replica idx's track and
-// feeds the timeline's rolling window. Fault-mode callers invoke it only
-// for the copy that won (or finally lost) its request, so duplicated
-// hedge work never double-counts in the trace either.
+// feeds the timeline's rolling window. replicaSim.finish calls it, and
+// under fault injection only for the copy that won (or finally lost) its
+// request, so duplicated hedge work never double-counts in the trace
+// either.
 func (c *clusterSim) observeResult(res Result, idx int) {
 	if c.tr != nil {
 		if res.Dropped {
@@ -508,8 +515,11 @@ type clusterSim struct {
 
 	mk       func(i int) Handler
 	replicas []*replicaSim
-	active   int
-	rr       int // round-robin arrival counter
+	// ids holds 0..len(replicas)-1, so ids[:active] is the dispatchable
+	// set pickAmong chooses from.
+	ids    []int
+	active int
+	rr     int // round-robin arrival counter
 	// recCap presizes each replica's exact latency recorder: the run's
 	// requests split evenly over the widest the cluster can grow. A
 	// replica that serves more grows its recorder by appending.
@@ -592,7 +602,7 @@ func (c *clusterSim) onArrival(now float64) {
 	if c.fm != nil {
 		c.fm.dispatchNew(req, now)
 	} else {
-		target := c.dispatch(now)
+		target := c.pickAmong(c.ids[:c.active], now)
 		if c.tr != nil {
 			e := obs.At(now, obs.KindDispatch)
 			e.Req = req.ID
@@ -601,12 +611,7 @@ func (c *clusterSim) onArrival(now float64) {
 		}
 		rep := c.replicas[target]
 		if c.scaler != nil {
-			wait := rep.work(now)
-			c.winLat.Add(wait + rep.estCost)
-			if wait > c.peakBacklog {
-				c.peakBacklog = wait
-			}
-			c.busy += rep.estCost
+			c.noteDemand(rep, now)
 		}
 		rep.enqueue(req, now)
 	}
@@ -616,36 +621,23 @@ func (c *clusterSim) onArrival(now float64) {
 	}
 }
 
-// dispatch picks the target among the active replicas at time now.
-func (c *clusterSim) dispatch(now float64) int {
-	target := 0
-	switch c.opts.Dispatch {
-	case RoundRobin:
-		target = c.rr % c.active
-	case LeastLoaded:
-		best := c.replicas[0].work(now)
-		for j := 1; j < c.active; j++ {
-			if w := c.replicas[j].work(now); w < best {
-				target, best = j, w
-			}
-		}
-	case JoinShortestQueue:
-		best := c.replicas[0].jobs(now)
-		for j := 1; j < c.active; j++ {
-			if n := c.replicas[j].jobs(now); n < best {
-				target, best = j, n
-			}
-		}
+// noteDemand folds a new request dispatched to rep at time now into the
+// autoscaler's window signals: the latency it can expect, the backlog
+// it joins, and the work it adds.
+func (c *clusterSim) noteDemand(rep *replicaSim, now float64) {
+	wait := rep.work(now)
+	c.winLat.Add(wait + rep.estCost)
+	if wait > c.peakBacklog {
+		c.peakBacklog = wait
 	}
-	c.rr++
-	return target
+	c.busy += rep.estCost
 }
 
 // pickAmong selects the dispatch target among the given replica
 // indexes (non-empty, ascending) under the cluster's dispatch policy;
-// ties break to the lowest index exactly like dispatch. The fault
-// runtime uses it to dispatch over the live (and not-yet-tried)
-// subset; the round-robin counter advances once per call either way.
+// ties break to the lowest index. Reliable runs pick among every active
+// replica, the fault runtime among the live (and not-yet-tried) subset;
+// the round-robin counter advances once per call either way.
 func (c *clusterSim) pickAmong(eligible []int, now float64) int {
 	target := eligible[0]
 	switch c.opts.Dispatch {
@@ -789,6 +781,7 @@ func (c *clusterSim) addReplica(i int) {
 	}
 	rep.recordFn = rep.record
 	c.replicas = append(c.replicas, rep)
+	c.ids = append(c.ids, i)
 	if c.fm != nil {
 		c.fm.onReplicaAdded(i)
 	}

@@ -481,12 +481,7 @@ func (fm *faultMode) send(entry *pendSlot, now float64, fresh bool, kind obs.Kin
 		tr.Emit(e)
 	}
 	if c.scaler != nil && fresh {
-		wait := rep.work(now)
-		c.winLat.Add(wait + rep.estCost)
-		if wait > c.peakBacklog {
-			c.peakBacklog = wait
-		}
-		c.busy += rep.estCost
+		c.noteDemand(rep, now)
 	}
 	// Hedge: at most one duplicate per request, armed on the first
 	// dispatch once the latency estimator has enough samples and a
@@ -631,12 +626,10 @@ func (fm *faultMode) reject(r *replicaSim, req workload.Request, now float64) {
 		return
 	}
 	fm.del(req.ID)
-	res := Result{
+	r.finish(Result{
 		ID: req.ID, ArrivalMS: req.ArrivalMS,
 		Dropped: true, SLOMiss: true, ExitIndex: -1,
-	}
-	r.st.record(res, r.opts.Observer)
-	fm.c.observeResult(res, r.idx)
+	})
 }
 
 // complete arbitrates one copy's outcome from a replica. The first
@@ -650,19 +643,14 @@ func (fm *faultMode) complete(r *replicaSim, res Result) {
 		return
 	}
 	entry.copies--
-	if res.Dropped {
-		if entry.copies > 0 {
-			return
-		}
-		fm.del(res.ID)
-		r.st.record(res, r.opts.Observer)
-		fm.c.observeResult(res, r.idx)
+	if res.Dropped && entry.copies > 0 {
 		return
 	}
 	fm.del(res.ID)
-	r.st.record(res, r.opts.Observer)
-	fm.c.observeResult(res, r.idx)
-	fm.latQ.Add(res.LatencyMS)
+	r.finish(res)
+	if !res.Dropped {
+		fm.latQ.Add(res.LatencyMS)
+	}
 }
 
 // attemptCap is the per-request dispatch budget (>= 1).

@@ -3,10 +3,14 @@ package sweep
 import (
 	"bytes"
 	"encoding/csv"
+	"fmt"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/rng"
 )
 
 func TestExpandLoadDynamicsAxes(t *testing.T) {
@@ -367,5 +371,149 @@ func TestCSVCarriesKVColumns(t *testing.T) {
 		col("preemptions") != "2" || col("queue_ms") != "120.5" {
 		t.Fatalf("KV result columns wrong: %q/%q/%q/%q",
 			col("kv_util"), col("prefix_hits"), col("preemptions"), col("queue_ms"))
+	}
+}
+
+// pickSome draws 0, 1 or 2 values, repeats allowed: mostly from good,
+// one in ten from bad. Most draws are empty, so a random grid stays
+// small.
+func pickSome[T any](r *rng.Rand, good []T, bad ...T) []T {
+	var out []T
+	if r.Bool(0.35) {
+		for range 1 + r.Intn(2) {
+			if len(bad) > 0 && r.Bool(0.1) {
+				out = append(out, bad[r.Intn(len(bad))])
+			} else {
+				out = append(out, good[r.Intn(len(good))])
+			}
+		}
+	}
+	return out
+}
+
+// randomGrid draws a grid over valid, unknown and malformed values on
+// every axis, with Only and Skip patterns on every axis, on none, and
+// on an unknown one.
+func randomGrid(r *rng.Rand) Grid {
+	g := Grid{
+		Models:        pickSome(r, []string{"resnet18", "vgg11", "distilbert-base", "bert-base", "t5-large"}, "bogus"),
+		Workloads:     pickSome(r, []string{"video-0", "video-3", "amazon", "imdb", "cnn-dailymail", "squad"}, "video-03", ""),
+		Platforms:     pickSome(r, []string{"clockwork", "tf-serve", ""}, "bogus"),
+		Dispatches:    pickSome(r, []string{"round-robin", "least-loaded", "join-shortest-queue", ""}, "nope"),
+		Replicas:      pickSome(r, []int{0, 1, 2, 3}, -1),
+		RateMults:     pickSome(r, []float64{0, 0.5, 1, 2}, -1, math.NaN(), 1e9),
+		Budgets:       pickSome(r, []float64{0, 0.01, 0.02, 0.05}, 0.001, 2),
+		AccLosses:     pickSome(r, []float64{0, 0.01, 0.05}, -0.1, 1.5),
+		ExitRules:     pickSome(r, []string{"", "entropy", "windowed-3", "patience-2"}, "windowed-3x"),
+		Metrics:       pickSome(r, []string{"", "exact", "sketch"}, "bogus"),
+		RateSchedules: pickSome(r, []string{"", "phases:10x1/10x4", "square:30/0.5/3"}, "bogus:1"),
+		Autoscales:    pickSome(r, []string{"", "1..4", "2..3/window=2000"}, "4..1"),
+		Heteros:       pickSome(r, []string{"", "1,0.5", "1.0, 0.50"}, "x"),
+		Faults:        pickSome(r, []string{"", "crash:r1@2000+500", "loss=0.001", "mtbf:8000/1000;delaydist=exp:2"}, "crash:r7@100+10", "bogus"),
+		Retries:       pickSome(r, []string{"", "attempts=3", "attempts=2/hedge=95"}, "attempts=x"),
+		KVBlocks:      pickSome(r, []int{0, 64}, -1),
+		BlockTokens:   pickSome(r, []int{0, 8, 16}, -2),
+		PrefixHits:    pickSome(r, []float64{0, 0.4}, 1.5),
+		PrefillChunks: pickSome(r, []int{0, 128}, -5),
+		Trace:         r.Bool(0.3),
+		Timeline:      r.Bool(0.3),
+		ObsTickMS:     []float64{0, 50, 0, 50, 0, 50, -1}[r.Intn(7)],
+		N:             []int{0, 100, 2000, 100, 0, 100, 2000, 100, -1}[r.Intn(9)],
+		GenN:          []int{0, 5}[r.Intn(2)],
+		Seed:          r.Uint64(),
+	}
+	if len(g.Models) == 0 && r.Bool(0.7) {
+		g.Models = []string{"resnet50"} // the whole zoo only now and then
+	}
+	// "axis=*" keeps exactly the scenarios that carry the axis.
+	patterns := []string{
+		"model=resnet*", "workload=video-*", "workload=", "platform=tf-serve", "dispatch=least-loaded",
+		"replicas=2", "rate=0.5", "budget=0.01", "accloss=0.05", "metrics=exact",
+		"schedule=phases:*/*", "hetero=1,0.5", "retry=attempts=3",
+		"kv=64", "blocktok=16", "prefixhit=0.4", "prefillchunk=128", "resnet18", "sketch", "0", "*",
+	}
+	for _, a := range refFilterAxes {
+		patterns = append(patterns, a.name+"=*")
+	}
+	if r.Bool(0.5) {
+		g.Only = pickSome(r, patterns, "bogusaxis=x", "model=[bad")
+	}
+	g.Skip = pickSome(r, patterns, "bogusaxis=x", "model=[bad")
+	return g
+}
+
+// TestExpandMatchesReference holds Expand's walk of the axes table to
+// the loop nest it replaced: on random grids both return the same
+// scenarios in the same order, or the same error.
+func TestExpandMatchesReference(t *testing.T) {
+	// Grids random draws seldom produce: the whole default grid, and an
+	// empty workload name, which carries a workload token all the same.
+	grids := []Grid{
+		{N: 100, GenN: 5},
+		{Models: []string{"bert-base"}, Workloads: []string{"", "amazon"}, Only: []string{"workload=*"}},
+		{Models: []string{"bert-base"}, Workloads: []string{"", "amazon"}, Skip: []string{"workload="}},
+	}
+	r := rng.New(25)
+	for range 400 {
+		grids = append(grids, randomGrid(r))
+	}
+	var expanded, failed int
+	for i, g := range grids {
+		got, gotErr := g.Expand()
+		want, wantErr := refExpand(g)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("grid %d %+v: Expand error %v, reference error %v", i, g, gotErr, wantErr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("grid %d %+v: Expand gives %d scenarios, the reference %d", i, g, len(got), len(want))
+		}
+		if gotErr != nil {
+			failed++
+		} else if len(got) > 0 {
+			expanded++
+		}
+	}
+	// Both outcomes must be common, or the comparison proves little.
+	t.Logf("%d grids expanded to scenarios, %d failed", expanded, failed)
+	if expanded < 80 || failed < 80 {
+		t.Fatalf("%d grids expanded to scenarios and %d failed; want at least 80 of each", expanded, failed)
+	}
+}
+
+// TestAxesCoverGrid: every Grid list but Only and Skip feeds exactly
+// one entry of the axes table, and every entry reads one of them.
+func TestAxesCoverGrid(t *testing.T) {
+	base := make([]int, len(axes))
+	longest := 0
+	for k, a := range axes {
+		base[k], _ = a.bind(&Grid{})
+		longest = max(longest, base[k])
+	}
+	readBy := make([]string, len(axes))
+	gt := reflect.TypeFor[Grid]()
+	for i := range gt.NumField() {
+		f := gt.Field(i)
+		if f.Type.Kind() != reflect.Slice || f.Name == "Only" || f.Name == "Skip" {
+			continue
+		}
+		// A list longer than any default changes the count of exactly
+		// the axes that read it.
+		var g Grid
+		reflect.ValueOf(&g).Elem().Field(i).Set(reflect.MakeSlice(f.Type, longest+1, longest+1))
+		var readers []string
+		for k, a := range axes {
+			if n, _ := a.bind(&g); n != base[k] {
+				readers = append(readers, a.name)
+				readBy[k] = f.Name
+			}
+		}
+		if len(readers) != 1 {
+			t.Errorf("Grid.%s feeds axes %v, want exactly one", f.Name, readers)
+		}
+	}
+	for k, a := range axes {
+		if readBy[k] == "" {
+			t.Errorf("axis %q reads no Grid list", a.name)
+		}
 	}
 }

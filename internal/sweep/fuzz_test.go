@@ -6,7 +6,7 @@ import (
 )
 
 // FuzzParseFilters fuzzes the -only/-skip pattern parser. No input may
-// panic, and an accepted pattern names no axis or one filterAxes lists,
+// panic, and an accepted pattern names no axis or one the axes table lists,
 // with a value that is a valid glob against any token, so keep and
 // drops never meet a matching error they would ignore.
 func FuzzParseFilters(f *testing.F) {
@@ -23,7 +23,7 @@ func FuzzParseFilters(f *testing.F) {
 			return
 		}
 		for axis, pats := range flt {
-			if axis != bareAxis && (axis < 0 || axis >= len(filterAxes)) {
+			if axis != bareAxis && (axis < 0 || axis >= len(axes)) {
 				t.Fatalf("parseFilters(%q) accepted unknown axis %d", pattern, axis)
 			}
 			for _, p := range pats {

@@ -7,9 +7,18 @@
 // workloads} × {2 platforms} × parameter settings — is one Grid away,
 // and the same machinery backs rate sweeps, replica scaling studies,
 // and regression gates.
+//
+// Every axis is declared once, as an entry of the axes table in
+// grid.go: its filter name, the Grid list that holds its values, and
+// the Scenario field a value lands in. Expand walks the table like an
+// odometer, model outermost and prefill chunk innermost, and the Only
+// and Skip filters match the tokens the same entries read back off each
+// normalized scenario. A new axis is a Grid list, a Scenario field and
+// one table entry, placed where it should nest.
 package sweep
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
 	"path"
@@ -27,10 +36,11 @@ import (
 // Grid is a scenario-grid specification. Empty axes take the full
 // supported range (every model, every workload, both platforms) or the
 // paper's default parameter (one replica, rate 1×, budget 0.02, accuracy
-// loss 0.01). Incompatible model/workload pairings — a ResNet on an NLP
-// stream, a classifier on a generative workload — are skipped during
-// expansion rather than erroring, so "all models × all workloads"
-// means "every pairing the paper's corpus defines".
+// loss 0.01, which core.Scenario.Normalize fills in). Incompatible
+// model/workload pairings — a ResNet on an NLP stream, a classifier on a
+// generative workload — are skipped during expansion rather than
+// erroring, so "all models × all workloads" means "every pairing the
+// paper's corpus defines".
 type Grid struct {
 	Models     []string
 	Workloads  []string
@@ -107,76 +117,122 @@ type Grid struct {
 	Skip []string
 }
 
-func (g Grid) withDefaults() Grid {
-	if len(g.Models) == 0 {
-		for _, m := range model.All() {
-			g.Models = append(g.Models, m.Name)
-		}
-	}
-	if len(g.Workloads) == 0 {
-		g.Workloads = append(workload.Names(), workload.GenNames()...)
-	}
-	if len(g.Platforms) == 0 {
-		g.Platforms = serving.Platforms()
-	}
-	if len(g.Dispatches) == 0 {
-		g.Dispatches = []string{"round-robin"}
-	}
-	if len(g.Replicas) == 0 {
-		g.Replicas = []int{1}
-	}
-	if len(g.RateMults) == 0 {
-		g.RateMults = []float64{1}
-	}
-	if len(g.Budgets) == 0 {
-		g.Budgets = []float64{0.02}
-	}
-	if len(g.AccLosses) == 0 {
-		g.AccLosses = []float64{0.01}
-	}
-	if len(g.ExitRules) == 0 {
-		g.ExitRules = []string{""}
-	}
-	if len(g.Metrics) == 0 {
-		g.Metrics = []string{""}
-	}
-	if len(g.RateSchedules) == 0 {
-		g.RateSchedules = []string{""}
-	}
-	if len(g.Autoscales) == 0 {
-		g.Autoscales = []string{""}
-	}
-	if len(g.Heteros) == 0 {
-		g.Heteros = []string{""}
-	}
-	if len(g.Faults) == 0 {
-		g.Faults = []string{""}
-	}
-	if len(g.Retries) == 0 {
-		g.Retries = []string{""}
-	}
-	if len(g.KVBlocks) == 0 {
-		g.KVBlocks = []int{0}
-	}
-	if len(g.BlockTokens) == 0 {
-		g.BlockTokens = []int{0}
-	}
-	if len(g.PrefixHits) == 0 {
-		g.PrefixHits = []float64{0}
-	}
-	if len(g.PrefillChunks) == 0 {
-		g.PrefillChunks = []int{0}
-	}
-	if g.N == 0 {
-		g.N = 4000
-	}
-	if g.GenN == 0 {
-		g.GenN = 40
-	}
-	return g
+// An axis is one dimension of the grid: the Grid list that holds its
+// values, the Scenario field a value lands in, and the token the Only
+// and Skip filters match on a normalized scenario.
+type axis struct {
+	// name is the axis as a filter names it ("model", "kv").
+	name string
+	// bind reads the axis off a grid: the number of values it sweeps,
+	// and a setter that puts the i-th on a scenario.
+	bind func(g *Grid) (n int, set func(sc *core.Scenario, i int))
+	// token is a normalized scenario's value on the axis; ok is false
+	// when the scenario lacks the axis.
+	token func(sc *core.Scenario) (v string, ok bool)
 }
 
-// axisFilter groups glob patterns by the filterAxes index of the axis
+// Whether a scenario carries an axis's filter token: always, or only
+// while the axis's field is set (non-zero), so "only rule=*" keeps just
+// the scenarios with an exit rule.
+const (
+	always  = false
+	whenSet = true
+)
+
+// axisOf declares an axis over the Grid list list returns and the
+// Scenario field at points to. An empty list sweeps the zero value,
+// which Normalize turns into the paper's default (one replica, rate 1×,
+// budget 0.02, accuracy loss 0.01, exact metrics) or leaves as an unset
+// knob. Tokens print as fmt's %v does: %d for counts, %g for fractions.
+func axisOf[T string | int | float64](name string, optional bool,
+	list func(g *Grid) []T, at func(sc *core.Scenario) *T) axis {
+	return axis{
+		name: name,
+		bind: func(g *Grid) (int, func(*core.Scenario, int)) {
+			vs := list(g)
+			if len(vs) == 0 {
+				vs = make([]T, 1)
+			}
+			return len(vs), func(sc *core.Scenario, i int) { *at(sc) = vs[i] }
+		},
+		token: func(sc *core.Scenario) (string, bool) {
+			v := *at(sc)
+			if optional && v == *new(T) {
+				return "", false
+			}
+			return fmt.Sprint(v), true
+		},
+	}
+}
+
+// orAll is list, or all() when list is empty: the axes whose empty list
+// sweeps their full range use it.
+func orAll(list []string, all func() []string) []string {
+	if len(list) == 0 {
+		return all()
+	}
+	return list
+}
+
+// axes is the one list of the grid's axes, in nesting order: Expand
+// varies the last fastest, and an unknown-axis filter error lists them
+// in this order. Model comes first, so Expand looks every model up
+// before it builds a scenario. A new axis is a Grid list, a Scenario
+// field and one entry here, placed where it should nest.
+var axes = [...]axis{
+	axisOf("model", always, func(g *Grid) []string { return orAll(g.Models, modelNames) },
+		func(sc *core.Scenario) *string { return &sc.Model }),
+	axisOf("workload", always, func(g *Grid) []string { return orAll(g.Workloads, workloadNames) },
+		func(sc *core.Scenario) *string { return &sc.Workload }),
+	axisOf("platform", always, func(g *Grid) []string { return orAll(g.Platforms, serving.Platforms) },
+		func(sc *core.Scenario) *string { return &sc.Platform }),
+	axisOf("dispatch", always, func(g *Grid) []string { return g.Dispatches },
+		func(sc *core.Scenario) *string { return &sc.Dispatch }),
+	axisOf("replicas", always, func(g *Grid) []int { return g.Replicas },
+		func(sc *core.Scenario) *int { return &sc.Replicas }),
+	axisOf("rate", always, func(g *Grid) []float64 { return g.RateMults },
+		func(sc *core.Scenario) *float64 { return &sc.RateMult }),
+	axisOf("budget", always, func(g *Grid) []float64 { return g.Budgets },
+		func(sc *core.Scenario) *float64 { return &sc.RampBudget }),
+	axisOf("accloss", always, func(g *Grid) []float64 { return g.AccLosses },
+		func(sc *core.Scenario) *float64 { return &sc.AccLoss }),
+	axisOf("rule", whenSet, func(g *Grid) []string { return g.ExitRules },
+		func(sc *core.Scenario) *string { return &sc.ExitRule }),
+	axisOf("metrics", always, func(g *Grid) []string { return g.Metrics },
+		func(sc *core.Scenario) *string { return &sc.Metrics }),
+	axisOf("schedule", whenSet, func(g *Grid) []string { return g.RateSchedules },
+		func(sc *core.Scenario) *string { return &sc.RateSchedule }),
+	axisOf("autoscale", whenSet, func(g *Grid) []string { return g.Autoscales },
+		func(sc *core.Scenario) *string { return &sc.Autoscale }),
+	axisOf("hetero", whenSet, func(g *Grid) []string { return g.Heteros },
+		func(sc *core.Scenario) *string { return &sc.Hetero }),
+	axisOf("faults", whenSet, func(g *Grid) []string { return g.Faults },
+		func(sc *core.Scenario) *string { return &sc.Faults }),
+	axisOf("retry", whenSet, func(g *Grid) []string { return g.Retries },
+		func(sc *core.Scenario) *string { return &sc.Retry }),
+	axisOf("kv", whenSet, func(g *Grid) []int { return g.KVBlocks },
+		func(sc *core.Scenario) *int { return &sc.KVBlocks }),
+	axisOf("blocktok", whenSet, func(g *Grid) []int { return g.BlockTokens },
+		func(sc *core.Scenario) *int { return &sc.BlockTokens }),
+	axisOf("prefixhit", whenSet, func(g *Grid) []float64 { return g.PrefixHits },
+		func(sc *core.Scenario) *float64 { return &sc.PrefixHit }),
+	axisOf("prefillchunk", whenSet, func(g *Grid) []int { return g.PrefillChunks },
+		func(sc *core.Scenario) *int { return &sc.PrefillChunk }),
+}
+
+// modelNames lists the zoo, the models an empty Models list sweeps.
+func modelNames() []string {
+	var names []string
+	for _, m := range model.All() {
+		names = append(names, m.Name)
+	}
+	return names
+}
+
+// workloadNames lists every workload, classification then generative.
+func workloadNames() []string { return append(workload.Names(), workload.GenNames()...) }
+
+// axisFilter groups glob patterns by the index in axes of the axis
 // they constrain.
 type axisFilter map[int][]string
 
@@ -185,18 +241,18 @@ type axisFilter map[int][]string
 const bareAxis = -1
 
 // parseFilters groups patterns by axis. A pattern's axis must be one
-// filterAxes lists, or absent, and its value must be a valid glob.
+// axes lists, or absent, and its value must be a valid glob.
 func parseFilters(patterns []string) (axisFilter, error) {
 	f := axisFilter{}
 	for _, p := range patterns {
-		axis, val := bareAxis, p
+		k, val := bareAxis, p
 		if i := strings.IndexByte(p, '='); i >= 0 {
 			val = p[i+1:]
 			if name := p[:i]; name != "" {
-				axis = slices.IndexFunc(filterAxes[:], func(a filterAxis) bool { return a.name == name })
-				if axis < 0 {
-					names := make([]string, len(filterAxes))
-					for i, a := range filterAxes {
+				k = slices.IndexFunc(axes[:], func(a axis) bool { return a.name == name })
+				if k < 0 {
+					names := make([]string, len(axes))
+					for i, a := range axes {
 						names[i] = a.name
 					}
 					return nil, fmt.Errorf("sweep: unknown filter axis %q in %q (known axes: %s)",
@@ -207,66 +263,22 @@ func parseFilters(patterns []string) (axisFilter, error) {
 		if _, err := path.Match(val, ""); err != nil {
 			return nil, fmt.Errorf("sweep: bad filter pattern %q: %v", p, err)
 		}
-		f[axis] = append(f[axis], val)
+		f[k] = append(f[k], val)
 	}
 	return f, nil
 }
 
-// filterAxis is an axis a filter may name, with the scenario's token on
-// it. ok is false when the scenario lacks the axis.
-type filterAxis struct {
-	name  string
-	token func(sc core.Scenario) (v string, ok bool)
-}
-
-// filterAxes is the one list of filterable axes. The conditional ones,
-// rule onwards, exist only when their knob is set.
-var filterAxes = [...]filterAxis{
-	{"model", func(sc core.Scenario) (string, bool) { return sc.Model, true }},
-	{"workload", func(sc core.Scenario) (string, bool) { return sc.Workload, true }},
-	{"platform", func(sc core.Scenario) (string, bool) { return sc.Platform, true }},
-	{"dispatch", func(sc core.Scenario) (string, bool) { return sc.Dispatch, true }},
-	{"replicas", func(sc core.Scenario) (string, bool) { return fmt.Sprintf("%d", sc.Replicas), true }},
-	{"rate", func(sc core.Scenario) (string, bool) { return fmt.Sprintf("%g", sc.RateMult), true }},
-	{"budget", func(sc core.Scenario) (string, bool) { return fmt.Sprintf("%g", sc.RampBudget), true }},
-	{"accloss", func(sc core.Scenario) (string, bool) { return fmt.Sprintf("%g", sc.AccLoss), true }},
-	{"metrics", func(sc core.Scenario) (string, bool) { return sc.Metrics, true }},
-	{"rule", func(sc core.Scenario) (string, bool) { return sc.ExitRule, sc.ExitRule != "" }},
-	{"schedule", func(sc core.Scenario) (string, bool) { return sc.RateSchedule, sc.RateSchedule != "" }},
-	{"autoscale", func(sc core.Scenario) (string, bool) { return sc.Autoscale, sc.Autoscale != "" }},
-	{"hetero", func(sc core.Scenario) (string, bool) { return sc.Hetero, sc.Hetero != "" }},
-	{"faults", func(sc core.Scenario) (string, bool) { return sc.Faults, sc.Faults != "" }},
-	{"retry", func(sc core.Scenario) (string, bool) { return sc.Retry, sc.Retry != "" }},
-	{"kv", func(sc core.Scenario) (string, bool) { return setInt(sc.KVBlocks) }},
-	{"blocktok", func(sc core.Scenario) (string, bool) { return setInt(sc.BlockTokens) }},
-	{"prefixhit", func(sc core.Scenario) (string, bool) {
-		if sc.PrefixHit == 0 {
-			return "", false
-		}
-		return fmt.Sprintf("%g", sc.PrefixHit), true
-	}},
-	{"prefillchunk", func(sc core.Scenario) (string, bool) { return setInt(sc.PrefillChunk) }},
-}
-
-// setInt is a conditional integer axis's token: absent when n is 0.
-func setInt(n int) (string, bool) {
-	if n == 0 {
-		return "", false
-	}
-	return fmt.Sprintf("%d", n), true
-}
-
-// scenarioTokens holds a scenario's token on each of filterAxes.
-type scenarioTokens [len(filterAxes)]struct {
+// scenarioTokens holds a scenario's token on each of axes.
+type scenarioTokens [len(axes)]struct {
 	v  string
 	ok bool
 }
 
 // axisTokens lists a scenario's filterable axis values.
-func axisTokens(sc core.Scenario) scenarioTokens {
+func axisTokens(sc *core.Scenario) scenarioTokens {
 	var t scenarioTokens
-	for i := range filterAxes {
-		t[i].v, t[i].ok = filterAxes[i].token(sc)
+	for i := range axes {
+		t[i].v, t[i].ok = axes[i].token(sc)
 	}
 	return t
 }
@@ -311,30 +323,14 @@ func (f axisFilter) drops(t *scenarioTokens) bool {
 	return false
 }
 
-// compatible reports whether the model can serve the workload under the
-// paper's corpus pairing (mirrors core.Scenario.Validate without
-// constructing the model twice per grid point).
-func compatible(m *model.Model, wl string) bool {
-	switch {
-	case workload.IsGenerative(wl):
-		return m.Generative
-	case m.Generative:
-		return false
-	case workload.IsVideo(wl):
-		return m.Family.IsCV()
-	default: // amazon, imdb
-		return !m.Family.IsCV()
-	}
-}
-
-// Expand enumerates the grid's cartesian product, drops incompatible
-// pairings, canonicalizes scenarios (generative workloads collapse the
+// Expand enumerates the grid's cartesian product by walking the axes
+// table like an odometer, drops the pairings core.CheckPairing rejects,
+// canonicalizes scenarios (generative workloads collapse the
 // platform/dispatch/replica axes), deduplicates, applies the Only/Skip
 // filters, and derives each scenario's seed. The result is sorted by
 // scenario identity, so the same grid always expands to the same
 // ordered slice regardless of axis order in the specification.
 func (g Grid) Expand() ([]core.Scenario, error) {
-	g = g.withDefaults()
 	only, err := parseFilters(g.Only)
 	if err != nil {
 		return nil, err
@@ -343,112 +339,80 @@ func (g Grid) Expand() ([]core.Scenario, error) {
 	if err != nil {
 		return nil, err
 	}
+	n, genN := cmp.Or(g.N, 4000), cmp.Or(g.GenN, 40)
 
-	models := make(map[string]*model.Model, len(g.Models))
-	for _, name := range g.Models {
-		m, err := model.ByName(name)
+	// Digit k of the odometer indexes the size[k] values set[k] puts on
+	// a scenario.
+	var set [len(axes)]func(*core.Scenario, int)
+	var size, digit [len(axes)]int
+	for k := range axes {
+		size[k], set[k] = axes[k].bind(&g)
+	}
+	// sc is the one scenario the setters fill: they take its address, so
+	// a scenario per combination would each move to the heap.
+	var sc core.Scenario
+	// Look every model on the model axis, axes[0], up before building
+	// any scenario, so an unknown name fails the grid first and each
+	// model is built once.
+	models := map[string]*model.Model{}
+	for i := range size[0] {
+		set[0](&sc, i)
+		m, err := model.ByName(sc.Model)
 		if err != nil {
 			return nil, err
 		}
-		models[name] = m
+		models[sc.Model] = m
 	}
 
 	seen := map[string]bool{}
-	// The fault and retry axes expand as a precomputed product so the
-	// twelve-deep axis nest does not grow two more levels.
-	type faultAxis struct{ faults, retry string }
-	faultAxes := make([]faultAxis, 0, len(g.Faults)*len(g.Retries))
-	for _, flt := range g.Faults {
-		for _, rty := range g.Retries {
-			faultAxes = append(faultAxes, faultAxis{flt, rty})
-		}
-	}
-	// The four KV-runtime axes expand the same way, as one precomputed
-	// product.
-	type kvAxis struct {
-		blocks, blockTok int
-		prefix           float64
-		chunk            int
-	}
-	kvAxes := make([]kvAxis, 0, len(g.KVBlocks)*len(g.BlockTokens)*len(g.PrefixHits)*len(g.PrefillChunks))
-	for _, kb := range g.KVBlocks {
-		for _, bt := range g.BlockTokens {
-			for _, ph := range g.PrefixHits {
-				for _, pc := range g.PrefillChunks {
-					kvAxes = append(kvAxes, kvAxis{kb, bt, ph, pc})
-				}
-			}
-		}
-	}
 	var out []core.Scenario
 	var ids []string // out[i]'s identity, kept for the final sort
-	for _, mName := range g.Models {
-		for _, wl := range g.Workloads {
-			if !compatible(models[mName], wl) {
+	for more := true; more; more = advance(digit[:], size[:]) {
+		sc = core.Scenario{Trace: g.Trace, Timeline: g.Timeline, ObsTickMS: g.ObsTickMS}
+		for k := range axes {
+			set[k](&sc, digit[k])
+		}
+		if core.CheckPairing(models[sc.Model], sc.Workload) != nil {
+			continue
+		}
+		sc.N = n
+		if workload.IsGenerative(sc.Workload) {
+			sc.N = genN
+		}
+		sc = sc.Normalize()
+		id := sc.Identity()
+		if seen[id] {
+			continue
+		}
+		seen[id] = true
+		if len(only)+len(skip) > 0 { // a grid without filters reads no token
+			tokens := axisTokens(&sc)
+			if !only.keep(&tokens) || skip.drops(&tokens) {
 				continue
 			}
-			n := g.N
-			if workload.IsGenerative(wl) {
-				n = g.GenN
-			}
-			for _, plat := range g.Platforms {
-				for _, disp := range g.Dispatches {
-					for _, rep := range g.Replicas {
-						for _, rate := range g.RateMults {
-							for _, budget := range g.Budgets {
-								for _, accLoss := range g.AccLosses {
-									for _, rule := range g.ExitRules {
-										for _, mm := range g.Metrics {
-											for _, sched := range g.RateSchedules {
-												for _, as := range g.Autoscales {
-													for _, het := range g.Heteros {
-														for _, fr := range faultAxes {
-															for _, kv := range kvAxes {
-																sc := core.Scenario{
-																	Model: mName, Workload: wl,
-																	Platform: plat, Dispatch: disp, Replicas: rep,
-																	N: n, RateMult: rate,
-																	RampBudget: budget, AccLoss: accLoss,
-																	ExitRule: rule, Metrics: mm,
-																	RateSchedule: sched, Autoscale: as,
-																	Hetero: het, Faults: fr.faults, Retry: fr.retry,
-																	KVBlocks: kv.blocks, BlockTokens: kv.blockTok,
-																	PrefixHit: kv.prefix, PrefillChunk: kv.chunk,
-																	Trace: g.Trace, Timeline: g.Timeline,
-																	ObsTickMS: g.ObsTickMS,
-																}.Normalize()
-																id := sc.Identity()
-																if seen[id] {
-																	continue
-																}
-																seen[id] = true
-																tokens := axisTokens(sc)
-																if !only.keep(&tokens) || skip.drops(&tokens) {
-																	continue
-																}
-																if err := sc.Validate(); err != nil {
-																	return nil, err
-																}
-																sc.Seed = DeriveSeed(g.Seed, id)
-																out = append(out, sc)
-																ids = append(ids, id)
-															}
-														}
-													}
-												}
-											}
-										}
-									}
-								}
-							}
-						}
-					}
-				}
-			}
 		}
+		if err := sc.Validate(); err != nil {
+			return nil, err
+		}
+		sc.Seed = DeriveSeed(g.Seed, id)
+		out = append(out, sc)
+		ids = append(ids, id)
 	}
 	sort.Sort(&byIdentity{out, ids})
 	return out, nil
+}
+
+// advance steps the odometer: the innermost digit below its size counts
+// up and every digit inside it restarts at 0. It reports false after the
+// last combination.
+func advance(digit, size []int) bool {
+	for k := len(digit) - 1; k >= 0; k-- {
+		if digit[k]++; digit[k] < size[k] {
+			return true
+		}
+		digit[k] = 0
+	}
+	return false
 }
 
 // byIdentity sorts scenarios and their precomputed identities together.

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt race fuzz bench sweep-smoke mem-smoke mem-soak golden ci
+.PHONY: build test vet fmt race fuzz bench examples sweep-smoke mem-smoke mem-soak golden ci
 
 build:
 	$(GO) build ./...
@@ -45,6 +45,14 @@ fuzz:
 # static records of earlier runs; nothing regenerates them.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
+
+# Build every example under examples/ and run each once; fails when one
+# does not build or exits non-zero. The binaries go to a fresh temporary
+# directory, removed on exit.
+examples:
+	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
+	$(GO) build -o $$d/ ./examples/...; \
+	for e in $$d/*; do echo "== examples/$${e##*/}"; $$e; done
 
 # A 24+-scenario mixed grid at -workers 8, then the determinism gate:
 # the same grid at -workers 1 must emit byte-identical JSON.
@@ -154,4 +162,4 @@ mem-soak:
 golden:
 	$(GO) test -run '^TestGolden(Sweep|Tables)$$' -update .
 
-ci: build test vet fmt race fuzz sweep-smoke mem-smoke
+ci: build test vet fmt race fuzz examples sweep-smoke mem-smoke

@@ -6,43 +6,35 @@ package main
 
 import (
 	"fmt"
+	"os"
 
 	"repro/internal/core"
-	"repro/internal/exitsim"
-	"repro/internal/metrics"
-	"repro/internal/model"
-	"repro/internal/workload"
 )
 
 func main() {
 	cases := []struct {
-		m    *model.Model
-		kind exitsim.Kind
-		wl   string
-		n    int
+		model, wl string
+		n         int
 	}{
-		{model.T5Large(), exitsim.KindCNNDailyMail, "cnn-dailymail", 400},
-		{model.T5Large(), exitsim.KindSQuAD, "squad", 600},
-		{model.Llama27B(), exitsim.KindSQuAD, "squad", 1000},
-		{model.Llama213B(), exitsim.KindSQuAD, "squad", 1000},
+		{"t5-large", "cnn-dailymail", 400},
+		{"t5-large", "squad", 600},
+		{"llama2-7b", "squad", 1000},
+		{"llama2-13b", "squad", 1000},
 	}
 	fmt.Println("generative serving with token-level exits + parallel decoding")
 	fmt.Printf("\n%-12s %-14s %10s %10s %8s %9s %7s\n",
 		"model", "workload", "van_tpt", "app_tpt", "win", "p95_ratio", "score")
 	for _, c := range cases {
-		stream, err := workload.GenByName(c.wl, c.n, 2, 9)
+		// A generative scenario's latencies are time-per-token and its
+		// accuracy the sequence score.
+		res, err := core.RunScenario(core.Scenario{Model: c.model, Workload: c.wl, N: c.n, Seed: 9})
 		if err != nil {
-			panic(err)
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
 		}
-		sys := core.NewGen(c.m, c.kind, core.Config{})
-		vanilla := sys.ServeVanilla(stream)
-		apparate := sys.Serve(stream)
-		vt, at := vanilla.TPT(), apparate.TPT()
+		v, a := res.Vanilla, res.Apparate
 		fmt.Printf("%-12s %-14s %8.2fms %8.2fms %7.1f%% %9.3f %7.3f\n",
-			c.m.Name, c.wl, vt.Median(), at.Median(),
-			metrics.WinPercent(vt.Median(), at.Median()),
-			at.Percentile(95)/vt.Percentile(95),
-			apparate.MeanScore)
+			c.model, c.wl, v.P50ms, a.P50ms, res.P50Win, a.P95ms/v.P95ms, a.Accuracy)
 	}
 	fmt.Println("\nmedian TPT falls sharply; P95 can exceed vanilla slightly because")
 	fmt.Println("non-exiting tokens catch up the deferred layers of exited tokens.")

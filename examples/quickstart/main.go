@@ -5,57 +5,46 @@ package main
 
 import (
 	"fmt"
+	"os"
 
 	"repro/internal/core"
-	"repro/internal/exitsim"
 	"repro/internal/metrics"
 	"repro/internal/model"
-	"repro/internal/workload"
 )
 
 func main() {
 	// 1. Pick a model from the zoo. Graph shape and latency profile are
 	// calibrated to the paper's Table 5.
 	m := model.ResNet50()
+	fmt.Printf("model %s: %d graph operators, %d feasible ramp sites\n",
+		m.Name, m.Graph.Len(), len(m.FeasibleRamps()))
 
-	// 2. Register it with Apparate: a 1% accuracy constraint and a 2%
-	// ramp budget (the paper's defaults). Apparate finds feasible ramp
-	// sites via cut-vertex analysis and deploys evenly spaced ramps with
-	// zero thresholds — exiting only begins once the runtime controller
-	// has evidence it is safe.
-	sys := core.New(m, exitsim.KindVideo, core.Config{})
-	fmt.Printf("model %s: %d graph operators, %d feasible ramp sites, %d ramps deployed\n",
-		m.Name, m.Graph.Len(), len(sys.Handler.Cfg.Sites), len(sys.Handler.Cfg.Active))
+	// 2. Describe the deployment as a scenario: the model, one of the
+	// eight 30fps videos, and Apparate's two parameters, left at the
+	// paper's defaults (a 1% accuracy constraint and a 2% ramp budget).
+	sc := core.Scenario{Model: m.Name, Workload: "video-0", N: 10000, Seed: 1}
 
-	// 3. Build a workload: one of the eight 30fps videos.
-	stream := workload.Video(0, 10000, 30, 1)
-
-	// 4. Serve it twice: vanilla and with Apparate managing exits.
-	vanilla := sys.ServeVanilla(stream)
-	apparate := sys.Serve(stream)
-
-	vl, al := vanilla.Latencies(), apparate.Latencies()
-	fmt.Printf("\n%-12s %10s %10s %8s\n", "percentile", "vanilla", "apparate", "win")
-	for _, p := range []float64{25, 50, 95} {
-		v, a := vl.Percentile(p), al.Percentile(p)
-		fmt.Printf("p%-11.0f %8.2fms %8.2fms %7.1f%%\n", p, v, a, metrics.WinPercent(v, a))
-	}
-	fmt.Printf("\naccuracy vs original model: %.2f%% (constraint: >= 99%%)\n", apparate.Accuracy*100)
-	fmt.Printf("throughput: vanilla %.1f qps, apparate %.1f qps\n",
-		vanilla.ThroughputQPS, apparate.ThroughputQPS)
-
-	ctl := sys.Controller()
-	fmt.Printf("adaptation: %d threshold-tuning rounds, %d ramp-adjustment rounds\n",
-		ctl.TuneRounds, ctl.AdjustRounds)
-
-	// 5. The same experiment as one declarative scenario — the uniform
-	// entry point apparate-serve and apparate-sweep are built on.
-	res, err := core.RunScenario(core.Scenario{
-		Model: "resnet50", Workload: "video-0", N: 10000, Seed: 1,
-	})
+	// 3. Run it. RunScenario serves the stream twice: vanilla, and with
+	// Apparate managing exits. Apparate deploys evenly spaced ramps on
+	// the feasible sites with zero thresholds — exiting only begins once
+	// the runtime controller has evidence it is safe.
+	res, err := core.RunScenario(sc)
 	if err != nil {
-		panic(err)
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	fmt.Printf("\nscenario API: p95 %.2fms -> %.2fms (win %.1f%%), accuracy loss %.3f%%\n",
-		res.Vanilla.P95ms, res.Apparate.P95ms, res.P95Win, res.AccDelta*100)
+
+	fmt.Printf("\n%-12s %10s %10s %8s\n", "percentile", "vanilla", "apparate", "win")
+	for _, r := range []struct{ p, v, a float64 }{
+		{25, res.Vanilla.P25ms, res.Apparate.P25ms},
+		{50, res.Vanilla.P50ms, res.Apparate.P50ms},
+		{95, res.Vanilla.P95ms, res.Apparate.P95ms},
+	} {
+		fmt.Printf("p%-11.0f %8.2fms %8.2fms %7.1f%%\n", r.p, r.v, r.a, metrics.WinPercent(r.v, r.a))
+	}
+	fmt.Printf("\naccuracy vs original model: %.2f%% (constraint: >= 99%%)\n", res.Apparate.Accuracy*100)
+	fmt.Printf("throughput: vanilla %.1f qps, apparate %.1f qps\n",
+		res.Vanilla.Throughput, res.Apparate.Throughput)
+	fmt.Printf("adaptation: %d threshold-tuning rounds, %d ramp-adjustment rounds\n",
+		res.TuneRounds, res.AdjustRounds)
 }

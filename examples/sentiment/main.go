@@ -6,14 +6,10 @@ package main
 
 import (
 	"fmt"
+	"os"
 
 	"repro/internal/core"
-	"repro/internal/exitsim"
-	"repro/internal/metrics"
-	"repro/internal/model"
 	"repro/internal/serving"
-	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 func main() {
@@ -22,27 +18,20 @@ func main() {
 	fmt.Printf("\n%-16s %-7s %-10s %9s %9s %8s %7s\n",
 		"model", "dataset", "platform", "van_p50", "app_p50", "win", "acc")
 	for _, name := range []string{"distilbert-base", "bert-base", "bert-large"} {
-		m, err := model.ByName(name)
-		if err != nil {
-			panic(err)
-		}
 		for _, dataset := range []string{"amazon", "imdb"} {
-			stream, err := workload.ByName(dataset, n, trace.TargetQPS(m), 7)
-			if err != nil {
-				panic(err)
-			}
-			kind := exitsim.KindAmazon
-			if dataset == "imdb" {
-				kind = exitsim.KindIMDB
-			}
-			for _, platform := range []serving.Platform{serving.Clockwork, serving.TFServe} {
-				sys := core.New(m, kind, core.Config{Platform: platform, MaxBatch: 8})
-				vanilla := sys.ServeVanilla(stream)
-				apparate := sys.Serve(stream)
-				vm, am := vanilla.Latencies().Median(), apparate.Latencies().Median()
+			for _, platform := range serving.Platforms() {
+				// The review stream arrives at the model's sustainable
+				// trace-derived rate.
+				res, err := core.RunScenario(core.Scenario{
+					Model: name, Workload: dataset, Platform: platform, N: n, Seed: 7,
+				})
+				if err != nil {
+					fmt.Fprintln(os.Stderr, err)
+					os.Exit(1)
+				}
 				fmt.Printf("%-16s %-7s %-10s %7.1fms %7.1fms %7.1f%% %6.2f%%\n",
-					name, dataset, platform, vm, am,
-					metrics.WinPercent(vm, am), apparate.Accuracy*100)
+					name, dataset, platform, res.Vanilla.P50ms, res.Apparate.P50ms,
+					res.P50Win, res.Apparate.Accuracy*100)
 			}
 		}
 	}

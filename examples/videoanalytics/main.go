@@ -6,12 +6,9 @@ package main
 
 import (
 	"fmt"
+	"os"
 
 	"repro/internal/core"
-	"repro/internal/exitsim"
-	"repro/internal/metrics"
-	"repro/internal/model"
-	"repro/internal/workload"
 )
 
 func main() {
@@ -20,19 +17,22 @@ func main() {
 	fmt.Printf("\n%-9s %9s %9s %8s %9s %9s %7s %7s\n",
 		"video", "van_p50", "app_p50", "win", "van_p95", "app_p95", "acc", "tunes")
 	for vid := 0; vid < 8; vid++ {
-		// A fresh system per video: each video is its own deployment.
-		sys := core.New(model.ResNet50(), exitsim.KindVideo, core.Config{})
-		stream := workload.Video(vid, frames, 30, uint64(100+vid))
-		vanilla := sys.ServeVanilla(stream)
-		apparate := sys.Serve(stream)
-		vl, al := vanilla.Latencies(), apparate.Latencies()
+		// One scenario per video: each video is its own deployment.
+		res, err := core.RunScenario(core.Scenario{
+			Model: "resnet50", Workload: fmt.Sprintf("video-%d", vid),
+			N: frames, Seed: uint64(100 + vid),
+		})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		v, a := res.Vanilla, res.Apparate
 		fmt.Printf("%-9s %7.2fms %7.2fms %7.1f%% %7.2fms %7.2fms %6.2f%% %7d\n",
-			stream.Name,
-			vl.Median(), al.Median(),
-			metrics.WinPercent(vl.Median(), al.Median()),
-			vl.Percentile(95), al.Percentile(95),
-			apparate.Accuracy*100,
-			sys.Controller().TuneRounds,
+			res.Scenario.Workload,
+			v.P50ms, a.P50ms, res.P50Win,
+			v.P95ms, a.P95ms,
+			a.Accuracy*100,
+			res.TuneRounds,
 		)
 	}
 	fmt.Println("\nnight videos (odd ids) are harder: exits move deeper and tuning")

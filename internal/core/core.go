@@ -6,54 +6,40 @@
 // continually adapts thresholds and ramp positions while results exit
 // early and inputs run to completion.
 //
-// Classification:
+// A Scenario names one such deployment and its workload, and
+// RunScenario serves the workload twice, vanilla and with Apparate, on
+// the same stream:
 //
-//	m := model.ResNet50()
-//	sys := core.New(m, exitsim.KindVideo, core.Config{})
-//	stats := sys.Serve(workload.Video(0, 10000, 30, 1))
+//	res, err := core.RunScenario(core.Scenario{
+//		Model: "resnet50", Workload: "video-0", N: 10000, Seed: 1,
+//	})
+//	fmt.Println(res.Vanilla.P95ms, res.Apparate.P95ms, res.AccDelta)
 //
-// Generative:
+// A generative scenario runs on a GenSystem, which NewGen prepares for
+// callers that drive the engine themselves:
 //
 //	g := core.NewGen(model.T5Large(), exitsim.KindCNNDailyMail, core.Config{})
 //	stats := g.Serve(workload.CNNDailyMail(500, 3, 1))
 package core
 
 import (
-	"repro/internal/controller"
-	"repro/internal/exitrule"
 	"repro/internal/exitsim"
 	"repro/internal/genserve"
 	"repro/internal/metrics"
 	"repro/internal/model"
-	"repro/internal/ramp"
-	"repro/internal/serving"
 	"repro/internal/workload"
 )
 
-// Config carries Apparate's two user-facing parameters (§3) plus
-// deployment knobs; zero values take the paper's defaults.
+// Config configures NewGen: Apparate's accuracy constraint and the
+// generative engine's knobs; zero values take the paper's defaults.
 type Config struct {
 	// AccuracyConstraint is the tolerable accuracy loss relative to the
 	// original model (default 0.01, i.e. 1%).
 	AccuracyConstraint float64
-	// RampBudget bounds active-ramp overhead as a fraction of worst-case
-	// latency — the paper's "ramp aggression" (default 0.02).
+	// RampBudget is read by nothing: a generative model's single
+	// adjustable ramp is its decode head, whatever the budget. It stays
+	// because internal/perf's generative composition still sets it.
 	RampBudget float64
-	// Style selects the ramp architecture (default: the lightweight
-	// pooling+FC ramp of §3.1).
-	Style ramp.Style
-	// Platform selects the serving platform (default Clockwork).
-	Platform serving.Platform
-	// SLOms overrides the model's default SLO of 2× its bs=1 latency.
-	SLOms float64
-	// MaxBatch caps serving batch sizes (default 16).
-	MaxBatch int
-	// DisableRampAdjust turns off the §3.3 loop (ablation).
-	DisableRampAdjust bool
-	// ExitRule selects the exit strategy by name ("entropy" default,
-	// "windowed-K", "patience-P"); Apparate's controller is agnostic to
-	// the technique (§5).
-	ExitRule string
 	// GenSlots overrides the generative engine's continuous-batching slot
 	// count (default 8).
 	GenSlots int
@@ -87,78 +73,8 @@ func (c Config) withDefaults() Config {
 	if c.AccuracyConstraint == 0 {
 		c.AccuracyConstraint = 0.01
 	}
-	if c.RampBudget == 0 {
-		c.RampBudget = 0.02
-	}
-	if c.Style.Name == "" {
-		c.Style = ramp.StyleDefault
-	}
 	return c
 }
-
-// System is a prepared classification serving system.
-type System struct {
-	Model   *model.Model
-	Handler *serving.ApparateHandler
-	Opts    serving.Options
-	cfg     Config
-}
-
-// New prepares the model with early exits for the given workload kind:
-// ramp sites from the cut-vertex analysis, the budget-maximal evenly
-// spaced initial deployment with zero thresholds, and a controller
-// enforcing the accuracy constraint.
-func New(m *model.Model, kind exitsim.Kind, cfg Config) *System {
-	cfg = cfg.withDefaults()
-	profile := exitsim.ProfileFor(m, kind)
-	h := serving.NewApparate(m, profile, cfg.RampBudget, controller.Config{
-		AccConstraint:     cfg.AccuracyConstraint,
-		DisableRampAdjust: cfg.DisableRampAdjust,
-	})
-	if cfg.Style.Name != ramp.StyleDefault.Name {
-		// Redeploy with the requested ramp architecture.
-		h.Cfg.DeployInitial(cfg.Style)
-	}
-	if cfg.ExitRule != "" {
-		rule, err := exitrule.ByName(cfg.ExitRule)
-		if err != nil {
-			panic(err) // registration-time misconfiguration
-		}
-		h.Cfg.Rule = rule
-	}
-	slo := cfg.SLOms
-	if slo == 0 {
-		slo = m.SLO()
-	}
-	return &System{
-		Model:   m,
-		Handler: h,
-		Opts: serving.Options{
-			Platform: cfg.Platform,
-			SLOms:    slo,
-			MaxBatch: cfg.MaxBatch,
-			Metrics:  cfg.Metrics,
-		},
-		cfg: cfg,
-	}
-}
-
-// Serve runs the workload through the platform with Apparate managing
-// exits. The stream is consumed through a fresh iterator, so the same
-// stream can be served any number of times.
-func (s *System) Serve(stream *workload.Stream) *serving.Stats {
-	return serving.Run(stream.Iter(), s.Handler, s.Opts)
-}
-
-// ServeVanilla runs the same workload with the unmodified model on the
-// same platform configuration, for comparison. The unmodified model
-// reads no sample, so it is served the stream's sample-free pass.
-func (s *System) ServeVanilla(stream *workload.Stream) *serving.Stats {
-	return serving.Run(stream.WithoutSamples().Iter(), &serving.VanillaHandler{Model: s.Model}, s.Opts)
-}
-
-// Controller exposes the runtime controller for inspection.
-func (s *System) Controller() *controller.Controller { return s.Handler.Ctl }
 
 // GenSystem is a prepared generative serving system.
 type GenSystem struct {

@@ -3,24 +3,24 @@ package core
 import (
 	"testing"
 
+	"repro/internal/controller"
 	"repro/internal/exitsim"
-	"repro/internal/metrics"
 	"repro/internal/model"
-	"repro/internal/ramp"
+	"repro/internal/serving"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
 func TestEndToEndClassification(t *testing.T) {
-	sys := New(model.ResNet50(), exitsim.KindVideo, Config{})
-	stream := workload.Video(0, 5000, 30, 41)
-	v := sys.ServeVanilla(stream)
-	a := sys.Serve(stream)
-	if a.Accuracy < 0.98 {
-		t.Fatalf("accuracy %v below constraint margin", a.Accuracy)
+	res, err := RunScenario(Scenario{Model: "resnet50", Workload: "video-0", N: 5000, Seed: 41})
+	if err != nil {
+		t.Fatal(err)
 	}
-	win := metrics.WinPercent(v.Latencies().Median(), a.Latencies().Median())
-	if win < 20 {
-		t.Fatalf("median win %v%% too small for an easy CV workload", win)
+	if res.Apparate.Accuracy < 0.98 {
+		t.Fatalf("accuracy %v below constraint margin", res.Apparate.Accuracy)
+	}
+	if res.P50Win < 20 {
+		t.Fatalf("median win %v%% too small for an easy CV workload", res.P50Win)
 	}
 }
 
@@ -39,41 +39,77 @@ func TestEndToEndGenerative(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.AccuracyConstraint != 0.01 || c.RampBudget != 0.02 || c.Style.Name != "default" {
+	if c.AccuracyConstraint != 0.01 {
 		t.Fatalf("unexpected defaults: %+v", c)
 	}
 }
 
-func TestCustomRampStyle(t *testing.T) {
-	sys := New(model.BERTBase(), exitsim.KindAmazon, Config{Style: ramp.StyleDeeBERTPooler})
-	for _, r := range sys.Handler.Cfg.Active {
-		if r.Style.Name != ramp.StyleDeeBERTPooler.Name {
-			t.Fatal("custom ramp style not deployed")
+// TestRunScenarioMatchesDirectComposition: a default scenario serves
+// exactly what composing the runtimes by hand serves — vanilla and an
+// Apparate handler calibrated to the stream's kind, with the paper's 2%
+// ramp budget and 1% accuracy constraint, on Clockwork at the model's
+// default SLO; for a generative workload, NewGen's engine and policy.
+// Callers that moved from hand composition to RunScenario keep their
+// numbers.
+func TestRunScenarioMatchesDirectComposition(t *testing.T) {
+	for _, c := range []struct{ model, workload string }{
+		{"resnet50", "video-1"},
+		{"distilbert-base", "imdb"},
+	} {
+		t.Run(c.workload, func(t *testing.T) {
+			const n, seed = 3000, 5
+			res, err := RunScenario(Scenario{Model: c.model, Workload: c.workload, N: n, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := model.ByName(c.model)
+			if err != nil {
+				t.Fatal(err)
+			}
+			qps := 30.0
+			if !workload.IsVideo(c.workload) {
+				qps = trace.TargetQPS(m)
+			}
+			stream, err := workload.ByName(c.workload, n, qps, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := serving.Options{Platform: serving.Clockwork, SLOms: m.SLO()}
+			v := serving.Run(stream.Iter(), &serving.VanillaHandler{Model: m}, opts)
+			h := serving.NewApparate(m, exitsim.ProfileFor(m, stream.Kind), 0.02,
+				controller.Config{AccConstraint: 0.01})
+			a := serving.Run(stream.Iter(), h, opts)
+			if got, want := res.Vanilla, classSummary(v); got != want {
+				t.Errorf("vanilla: scenario %+v, direct %+v", got, want)
+			}
+			if got, want := res.Apparate, classSummary(a); got != want {
+				t.Errorf("apparate: scenario %+v, direct %+v", got, want)
+			}
+			if res.TuneRounds != h.Ctl.TuneRounds || res.AdjustRounds != h.Ctl.AdjustRounds ||
+				res.ActiveRamps != len(h.Cfg.Active) {
+				t.Errorf("adaptation: scenario %d/%d/%d, direct %d/%d/%d",
+					res.TuneRounds, res.AdjustRounds, res.ActiveRamps,
+					h.Ctl.TuneRounds, h.Ctl.AdjustRounds, len(h.Cfg.Active))
+			}
+		})
+	}
+	t.Run("squad", func(t *testing.T) {
+		const n, seed = 60, 9
+		res, err := RunScenario(Scenario{Model: "t5-large", Workload: "squad", N: n, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Costlier ramps, same budget: fewer of them.
-	def := New(model.BERTBase(), exitsim.KindAmazon, Config{})
-	if len(sys.Handler.Cfg.Active) >= len(def.Handler.Cfg.Active) {
-		t.Fatal("pooler-style deployment not smaller than default")
-	}
-}
-
-func TestSLOOverride(t *testing.T) {
-	sys := New(model.ResNet50(), exitsim.KindVideo, Config{SLOms: 100})
-	if sys.Opts.SLOms != 100 {
-		t.Fatalf("SLO override ignored: %v", sys.Opts.SLOms)
-	}
-	def := New(model.ResNet50(), exitsim.KindVideo, Config{})
-	if def.Opts.SLOms != model.ResNet50().SLO() {
-		t.Fatalf("default SLO wrong: %v", def.Opts.SLOms)
-	}
-}
-
-func TestAblationDisablesAdjustment(t *testing.T) {
-	sys := New(model.ResNet50(), exitsim.KindVideo, Config{DisableRampAdjust: true})
-	stream := workload.Video(0, 2000, 30, 47)
-	sys.Serve(stream)
-	if sys.Controller().AdjustRounds != 0 {
-		t.Fatal("ablation ran ramp adjustment")
-	}
+		stream := workload.SQuAD(n, 2, seed)
+		g := NewGen(model.T5Large(), stream.Kind, Config{})
+		if got, want := res.Vanilla, genSummary(g.ServeVanilla(stream)); got != want {
+			t.Errorf("vanilla: scenario %+v, direct %+v", got, want)
+		}
+		if got, want := res.Apparate, genSummary(g.Serve(stream)); got != want {
+			t.Errorf("apparate: scenario %+v, direct %+v", got, want)
+		}
+		if res.TuneRounds != g.Policy.TuneRounds || res.AdjustRounds != g.Policy.MoveRounds {
+			t.Errorf("adaptation: scenario %d/%d, direct %d/%d",
+				res.TuneRounds, res.AdjustRounds, g.Policy.TuneRounds, g.Policy.MoveRounds)
+		}
+	})
 }

@@ -23,10 +23,11 @@ import (
 )
 
 // Scenario is one fully specified serving experiment: a model, a
-// workload, a platform configuration, and Apparate's parameters. It is
-// the uniform entry point shared by apparate-serve (one scenario),
-// apparate-sweep (a grid of them), examples, and tests — every field is
-// a plain value so a Scenario can be hashed, filtered, and serialized.
+// workload, a platform configuration, and Apparate's parameters.
+// RunScenario serves it, classification or generative, for every
+// caller: apparate-serve (one scenario), apparate-sweep (a grid of
+// them), the examples, and the tests. Every field is a plain value so a
+// Scenario can be hashed, filtered, and serialized.
 type Scenario struct {
 	Model    string `json:"model"`
 	Workload string `json:"workload"`
@@ -407,8 +408,8 @@ func (sc Scenario) Validate() error {
 	if err != nil {
 		return err
 	}
-	if !slices.Contains(workload.Names(), sc.Workload) && !slices.Contains(workload.GenNames(), sc.Workload) {
-		return fmt.Errorf("scenario: unknown workload %q", sc.Workload)
+	if err := CheckWorkload(sc.Workload); err != nil {
+		return err
 	}
 	if err := CheckPairing(m, sc.Workload); err != nil {
 		return err
@@ -498,6 +499,17 @@ func (sc Scenario) Validate() error {
 		if max := fs.MaxReplica(); max >= width {
 			return fmt.Errorf("scenario: faults spec names replica r%d but the cluster realizes at most %d replicas", max, width)
 		}
+	}
+	return nil
+}
+
+// CheckWorkload reports an error unless wl names a workload, spelt as
+// workload.Names or workload.GenNames lists it. Validate and the sweep's
+// grid expansion share it, so a misspelt name fails wherever it appears
+// instead of passing for a workload some model cannot serve.
+func CheckWorkload(wl string) error {
+	if !slices.Contains(workload.Names(), wl) && !slices.Contains(workload.GenNames(), wl) {
+		return fmt.Errorf("scenario: unknown workload %q", wl)
 	}
 	return nil
 }
@@ -776,7 +788,6 @@ func runGenScenario(sc Scenario, open openSinks) (*Result, ObsData, error) {
 	mode, _ := metrics.ParseMode(sc.Metrics)
 	cfg := Config{
 		AccuracyConstraint: sc.AccLoss,
-		RampBudget:         sc.RampBudget,
 		GenSlots:           sc.GenSlots,
 		GenFlush:           sc.GenFlush,
 		KVBlocks:           sc.KVBlocks,

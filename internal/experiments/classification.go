@@ -45,7 +45,7 @@ func fig12() []Table {
 		var appWins, optWins []float64
 		for vid := 0; vid < 8; vid++ {
 			stream := cvStreamFor(m, vid, uint64(12+vid))
-			v, a := servePair(m, exitsim.KindVideo, stream, 0.02, 0.01)
+			v, a := servePair(m, stream, 0.02, 0.01)
 			opts := serving.Options{Platform: serving.Clockwork, SLOms: m.SLO()}
 			o := serving.Run(stream.Iter(), baselines.NewOptimal(m, prof), opts)
 			vMed := v.Latencies().Median()
@@ -74,7 +74,7 @@ func fig13() []Table {
 		var appP95, vanP95 []float64
 		for vid := 0; vid < 8; vid += 2 { // 4 videos keep this quick
 			stream := cvStreamFor(m, vid, uint64(13+vid))
-			v, a := servePair(m, exitsim.KindVideo, stream, 0.02, 0.01)
+			v, a := servePair(m, stream, 0.02, 0.01)
 			appP95 = append(appP95, a.Latencies().Percentile(95))
 			vanP95 = append(vanP95, v.Latencies().Percentile(95))
 		}
@@ -96,7 +96,7 @@ func fig14() []Table {
 		m, _ := model.ByName(name)
 		for _, wl := range []string{"amazon", "imdb"} {
 			stream := nlpStream(wl, m, 14)
-			v, a := servePair(m, kindFor(wl), stream, 0.02, 0.01)
+			v, a := servePair(m, stream, 0.02, 0.01)
 			vl, al := v.Latencies(), a.Latencies()
 			t.Rows = append(t.Rows, []string{
 				name, wl,
@@ -122,7 +122,7 @@ func fig15() []Table {
 		prof := exitsim.ProfileFor(m, exitsim.KindAmazon)
 		stream := nlpStream("amazon", m, 15)
 		opts := serving.Options{Platform: serving.Clockwork, SLOms: m.SLO()}
-		v, a := servePair(m, exitsim.KindAmazon, stream, 0.02, 0.01)
+		v, a := servePair(m, stream, 0.02, 0.01)
 		oo := serving.Run(stream.Iter(),
 			baselines.NewOnlineOptimal(m, prof, 0.02, stream.Samples(), 0.01), opts)
 		off := serving.Run(stream.Iter(), baselines.NewOptimal(m, prof), opts)
@@ -153,16 +153,15 @@ func fig16() []Table {
 		{model.Distilbert(), "amazon"}, {model.BERTBase(), "imdb"},
 	}
 	for _, c := range cases {
-		kind := kindFor(c.wl)
 		var stream *workload.Stream
-		if kind == exitsim.KindVideo {
+		if workload.IsVideo(c.wl) {
 			stream = cvStream(0, 16)
 		} else {
 			stream = nlpStream(c.wl, c.m, 16)
 		}
-		prof := exitsim.ProfileFor(c.m, kind)
+		prof := exitsim.ProfileFor(c.m, stream.Kind)
 		opts := serving.Options{Platform: serving.Clockwork, SLOms: c.m.SLO()}
-		_, a := servePair(c.m, kind, stream, 0.02, 0.01)
+		_, a := servePair(c.m, stream, 0.02, 0.01)
 		boot := stream.SamplePrefix(stream.Len() / 10)
 		two := serving.Run(stream.Iter(), baselines.NewTwoLayer(c.m, prof, boot, 0.01), opts)
 		al, tl := a.Latencies(), two.Latencies()
@@ -200,7 +199,6 @@ func fig17() []Table {
 			} else {
 				stream = nlpStream("amazon", c.m, 17)
 			}
-			kind := kindFor(c.wl)
 			// Higher SLOs let operators run larger batch accumulation
 			// windows (the throughput-oriented configuration the paper
 			// describes); queuing then grows with the SLO while exits
@@ -210,7 +208,7 @@ func fig17() []Table {
 				MaxBatch: 16, BatchTimeoutMS: slo / 2, QueueCap: 256,
 			}
 			v := serveVanilla(c.m, stream, opts)
-			h := serving.NewApparate(c.m, exitsim.ProfileFor(c.m, kind), 0.02, controller.Config{})
+			h := serving.NewApparate(c.m, exitsim.ProfileFor(c.m, stream.Kind), 0.02, controller.Config{})
 			a := serving.Run(stream.Iter(), h, opts)
 			t.Rows = append(t.Rows, []string{
 				c.m.Name, fmt.Sprintf("%gx", mult), f1(slo),
@@ -238,14 +236,13 @@ func fig19() []Table {
 	}
 	for _, c := range cases {
 		for _, acc := range []float64{0.01, 0.02, 0.05} {
-			kind := kindFor(c.wl)
 			var stream *workload.Stream
-			if kind == exitsim.KindVideo {
+			if workload.IsVideo(c.wl) {
 				stream = workload.Video(1, cvFrames, 30, 19)
 			} else {
 				stream = nlpStream("amazon", c.m, 19)
 			}
-			v, a := servePair(c.m, kind, stream, 0.02, acc)
+			v, a := servePair(c.m, stream, 0.02, acc)
 			t.Rows = append(t.Rows, []string{
 				c.m.Name, pct(acc * 100),
 				pct(metrics.WinPercent(v.Latencies().Median(), a.Latencies().Median())),
@@ -265,7 +262,7 @@ func table2() []Table {
 		Header: []string{"system", "avg_acc", "median_win", "p95_win"},
 	}
 	type run struct{ acc, medWin, p95Win float64 }
-	collect := func(m *model.Model, kind exitsim.Kind, stream *workload.Stream,
+	collect := func(m *model.Model, stream *workload.Stream,
 		build func(boot, test []exitsim.Sample) serving.Handler) run {
 		opts := serving.Options{Platform: serving.Clockwork, SLOms: m.SLO()}
 		v := serveVanilla(m, stream, opts)
@@ -279,6 +276,9 @@ func table2() []Table {
 			p95Win: metrics.WinPercent(vl.Percentile(95), sl.Percentile(95)),
 		}
 	}
+	// addRows takes the calibration kind instead of reading each
+	// stream's: the deebert rows serve IMDB under the Amazon profile, as
+	// the golden table pins.
 	addRows := func(label string, m *model.Model, kind exitsim.Kind, streams []*workload.Stream,
 		style ramp.Style, overhead float64) {
 		prof := exitsim.ProfileFor(m, kind)
@@ -302,7 +302,7 @@ func table2() []Table {
 		for _, sys := range systems {
 			var accs, med, p95 []float64
 			for _, stream := range streams {
-				r := collect(m, kind, stream, sys.build)
+				r := collect(m, stream, sys.build)
 				accs = append(accs, r.acc)
 				med = append(med, r.medWin)
 				p95 = append(p95, r.p95Win)
@@ -338,7 +338,6 @@ func table3() []Table {
 			m  *model.Model
 			wl string
 		}{{model.ResNet50(), "video"}, {model.GPT2Medium(), "amazon"}} {
-			kind := kindFor(c.wl)
 			// Average across three streams to separate the budget effect
 			// from per-stream variation.
 			var sum float64
@@ -350,7 +349,7 @@ func table3() []Table {
 				} else {
 					stream = nlpStream("amazon", c.m, uint64(23+k))
 				}
-				v, a := servePair(c.m, kind, stream, budget, 0.01)
+				v, a := servePair(c.m, stream, budget, 0.01)
 				sum += metrics.WinPercent(v.Latencies().Median(), a.Latencies().Median())
 			}
 			wins = append(wins, pct(sum/streams))
@@ -374,14 +373,13 @@ func table4() []Table {
 			m  *model.Model
 			wl string
 		}{{model.ResNet50(), "video"}, {model.GPT2Medium(), "amazon"}} {
-			kind := kindFor(c.wl)
 			var stream *workload.Stream
 			if c.wl == "video" {
 				stream = cvStream(0, 24)
 			} else {
 				stream = nlpStream("amazon", c.m, 24)
 			}
-			h := serving.NewApparate(c.m, exitsim.ProfileFor(c.m, kind), 0.02, controller.Config{})
+			h := serving.NewApparate(c.m, exitsim.ProfileFor(c.m, stream.Kind), 0.02, controller.Config{})
 			stats := serving.Run(stream.Iter(), h, serving.Options{
 				Platform: platform, SLOms: c.m.SLO(), MaxBatch: 8, BatchTimeoutMS: 5,
 			})
@@ -407,7 +405,7 @@ func quant() []Table {
 		model.BERTLarge(), model.QuantizedBERTLarge(),
 	} {
 		stream := nlpStream("amazon", m, 25)
-		v, a := servePair(m, exitsim.KindAmazon, stream, 0.02, 0.01)
+		v, a := servePair(m, stream, 0.02, 0.01)
 		vl, al := v.Latencies(), a.Latencies()
 		t.Rows = append(t.Rows, []string{
 			m.Name,
@@ -456,15 +454,14 @@ func ablation() []Table {
 		m  *model.Model
 		wl string
 	}{{model.ResNet50(), "video-1"}, {model.GPT2Medium(), "amazon"}} {
-		kind := kindFor(c.wl)
 		var stream *workload.Stream
-		if kind == exitsim.KindVideo {
+		if workload.IsVideo(c.wl) {
 			stream = workload.Video(1, cvFrames, 30, 27)
 		} else {
 			stream = nlpStream("amazon", c.m, 27)
 		}
-		v, full := servePair(c.m, kind, stream, 0.02, 0.01)
-		h := serving.NewApparate(c.m, exitsim.ProfileFor(c.m, kind), 0.02,
+		v, full := servePair(c.m, stream, 0.02, 0.01)
+		h := serving.NewApparate(c.m, exitsim.ProfileFor(c.m, stream.Kind), 0.02,
 			controller.Config{DisableRampAdjust: true})
 		no := serving.Run(stream.Iter(), h, serving.Options{Platform: serving.Clockwork, SLOms: c.m.SLO()})
 		vMed := v.Latencies().Median()

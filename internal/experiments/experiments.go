@@ -136,18 +136,6 @@ func nlpStream(name string, m *model.Model, seed uint64) *workload.Stream {
 	return s
 }
 
-// kindFor maps a workload name to its exitsim kind.
-func kindFor(name string) exitsim.Kind {
-	switch {
-	case name == "amazon":
-		return exitsim.KindAmazon
-	case name == "imdb":
-		return exitsim.KindIMDB
-	default:
-		return exitsim.KindVideo
-	}
-}
-
 // distFrom wraps a slice in a metrics distribution.
 func distFrom(vs []float64) *metrics.Dist {
 	d := metrics.NewDist(len(vs))
@@ -156,15 +144,15 @@ func distFrom(vs []float64) *metrics.Dist {
 }
 
 // servePair runs vanilla and Apparate over the same stream on Clockwork
-// with the model's default SLO. Both runs share m, as every handler an
-// experiment builds shares its model: a Model's fields are fixed once it
-// is built, and the graph analysis it caches on first use is a pure
-// function of the graph.
-func servePair(m *model.Model, kind exitsim.Kind, stream *workload.Stream,
+// with the model's default SLO, Apparate calibrated to the stream's
+// kind. Both runs share m, as every handler an experiment builds shares
+// its model: a Model's fields are fixed once it is built, and the graph
+// analysis it caches on first use is a pure function of the graph.
+func servePair(m *model.Model, stream *workload.Stream,
 	budget, acc float64) (vanilla, apparate *serving.Stats) {
 	opts := serving.Options{Platform: serving.Clockwork, SLOms: m.SLO()}
 	vanilla = serveVanilla(m, stream, opts)
-	h := serving.NewApparate(m, exitsim.ProfileFor(m, kind), budget, controller.Config{AccConstraint: acc})
+	h := serving.NewApparate(m, exitsim.ProfileFor(m, stream.Kind), budget, controller.Config{AccConstraint: acc})
 	apparate = serving.Run(stream.Iter(), h, opts)
 	return vanilla, apparate
 }

@@ -87,16 +87,15 @@ func fig4() []Table {
 	}
 	cases := []struct {
 		m      *model.Model
-		kind   exitsim.Kind
 		stream *workload.Stream
 	}{
-		{model.ResNet50(), exitsim.KindVideo, cvStream(0, 4)},
-		{model.BERTBase(), exitsim.KindAmazon, nlpStream("amazon", model.BERTBase(), 4)},
+		{model.ResNet50(), cvStream(0, 4)},
+		{model.BERTBase(), nlpStream("amazon", model.BERTBase(), 4)},
 	}
 	for _, c := range cases {
 		opts := serving.Options{Platform: serving.Clockwork, SLOms: c.m.SLO()}
 		v := serveVanilla(c.m, c.stream, opts)
-		o := serving.Run(c.stream.Iter(), baselines.NewOptimal(c.m, exitsim.ProfileFor(c.m, c.kind)), opts)
+		o := serving.Run(c.stream.Iter(), baselines.NewOptimal(c.m, exitsim.ProfileFor(c.m, c.stream.Kind)), opts)
 		for _, r := range []struct {
 			name  string
 			stats *serving.Stats
@@ -122,14 +121,13 @@ func fig5() []Table {
 	}
 	cases := []struct {
 		m      *model.Model
-		kind   exitsim.Kind
 		stream *workload.Stream
 	}{
-		{model.ResNet50(), exitsim.KindVideo, cvStream(0, 5)},
-		{model.BERTBase(), exitsim.KindAmazon, nlpStream("amazon", model.BERTBase(), 5)},
+		{model.ResNet50(), cvStream(0, 5)},
+		{model.BERTBase(), nlpStream("amazon", model.BERTBase(), 5)},
 	}
 	for _, c := range cases {
-		prof := exitsim.ProfileFor(c.m, c.kind)
+		prof := exitsim.ProfileFor(c.m, c.stream.Kind)
 		cfg := ramp.NewConfig(c.m, prof, 0.02)
 		cfg.DeployInitial(ramp.StyleDefault)
 		samples := c.stream.Samples()
@@ -176,8 +174,8 @@ func table1() []Table {
 		Header: []string{"strategy", "cv_accuracy", "cv_win", "nlp_accuracy", "nlp_win"},
 	}
 	type result struct{ acc, win float64 }
-	run := func(m *model.Model, kind exitsim.Kind, stream *workload.Stream, strategy string) result {
-		prof := exitsim.ProfileFor(m, kind)
+	run := func(m *model.Model, stream *workload.Stream, strategy string) result {
+		prof := exitsim.ProfileFor(m, stream.Kind)
 		opts := serving.Options{Platform: serving.Clockwork, SLOms: m.SLO()}
 		v := serveVanilla(m, stream, opts)
 		var stats *serving.Stats
@@ -207,8 +205,8 @@ func table1() []Table {
 	cvS := cvStream(1, 6)
 	nlpS := nlpStream("amazon", nlpM, 6)
 	for _, strat := range []string{"initial-only", "uniform-sample", "continual"} {
-		cv := run(cvM, exitsim.KindVideo, cvS, strat)
-		nl := run(nlpM, exitsim.KindAmazon, nlpS, strat)
+		cv := run(cvM, cvS, strat)
+		nl := run(nlpM, nlpS, strat)
 		t.Rows = append(t.Rows, []string{
 			strat, pct(cv.acc), pct(cv.win), pct(nl.acc), pct(nl.win),
 		})

@@ -44,8 +44,8 @@ func TestDistShardMergeRoundTrip(t *testing.T) {
 		for _, sh := range shards {
 			d := NewDist(0)
 			recordAll(d, sh)
-			// Query some shards before merging so both pending-tail and
-			// sorted-run states feed the merge path.
+			// Query some shards before merging so both sorted and
+			// unsorted sample slices feed the merge path.
 			if len(sh) > 0 && k == 4 {
 				d.Median()
 			}

@@ -90,34 +90,31 @@ func NewRecorder(m Mode, capacity int) Recorder {
 // Dist collects float64 samples and answers exact order-statistic
 // queries. The zero value is an empty, usable distribution.
 //
-// Internally Dist keeps a sorted run plus an unsorted pending tail:
-// Add/AddAll append to the tail in O(1), and the first query after a
-// batch of adds sorts just the tail and merges it into the run —
-// O(k log k + n) for k pending adds instead of the O(n log n) full
-// re-sort per query that interleaved add/query workloads used to pay
-// (see BenchmarkDistInterleaved). The capacity hint presizes the tail,
-// where a streaming recorder's adds land, and the first query sorts the
-// tail in place and makes it the run.
+// Dist keeps its samples in one slice: Add and AddAll append, and the
+// first query after them sorts the slice in place. The serving and
+// generative runtimes record all of a run's samples before they query
+// any, so a run sorts once; an add after a query costs the next query a
+// sort of the whole slice.
 type Dist struct {
-	sorted  []float64 // sorted run
-	pending []float64 // unsorted recent adds
+	samples []float64
+	nsorted int // len(samples) at the last sort
 	sum     float64
 }
 
 // NewDist returns an empty distribution with the given capacity hint.
 func NewDist(capacity int) *Dist {
-	return &Dist{pending: make([]float64, 0, capacity)}
+	return &Dist{samples: make([]float64, 0, capacity)}
 }
 
 // Add appends one sample.
 func (d *Dist) Add(v float64) {
-	d.pending = append(d.pending, v)
+	d.samples = append(d.samples, v)
 	d.sum += v
 }
 
 // AddAll appends all samples.
 func (d *Dist) AddAll(vs []float64) {
-	d.pending = append(d.pending, vs...)
+	d.samples = append(d.samples, vs...)
 	for _, v := range vs {
 		d.sum += v
 	}
@@ -129,43 +126,18 @@ func (d *Dist) Merge(other Recorder) {
 	if !ok {
 		panic(fmt.Sprintf("metrics: cannot merge %T into *Dist", other))
 	}
-	d.AddAll(od.sorted)
-	d.AddAll(od.pending)
+	d.AddAll(od.samples)
 }
 
 // Len reports the number of samples collected.
-func (d *Dist) Len() int { return len(d.sorted) + len(d.pending) }
+func (d *Dist) Len() int { return len(d.samples) }
 
-// ensureSorted folds the pending tail into the sorted run.
+// ensureSorted sorts the samples if any were added since the last sort.
 func (d *Dist) ensureSorted() {
-	if len(d.pending) == 0 {
-		return
+	if d.nsorted != len(d.samples) {
+		sort.Float64s(d.samples)
+		d.nsorted = len(d.samples)
 	}
-	sort.Float64s(d.pending)
-	if len(d.sorted) == 0 {
-		d.sorted, d.pending = d.pending, d.sorted[:0]
-		return
-	}
-	d.sorted = mergeSorted(d.sorted, d.pending)
-	d.pending = d.pending[:0]
-}
-
-// mergeSorted merges sorted b into sorted a in one backward pass,
-// reusing a's backing array when capacity allows.
-func mergeSorted(a, b []float64) []float64 {
-	n, m := len(a), len(b)
-	a = append(a, b...) // grow; the tail is overwritten by the merge
-	i, j := n-1, m-1
-	for k := n + m - 1; j >= 0; k-- {
-		if i >= 0 && a[i] > b[j] {
-			a[k] = a[i]
-			i--
-		} else {
-			a[k] = b[j]
-			j--
-		}
-	}
-	return a
 }
 
 // Percentile returns the p-th percentile (p in [0, 100]) using linear
@@ -179,17 +151,17 @@ func (d *Dist) Percentile(p float64) float64 {
 		panic(fmt.Sprintf("metrics: percentile %v out of [0,100]", p))
 	}
 	d.ensureSorted()
-	if len(d.sorted) == 1 {
-		return d.sorted[0]
+	if len(d.samples) == 1 {
+		return d.samples[0]
 	}
-	rank := p / 100 * float64(len(d.sorted)-1)
+	rank := p / 100 * float64(len(d.samples)-1)
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {
-		return d.sorted[lo]
+		return d.samples[lo]
 	}
 	frac := rank - float64(lo)
-	return d.sorted[lo]*(1-frac) + d.sorted[hi]*frac
+	return d.samples[lo]*(1-frac) + d.samples[hi]*frac
 }
 
 // Median returns the 50th percentile.
@@ -209,7 +181,7 @@ func (d *Dist) Min() float64 {
 		panic("metrics: Min of empty distribution")
 	}
 	d.ensureSorted()
-	return d.sorted[0]
+	return d.samples[0]
 }
 
 // Max returns the largest sample.
@@ -218,7 +190,7 @@ func (d *Dist) Max() float64 {
 		panic("metrics: Max of empty distribution")
 	}
 	d.ensureSorted()
-	return d.sorted[len(d.sorted)-1]
+	return d.samples[len(d.samples)-1]
 }
 
 // Summary is the (median, p25, p95, mean) tuple the paper's figures report.

@@ -447,11 +447,17 @@ func randomGrid(r *rng.Rand) Grid {
 // scenarios in the same order, or the same error.
 func TestExpandMatchesReference(t *testing.T) {
 	// Grids random draws seldom produce: the whole default grid, and an
-	// empty workload name, which carries a workload token all the same.
+	// empty workload name, which no filter on its workload token can
+	// drop before the grid fails on it.
 	grids := []Grid{
 		{N: 100, GenN: 5},
 		{Models: []string{"bert-base"}, Workloads: []string{"", "amazon"}, Only: []string{"workload=*"}},
 		{Models: []string{"bert-base"}, Workloads: []string{"", "amazon"}, Skip: []string{"workload="}},
+	}
+	for _, g := range grids[1:] {
+		if _, err := g.Expand(); err == nil || !strings.Contains(err.Error(), `unknown workload ""`) {
+			t.Fatalf("grid %+v: Expand error %v, want unknown workload \"\"", g, err)
+		}
 	}
 	r := rng.New(25)
 	for range 400 {

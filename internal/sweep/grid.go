@@ -40,7 +40,8 @@ import (
 // model/workload pairings — a ResNet on an NLP stream, a classifier on a
 // generative workload — are skipped during expansion rather than
 // erroring, so "all models × all workloads" means "every pairing the
-// paper's corpus defines".
+// paper's corpus defines". A name that is no model or no workload at
+// all fails the expansion.
 type Grid struct {
 	Models     []string
 	Workloads  []string
@@ -176,9 +177,10 @@ func orAll(list []string, all func() []string) []string {
 
 // axes is the one list of the grid's axes, in nesting order: Expand
 // varies the last fastest, and an unknown-axis filter error lists them
-// in this order. Model comes first, so Expand looks every model up
-// before it builds a scenario. A new axis is a Grid list, a Scenario
-// field and one entry here, placed where it should nest.
+// in this order. Model comes first and workload second: Expand looks up
+// every model and checks every workload name before it builds a
+// scenario. A new axis is a Grid list, a Scenario field and one entry
+// here, placed where it should nest.
 var axes = [...]axis{
 	axisOf("model", always, func(g *Grid) []string { return orAll(g.Models, modelNames) },
 		func(sc *core.Scenario) *string { return &sc.Model }),
@@ -324,7 +326,8 @@ func (f axisFilter) drops(t *scenarioTokens) bool {
 }
 
 // Expand enumerates the grid's cartesian product by walking the axes
-// table like an odometer, drops the pairings core.CheckPairing rejects,
+// table like an odometer, drops the pairings core.CheckPairing rejects
+// (an unknown model or workload name fails the grid instead),
 // canonicalizes scenarios (generative workloads collapse the
 // platform/dispatch/replica axes), deduplicates, applies the Only/Skip
 // filters, and derives each scenario's seed. The result is sorted by
@@ -353,7 +356,9 @@ func (g Grid) Expand() ([]core.Scenario, error) {
 	var sc core.Scenario
 	// Look every model on the model axis, axes[0], up before building
 	// any scenario, so an unknown name fails the grid first and each
-	// model is built once.
+	// model is built once. Then check every name on the workload axis,
+	// axes[1]: the pairing rule below would otherwise drop a misspelt
+	// workload for the models it cannot pair with, without a word.
 	models := map[string]*model.Model{}
 	for i := range size[0] {
 		set[0](&sc, i)
@@ -362,6 +367,12 @@ func (g Grid) Expand() ([]core.Scenario, error) {
 			return nil, err
 		}
 		models[sc.Model] = m
+	}
+	for i := range size[1] {
+		set[1](&sc, i)
+		if err := core.CheckWorkload(sc.Workload); err != nil {
+			return nil, err
+		}
 	}
 
 	seen := map[string]bool{}

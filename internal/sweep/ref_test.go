@@ -33,6 +33,14 @@ func refExpand(g Grid) ([]core.Scenario, error) {
 		}
 		models[name] = m
 	}
+	// Every workload name is checked before the walk, as every model is
+	// looked up, so a misspelt one fails the grid even where no model
+	// pairs with it.
+	for _, wl := range g.Workloads {
+		if err := core.CheckWorkload(wl); err != nil {
+			return nil, err
+		}
+	}
 
 	seen := map[string]bool{}
 	// The fault and retry axes expand as a precomputed product so the

@@ -56,6 +56,27 @@ func TestExpandPairsCompatibly(t *testing.T) {
 	}
 }
 
+// TestExpandRejectsMisspeltWorkload: a workload name no workload has
+// fails the grid for every model class. The pairing rule alone drops
+// such a name silently for CV and generative models, which can serve
+// neither a "video-03" nor a "sqaud".
+func TestExpandRejectsMisspeltWorkload(t *testing.T) {
+	for _, g := range []Grid{
+		{Models: []string{"resnet18", "resnet50"}, Workloads: []string{"video-0", "video-03"}},
+		{Models: []string{"bert-base"}, Workloads: []string{"amazon", "video-03"}},
+		{Models: []string{"t5-large"}, Workloads: []string{"squad", "sqaud"}},
+		// Filters cannot drop a misspelt name before it is checked.
+		{Models: []string{"distilbert-base"}, Workloads: []string{"amazon", "imbd"}, Skip: []string{"workload=imbd"}},
+	} {
+		scs, err := g.Expand()
+		bad := g.Workloads[1]
+		if err == nil || !strings.Contains(err.Error(), `unknown workload "`+bad+`"`) {
+			t.Errorf("%v × %v: expanded %d scenarios, error %v; want unknown workload %q",
+				g.Models, g.Workloads, len(scs), err, bad)
+		}
+	}
+}
+
 func TestExpandGenerativeAxesCollapse(t *testing.T) {
 	g := Grid{
 		Models:    []string{"t5-large"},

@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"math"
 	"sort"
 
 	"repro/internal/model"
@@ -24,7 +25,8 @@ func (u Utility) Net() float64 { return u.Savings - u.Overhead }
 
 // utilities evaluates the current active set under its deployed
 // thresholds against the window's replay table, which must have been
-// built over the same active set.
+// built over the same active set: each row charges overhead to every
+// ramp before its exit and credits the saving to the exit's.
 func (c *Controller) utilities(tab Table) []Utility {
 	cfg := c.Cfg
 	out := make([]Utility, len(cfg.Active))
@@ -32,17 +34,17 @@ func (c *Controller) utilities(tab Table) []Utility {
 	for i, r := range cfg.Active {
 		out[i].NodeID = r.Site.NodeID
 	}
+	ts := cfg.Thresholds()
 	for row := 0; row < tab.Len(); row++ {
-		for i, ob := range tab.row(row) {
-			r := cfg.Active[i]
-			if ob.Err < r.Threshold {
-				// Saving: the layers this input skipped.
-				out[i].Savings += base * (1 - r.Site.Frac)
-				out[i].Exits++
-				break
-			}
+		e := exitCol(tab.row(row), ts)
+		for i, r := range cfg.Active[:e] {
 			// The ramp ran but could not exit this input.
 			out[i].Overhead += base * r.Style.OverheadFrac
+		}
+		if e < len(out) {
+			// Saving: the layers this input skipped.
+			out[e].Savings += base * (1 - cfg.Active[e].Site.Frac)
+			out[e].Exits++
 		}
 	}
 	return out
@@ -344,25 +346,7 @@ func (c *Controller) largestGapSite() (model.RampSite, bool) {
 			gapLo, gapHi = depths[i-1], depths[i]
 		}
 	}
-	mid := (gapLo + gapHi) / 2
-	var found model.RampSite
-	ok := false
-	bestDist := 2.0
-	for _, s := range cfg.Sites {
-		if s.Frac <= gapLo || s.Frac >= gapHi || c.tooClose(s) {
-			continue
-		}
-		dist := s.Frac - mid
-		if dist < 0 {
-			dist = -dist
-		}
-		if dist < bestDist {
-			bestDist = dist
-			found = s
-			ok = true
-		}
-	}
-	return found, ok
+	return c.siteNear(gapLo, gapHi)
 }
 
 // minRampSeparation is the minimum depth-fraction distance between two
@@ -398,25 +382,23 @@ func (c *Controller) siteBefore(site model.RampSite) (model.RampSite, bool) {
 			prevActive = r.Site.Frac
 		}
 	}
-	mid := (prevActive + site.Frac) / 2
+	return c.siteNear(prevActive, site.Frac)
+}
+
+// siteNear returns the feasible, inactive site strictly between depths lo
+// and hi, clear of every active ramp, that lies closest to their
+// midpoint.
+func (c *Controller) siteNear(lo, hi float64) (model.RampSite, bool) {
+	mid := (lo + hi) / 2
 	var found model.RampSite
 	ok := false
 	bestDist := 2.0
-	for _, s := range cfg.Sites {
-		if s.Frac >= site.Frac || s.Frac <= prevActive {
+	for _, s := range c.Cfg.Sites {
+		if s.Frac <= lo || s.Frac >= hi || c.tooClose(s) {
 			continue
 		}
-		if c.tooClose(s) {
-			continue
-		}
-		dist := s.Frac - mid
-		if dist < 0 {
-			dist = -dist
-		}
-		if dist < bestDist {
-			bestDist = dist
-			found = s
-			ok = true
+		if dist := math.Abs(s.Frac - mid); dist < bestDist {
+			bestDist, found, ok = dist, s, true
 		}
 	}
 	return found, ok

@@ -1,6 +1,7 @@
 package controller_test
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/controller"
@@ -51,6 +52,93 @@ func BenchmarkGreedySearch(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(evals), "ns/candidate")
 		})
 	}
+}
+
+// BenchmarkObserve times the controller's recording path, Observe alone,
+// in ns per input, with allocations per pass of inputs. Every outcome is
+// correct and the adjustment cadence is out of reach, so no round fires:
+//   - steady: a full default window, one window of inputs per pass;
+//   - warm-up: a fresh controller's first 375 inputs, one cluster-chaos
+//     replica's share of its scenario;
+//   - rebuild: a full window whose active set changes every 128 inputs,
+//     the adjustment cadence, one ramp leaving and coming back, so that
+//     the window table is rewritten into new columns.
+func BenchmarkObserve(b *testing.B) {
+	m := model.ResNet50()
+	cfg := ramp.NewConfig(m, exitsim.ProfileFor(m, exitsim.KindVideo), 0.02)
+	cfg.DeployInitial(ramp.StyleDefault)
+	site0 := cfg.Active[0].Site
+	samples := workload.Video(1, 512, 30, 3).Samples()
+	// outcomes evaluates the samples under cfg's active set, each outcome
+	// with its own copy of the observations.
+	outcomes := func() []ramp.Outcome {
+		outs := make([]ramp.Outcome, len(samples))
+		for i, s := range samples {
+			out := cfg.Evaluate(s, 1)
+			out.PerRamp = slices.Clone(out.PerRamp)
+			out.Correct = true
+			outs[i] = out
+		}
+		return outs
+	}
+	full := outcomes()
+	cfg.Deactivate(0)
+	short := outcomes()
+	if err := cfg.Activate(site0, ramp.StyleDefault); err != nil {
+		b.Fatal(err)
+	}
+	opts := controller.Config{AdjustEvery: 1 << 30}
+	// filled returns a controller whose window has been full for a
+	// window's worth of inputs, so its storage has stopped growing.
+	filled := func() *controller.Controller {
+		ctl := controller.New(cfg, opts)
+		for range 2 {
+			for _, out := range full {
+				ctl.Observe(out)
+			}
+		}
+		return ctl
+	}
+	run := func(b *testing.B, inputs int, pass func()) {
+		b.ReportAllocs()
+		for b.Loop() {
+			pass()
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*inputs), "ns/input")
+	}
+	b.Run("steady", func(b *testing.B) {
+		ctl := filled()
+		run(b, len(full), func() {
+			for _, out := range full {
+				ctl.Observe(out)
+			}
+		})
+	})
+	b.Run("warm-up", func(b *testing.B) {
+		run(b, 375, func() {
+			ctl := controller.New(cfg, opts)
+			for _, out := range full[:375] {
+				ctl.Observe(out)
+			}
+		})
+	})
+	b.Run("rebuild", func(b *testing.B) {
+		ctl := filled()
+		run(b, len(full), func() {
+			for k := 0; k < len(full); k += 128 {
+				outs := full
+				if k/128%2 == 0 {
+					cfg.Deactivate(0)
+					outs = short
+				} else if err := cfg.Activate(site0, ramp.StyleDefault); err != nil {
+					b.Fatal(err)
+				}
+				for _, out := range outs[k : k+128] {
+					ctl.Observe(out)
+				}
+			}
+		})
+	})
 }
 
 // benchServe times Handler.Serve per request over 8000 video-1 frames,

@@ -66,22 +66,16 @@ type Controller struct {
 	Opts Config
 
 	acc *metrics.AccuracyWindow
-	// ring holds the recorded window, one slot per input, each tagged
-	// with the layout it was recorded under so the history survives
-	// ramp-set changes; next and filled index it as a ring buffer.
-	ring   []slot
-	next   int
-	filled int
-	lay    *layout
-	// spare is the unused tail of the chunk that slot storage is carved
-	// from (see carve).
-	spare []ramp.Observation
-	// tab holds the window table, kept current by Observe: rows
-	// [tabEnd-filled, tabEnd) over the columns of tabLay (see
-	// syncTable). saving is the savings row of its last view.
+	// tab holds the recorded window, its only copy: rows [tabEnd-filled,
+	// tabEnd), oldest first, len(nodes) cells apart. Cell i of a row is
+	// the observation of the ramp at site node nodes[i]: the first cols
+	// are the active set's, the rest are retired (see syncTable). saving
+	// is the savings row of the table's last view.
 	tab    []ramp.Observation
 	tabEnd int
-	tabLay *layout
+	filled int
+	nodes  []int
+	cols   int
 	saving []float64
 
 	sinceAdjust int
@@ -109,7 +103,6 @@ func New(cfg *ramp.Config, opts Config) *Controller {
 		Cfg:       cfg,
 		Opts:      opts,
 		acc:       metrics.NewAccuracyWindow(opts.AccWindow),
-		ring:      make([]slot, opts.RecordWindow),
 		negStreak: make(map[int]int),
 	}
 }
@@ -119,23 +112,8 @@ func New(cfg *ramp.Config, opts Config) *Controller {
 // loops at their respective cadences. It returns true if the exit
 // configuration changed.
 func (c *Controller) Observe(out ramp.Outcome) bool {
-	lay := c.layoutFor(len(out.PerRamp))
-	// The recorded layout is the table's while the active set stands;
-	// when it is not, the set may have changed since the last input.
-	if lay != c.tabLay || len(lay.nodes) != len(c.Cfg.Active) {
-		c.syncTable()
-	}
+	c.syncTable()
 	c.putRow(out.PerRamp)
-	s := &c.ring[c.next]
-	if cap(s.obs) < len(out.PerRamp) {
-		s.obs = c.carve(len(out.PerRamp))
-	}
-	s.obs = append(s.obs[:0], out.PerRamp...)
-	s.lay = lay
-	c.next = (c.next + 1) % len(c.ring)
-	if c.filled < len(c.ring) {
-		c.filled++
-	}
 	c.acc.Observe(out.Correct)
 
 	changed := false
@@ -167,23 +145,6 @@ func (c *Controller) Observe(out ramp.Outcome) bool {
 		}
 	}
 	return changed
-}
-
-// slotChunk is how many ring slots' storage one chunk holds.
-const slotChunk = 32
-
-// carve returns room for k observations, cut from the current chunk of
-// slot storage or from a new one sized for slotChunk slots of k. Slots
-// share chunks, so filling the ring allocates once per chunk rather than
-// once per input, and a ring that never fills holds at most one
-// part-used chunk beyond what it records.
-func (c *Controller) carve(k int) []ramp.Observation {
-	if len(c.spare) < k {
-		c.spare = make([]ramp.Observation, k*min(slotChunk, len(c.ring)))
-	}
-	obs := c.spare[:k:k]
-	c.spare = c.spare[k:]
-	return obs
 }
 
 // TuneThresholds runs one greedy tuning round and installs the resulting

@@ -26,7 +26,7 @@ func naiveGreedy(tab Table, accBudget, initStep, minStep float64) TuneResult {
 // a deployment's do.
 func syntheticTable(r *rng.Rand, rows, cols int) Table {
 	onThreshold := []float64{0.1, 0.2, 0.30000000000000004, 1}
-	tab := Table{n: rows, cols: cols, obs: make([]ramp.Observation, rows*cols), saving: make([]float64, cols)}
+	tab := Table{n: rows, cols: cols, stride: cols, obs: make([]ramp.Observation, rows*cols), saving: make([]float64, cols)}
 	frac, overhead := 0.0, 0.0
 	for i := 0; i < cols; i++ {
 		frac += (1 - frac) * r.Float64() / 2

@@ -196,52 +196,38 @@ func refGrid(cfg *ramp.Config, recs []record, accBudget, step float64) TuneResul
 	return best
 }
 
-// refWindowTable is the window table rebuilt from the ring's slots, as
-// every round once built it: the reference the kept table must equal.
-func refWindowTable(c *Controller) Table {
-	cfg := c.Cfg
-	t := Table{n: c.filled, cols: len(cfg.Active), saving: savings(nil, cfg)}
-	t.obs = make([]ramp.Observation, 0, c.filled*t.cols)
-	// col[i] is the index of active ramp i in the current slot's layout,
-	// or -1; it is recomputed only when the layout changes.
-	col := make([]int, t.cols)
-	var lay *layout
+// refWindowTable is the window table built from the records of the
+// window's inputs, each taken before the controller observed it: over
+// cfg's active set, a ramp's cell is its recorded observation, or missing
+// where the ramp was not active. It is the reference the controller's
+// window table must equal, built without reading the controller.
+func refWindowTable(cfg *ramp.Config, recs []record) Table {
+	cols := len(cfg.Active)
+	t := Table{n: len(recs), cols: cols, stride: cols, saving: savings(nil, cfg)}
+	t.obs = make([]ramp.Observation, 0, len(recs)*cols)
 	missing := ramp.Observation{Err: math.Inf(1)}
-	start := c.next - c.filled + len(c.ring)
-	for k := 0; k < c.filled; k++ {
-		s := &c.ring[(start+k)%len(c.ring)]
-		if s.lay != lay {
-			lay = s.lay
-			for i, r := range cfg.Active {
-				col[i] = -1
-				for j, id := range lay.nodes {
-					if id == r.Site.NodeID {
-						col[i] = j
-						break
-					}
-				}
+	for _, rec := range recs {
+		for _, r := range cfg.Active {
+			ob, ok := rec[r.Site.NodeID]
+			if !ok {
+				ob = missing
 			}
-		}
-		for _, j := range col {
-			if j < 0 {
-				t.obs = append(t.obs, missing)
-			} else {
-				t.obs = append(t.obs, s.obs[j])
-			}
+			t.obs = append(t.obs, ob)
 		}
 	}
 	return t
 }
 
-// checkKept fails unless, after input step, the controller's kept window
-// table follows the active set and equals the table rebuilt from its
-// slots, cell for cell.
-func checkKept(t *testing.T, ctl *Controller, step int) {
+// checkKept fails unless, after input step, the controller's window
+// table follows the active set and equals the table built from recs, the
+// records of every input so far, cell for cell.
+func checkKept(t *testing.T, ctl *Controller, recs []record, step int) {
 	t.Helper()
 	if !ctl.tableCurrent() {
 		t.Fatalf("input %d: the kept table's columns are not the active set", step)
 	}
-	got, want := ctl.windowTable(), refWindowTable(ctl)
+	recs = recs[max(0, len(recs)-ctl.Opts.RecordWindow):]
+	got, want := ctl.windowTable(), refWindowTable(ctl.Cfg, recs)
 	if got.n != want.n || got.cols != want.cols {
 		t.Fatalf("input %d: kept table is %d×%d, reference %d×%d", step, got.n, got.cols, want.n, want.cols)
 	}
@@ -258,13 +244,15 @@ func checkKept(t *testing.T, ctl *Controller, step int) {
 // TestKeptTableFollowsAdaptation checks the kept window table after
 // every input of a drifting stream on which both loops fire: threshold
 // tuning on accuracy drops and ramp adjustment every 32 inputs, which
-// activates and deactivates ramps, over a 128-slot ring that wraps many
-// times.
+// activates and deactivates ramps, over a 128-input window that slides
+// many times. Some ramps must come back while the window still holds
+// their observations, which the table then restores from a retired
+// column.
 func TestKeptTableFollowsAdaptation(t *testing.T) {
 	cfg := newCfg()
 	const window = 128
 	ctl := New(cfg, Config{RecordWindow: window, AdjustEvery: 32})
-	changes := 0
+	changes, restored := 0, 0
 	nodes := func() []int {
 		var ids []int
 		for _, r := range cfg.Active {
@@ -273,20 +261,39 @@ func TestKeptTableFollowsAdaptation(t *testing.T) {
 		return ids
 	}
 	prev := nodes()
+	var recs []record
 	for i, s := range workload.Video(3, 4000, 30, 5).Samples() {
-		ctl.Observe(cfg.Evaluate(s, 1))
-		checkKept(t, ctl, i)
-		if cur := nodes(); !slices.Equal(cur, prev) {
-			if i >= window {
-				changes++
-			}
-			prev = cur
+		out := cfg.Evaluate(s, 1)
+		// A round inside Observe can change the active set, so the
+		// record is taken first.
+		recs = append(recs, newRecord(cfg, out))
+		ctl.Observe(out)
+		checkKept(t, ctl, recs, i)
+		cur := nodes()
+		if slices.Equal(cur, prev) {
+			continue
 		}
+		if i >= window {
+			changes++
+		}
+		for _, id := range cur {
+			if slices.Contains(prev, id) {
+				continue
+			}
+			for _, rec := range recs[max(0, len(recs)-window):] {
+				if _, ok := rec[id]; ok {
+					restored++
+					break
+				}
+			}
+		}
+		prev = cur
 	}
-	t.Logf("%d tune rounds, %d adjust rounds, %d active-set changes after the ring wrapped", ctl.TuneRounds, ctl.AdjustRounds, changes)
-	if ctl.TuneRounds == 0 || ctl.AdjustRounds == 0 || changes == 0 {
-		t.Fatalf("%d tune rounds, %d adjust rounds and %d active-set changes after the ring wrapped; the test needs all three",
-			ctl.TuneRounds, ctl.AdjustRounds, changes)
+	t.Logf("%d tune rounds, %d adjust rounds, %d active-set changes after the window filled, %d ramps restored",
+		ctl.TuneRounds, ctl.AdjustRounds, changes, restored)
+	if ctl.TuneRounds == 0 || ctl.AdjustRounds == 0 || changes == 0 || restored == 0 {
+		t.Fatalf("%d tune rounds, %d adjust rounds, %d active-set changes after the window filled and %d ramps restored; the test needs all four",
+			ctl.TuneRounds, ctl.AdjustRounds, changes, restored)
 	}
 }
 
@@ -329,9 +336,9 @@ func TestWindowTableMatchesReference(t *testing.T) {
 			// set records only the ramps ahead of it.
 			activate(len(sites) - 1)
 		}
-		ctl.Observe(out)
-		checkKept(t, ctl, i)
 		recs = append(recs, newRecord(cfg, out))
+		ctl.Observe(out)
+		checkKept(t, ctl, recs, i)
 	}
 	recs = recs[len(recs)-window:]
 	tab := ctl.windowTable()
@@ -420,10 +427,10 @@ func checkGreedy(t *testing.T, tab Table, cfg *ramp.Config, recs []record) {
 	}
 }
 
-// TestObserveSteadyStateZeroAlloc pins the recording path: once every
-// window slot has been written and the ring has wrapped, Observe reuses
-// the slot storage, the kept window table and the active-set layout and
-// allocates nothing unless a round fires.
+// TestObserveSteadyStateZeroAlloc pins the recording path: once the
+// window is full, Observe writes each input's row into the window
+// table's storage, which a full window slides within, and allocates
+// nothing unless a round fires.
 func TestObserveSteadyStateZeroAlloc(t *testing.T) {
 	cfg := newCfg()
 	ctl := New(cfg, Config{AdjustEvery: 1 << 30})
@@ -452,12 +459,11 @@ func TestObserveSteadyStateZeroAlloc(t *testing.T) {
 
 // TestObserveWarmUpAllocBudget pins the recording path while the window
 // fills: a fresh controller's first 375 observations, one cluster-chaos
-// replica's share of its scenario, take slot storage from chunks that
-// slots share, so they allocate per chunk, once for the layout and twice
-// for the kept window table (a quarter of the ring, then all of it), not
-// once per input.
+// replica's share of its scenario, allocate twice for the window table's
+// columns on the first input, and twice for its storage (a quarter of
+// the window, then all of it), not once per input.
 func TestObserveWarmUpAllocBudget(t *testing.T) {
-	const n, runs, budget = 375, 20, 16
+	const n, runs, budget = 375, 20, 4
 	cfg := newCfg()
 	outs := make([]ramp.Outcome, n)
 	for i, s := range videoSamples(n) {

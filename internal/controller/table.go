@@ -16,11 +16,15 @@ import (
 // candidate. A ramp that was not active when its row was recorded holds
 // Err = +Inf: it never exits that input and always charges it overhead.
 //
+// Rows lie stride cells apart, and a row's first cols cells are its
+// columns. A controller's window table keeps retired columns after them
+// (see syncTable); NewTable's rows have none.
+//
 // A table is a view: Rows slices it without copying, and a controller's
 // window table is a view of storage that its next Observe writes.
 type Table struct {
-	n, cols int
-	obs     []ramp.Observation // row-major, n × cols
+	n, cols, stride int
+	obs             []ramp.Observation // row-major, n × stride
 	// saving[i] is the saving of an exit at column i as a fraction of the
 	// model's bs=1 latency: the full model with every ramp, minus the
 	// prefix up to ramp i and the overhead of ramps 0..i. The overheads
@@ -32,8 +36,9 @@ type Table struct {
 // NewTable evaluates the samples through cfg's active ramps and returns
 // their replay table, one row per sample.
 func NewTable(cfg *ramp.Config, samples []exitsim.Sample) Table {
-	t := Table{n: len(samples), cols: len(cfg.Active), saving: savings(nil, cfg)}
-	t.obs = make([]ramp.Observation, 0, t.n*t.cols)
+	cols := len(cfg.Active)
+	t := Table{n: len(samples), cols: cols, stride: cols, saving: savings(nil, cfg)}
+	t.obs = make([]ramp.Observation, 0, t.n*cols)
 	for _, s := range samples {
 		for _, r := range cfg.Active {
 			err, match := cfg.Profile.Observe(s, r.Point)
@@ -69,120 +74,101 @@ func (t Table) frac(x float64) float64 {
 
 // Rows returns the view of rows [lo, hi).
 func (t Table) Rows(lo, hi int) Table {
-	t.obs = t.obs[lo*t.cols : hi*t.cols]
+	t.obs = t.obs[lo*t.stride : hi*t.stride]
 	t.n = hi - lo
 	return t
 }
 
 // row returns row r's cells.
 func (t Table) row(r int) []ramp.Observation {
-	return t.obs[r*t.cols : (r+1)*t.cols]
+	return t.obs[r*t.stride : r*t.stride+t.cols]
 }
 
-// layout is the active set's site node IDs, in depth order, at the time
-// a window slot was recorded. Slots recorded under the same active set
-// share one layout.
-type layout struct {
-	nodes []int
-}
-
-// slot is one recorded input: its observation at each ramp of its
-// layout.
-type slot struct {
-	obs []ramp.Observation
-	lay *layout
-}
-
-// layoutFor returns the layout of the first n active ramps, reusing the
-// current one while the active set is unchanged.
-func (c *Controller) layoutFor(n int) *layout {
-	active := c.Cfg.Active
-	if l := c.lay; l != nil && len(l.nodes) == n {
-		same := true
-		for i, id := range l.nodes {
-			if active[i].Site.NodeID != id {
-				same = false
-				break
-			}
-		}
-		if same {
-			return l
-		}
-	}
-	l := &layout{nodes: make([]int, n)}
-	for i := range l.nodes {
-		l.nodes[i] = active[i].Site.NodeID
-	}
-	c.lay = l
-	return l
-}
-
-// The window table is kept current as inputs arrive rather than rebuilt
-// for each round: its columns follow the active set, layout tabLay, and
-// its rows are the window, oldest first, ending before row tabEnd of tab.
-// Each input appends its row, so a round's table is a view with no copy,
-// and the table is rebuilt from the ring's slots only when the active set
-// changes.
+// The controller keeps one copy of its recorded window, the window table,
+// current as inputs arrive: its rows are the window, oldest first, and
+// its first columns are the active set's. Each input appends its row, so
+// a round's table is a view with no copy. When the active set changes,
+// the window is rewritten once into the new columns. A ramp that leaves
+// the set keeps its column, retired, behind the active ones for as long
+// as a window row holds an observation in it, so a ramp reactivated
+// inside the window gets its observations back.
 
 // tableCurrent reports whether the window table's columns are the active
 // set.
 func (c *Controller) tableCurrent() bool {
-	l := c.tabLay
-	if l == nil || len(l.nodes) != len(c.Cfg.Active) {
+	active := c.Cfg.Active
+	if len(active) != c.cols {
 		return false
 	}
-	for i, r := range c.Cfg.Active {
-		if r.Site.NodeID != l.nodes[i] {
+	for i, r := range active {
+		if r.Site.NodeID != c.nodes[i] {
 			return false
 		}
 	}
 	return true
 }
 
-// syncTable rebuilds the window table from the ring's slots if the active
-// set has changed since it was built.
+// syncTable rewrites the window table if the active set has changed since
+// it was last written. Its new columns are the active set's, then each old
+// column whose ramp has left the set and still holds an observation in the
+// window; a column takes the cells of the old column of its ramp, or is
+// missing throughout.
 func (c *Controller) syncTable() {
 	if c.tableCurrent() {
 		return
 	}
-	active := c.Cfg.Active
-	c.tabLay = c.layoutFor(len(active))
-	cols := len(active)
-	if need := c.tabRows(c.filled) * cols; need > len(c.tab) {
-		c.tab = make([]ramp.Observation, need)
+	active, old := c.Cfg.Active, c.nodes
+	oldW := len(old)
+	win := c.tab[(c.tabEnd-c.filled)*oldW : c.tabEnd*oldW]
+	nodes := make([]int, len(active), len(active)+oldW)
+	for i, r := range active {
+		nodes[i] = r.Site.NodeID
 	}
-	c.tabEnd = c.filled
-	// col[i] is the index of active ramp i in a slot's layout, or -1; it
-	// is recomputed only when the layout changes.
-	var col []int
-	var slotLay *layout
-	start := c.next - c.filled + len(c.ring)
-	for k := 0; k < c.filled; k++ {
-		s := &c.ring[(start+k)%len(c.ring)]
-		row := c.tab[k*cols : (k+1)*cols]
-		if s.lay != slotLay {
-			slotLay = s.lay
-			if col == nil {
-				col = make([]int, cols)
-			}
-			for i, r := range active {
-				col[i] = -1
-				for j, id := range slotLay.nodes {
-					if id == r.Site.NodeID {
-						col[i] = j
-						break
-					}
-				}
-			}
+	for j, id := range old {
+		if !slices.Contains(nodes[:len(active)], id) && holds(win, oldW, j) {
+			nodes = append(nodes, id)
 		}
-		for i, j := range col {
+	}
+	w := len(nodes)
+	tab := c.tab
+	if c.filled*w > len(tab) {
+		tab = make([]ramp.Observation, c.tabRows(c.filled)*w)
+	}
+	// Move the window to the storage's tail, then write the new rows front
+	// to back, each from a copy of its old row: a new row may overwrite its
+	// own old cells, but it ends before the old rows not yet read begin,
+	// because the storage holds the window at the wider of the two strides.
+	tail := tab[len(tab)-len(win):]
+	copy(tail, win)
+	src := make([]int, w)
+	for i, id := range nodes {
+		src[i] = slices.Index(old, id)
+	}
+	oldRow := make([]ramp.Observation, oldW)
+	for k := 0; k < c.filled; k++ {
+		copy(oldRow, tail[k*oldW:])
+		row := tab[k*w : (k+1)*w]
+		for i, j := range src {
 			if j < 0 {
 				row[i] = missing
 			} else {
-				row[i] = s.obs[j]
+				row[i] = oldRow[j]
 			}
 		}
 	}
+	c.tab, c.tabEnd, c.nodes, c.cols = tab, c.filled, nodes, len(active)
+}
+
+// holds reports whether column j of the rows in win, stride w, holds an
+// observation. A missing cell's Err is +Inf, and an observation's never
+// is: error scores lie in [0, 1].
+func holds(win []ramp.Observation, w, j int) bool {
+	for k := j; k < len(win); k += w {
+		if !math.IsInf(win[k].Err, 1) {
+			return true
+		}
+	}
+	return false
 }
 
 // missing is the cell of a ramp that was not active when its row was
@@ -190,12 +176,13 @@ func (c *Controller) syncTable() {
 var missing = ramp.Observation{Err: math.Inf(1)}
 
 // tabRows is the table's room in rows for a window of n rows. It steps
-// with what the ring holds, from a quarter of the ring to all of it, so a
-// ring that never fills holds at most one row per slot. A full window gets
-// a quarter of the ring more, so it slides to the front of its storage
-// once per that many inputs rather than once per input.
+// with the window, from a quarter of RecordWindow to all of it, so a
+// window that never fills takes at most one row of room per row it
+// records. A full window gets a quarter of RecordWindow more, so it
+// slides to the front of its storage once per that many inputs rather
+// than once per input.
 func (c *Controller) tabRows(n int) int {
-	r := len(c.ring)
+	r := c.Opts.RecordWindow
 	switch {
 	case n <= r/4:
 		return r / 4
@@ -205,34 +192,36 @@ func (c *Controller) tabRows(n int) int {
 	return r + r/4
 }
 
-// putRow appends the row of the input about to be recorded, whose
-// observations are obs: a slot records the first len(obs) active ramps.
+// putRow records one input, whose observations are obs: an outcome holds
+// the first len(obs) active ramps'. Its row's other cells, the retired
+// columns' among them, are missing.
 func (c *Controller) putRow(obs []ramp.Observation) {
-	cols := len(c.tabLay.nodes)
-	if (c.tabEnd+1)*cols > len(c.tab) {
+	w := len(c.nodes)
+	if (c.tabEnd+1)*w > len(c.tab) {
 		// Slide the rows that stay in the window to the front, into
-		// more room while the ring fills.
-		keep := min(c.filled, len(c.ring)-1)
+		// more room while the window fills.
+		keep := min(c.filled, c.Opts.RecordWindow-1)
 		tab := c.tab
-		if need := c.tabRows(keep+1) * cols; need > len(tab) {
+		if need := c.tabRows(keep+1) * w; need > len(tab) {
 			tab = make([]ramp.Observation, need)
 		}
-		copy(tab, c.tab[(c.tabEnd-keep)*cols:c.tabEnd*cols])
+		copy(tab, c.tab[(c.tabEnd-keep)*w:c.tabEnd*w])
 		c.tab, c.tabEnd = tab, keep
 	}
-	row := c.tab[c.tabEnd*cols : (c.tabEnd+1)*cols]
-	for i := copy(row, obs); i < cols; i++ {
+	row := c.tab[c.tabEnd*w : (c.tabEnd+1)*w]
+	for i := copy(row[:c.cols], obs); i < w; i++ {
 		row[i] = missing
 	}
 	c.tabEnd++
+	c.filled = min(c.filled+1, c.Opts.RecordWindow)
 }
 
 // windowTable returns the replay table of the recorded window, oldest
-// first, over the current active set: a view of the kept table, valid
+// first, over the current active set: a view of the window table, valid
 // until the next Observe.
 func (c *Controller) windowTable() Table {
 	c.syncTable()
 	c.saving = savings(c.saving, c.Cfg)
-	cols := len(c.tabLay.nodes)
-	return Table{n: c.filled, cols: cols, obs: c.tab[(c.tabEnd-c.filled)*cols : c.tabEnd*cols], saving: c.saving}
+	w := len(c.nodes)
+	return Table{n: c.filled, cols: c.cols, stride: w, obs: c.tab[(c.tabEnd-c.filled)*w : c.tabEnd*w], saving: c.saving}
 }

@@ -271,7 +271,7 @@ func (s *search) scan(i int, t float64) {
 	rows := s.rows[i*tab.n : (i+1)*tab.n]
 	moved, dWrong := 0, 0
 	for r, e := range s.col {
-		if int(e) > i && tab.obs[r*tab.cols+i].Err < t {
+		if int(e) > i && tab.obs[r*tab.stride+i].Err < t {
 			rows[moved] = int32(r)
 			moved++
 			dWrong += s.change(r, i)
@@ -288,7 +288,7 @@ func (s *search) refilter(i int, t float64) {
 	rows := s.movedRows(i)
 	moved, dWrong := 0, 0
 	for _, r := range rows {
-		if int(s.col[r]) > i && tab.obs[int(r)*tab.cols+i].Err < t {
+		if int(s.col[r]) > i && tab.obs[int(r)*tab.stride+i].Err < t {
 			rows[moved] = r
 			moved++
 			dWrong += s.change(int(r), i)
@@ -302,10 +302,10 @@ func (s *search) refilter(i int, t float64) {
 func (s *search) change(r, i int) int {
 	tab := s.tab
 	d := 0
-	if !tab.obs[r*tab.cols+i].Match {
+	if !tab.obs[r*tab.stride+i].Match {
 		d++
 	}
-	if e := int(s.col[r]); e < tab.cols && !tab.obs[r*tab.cols+e].Match {
+	if e := int(s.col[r]); e < tab.cols && !tab.obs[r*tab.stride+e].Match {
 		d--
 	}
 	return d

@@ -7,12 +7,11 @@
 // ramp.Config.Evaluate, which serves every input with the configured
 // rule; every rule consumes the same per-ramp error score and per-ramp
 // threshold. The controller's threshold tuning does not consult the
-// rule: its replay of the recent window (exitCol and the ramp utilities
-// in internal/controller) exits a row at the first ramp whose error is
-// below its threshold, which is the entropy rule. Windowed and patience
-// runs are therefore tuned as if they exited on entropy, and the
-// savings and accuracy the controller predicts for them are the entropy
-// rule's, not their own.
+// rule: its replay of the recent window (exitCol in internal/controller)
+// exits a row at the first ramp whose error is below its threshold,
+// which is the entropy rule. Windowed and patience runs are therefore
+// tuned as if they exited on entropy, and the savings and accuracy the
+// controller predicts for them are the entropy rule's, not their own.
 package exitrule
 
 import "fmt"

@@ -263,11 +263,11 @@ func table2() []Table {
 	}
 	type run struct{ acc, medWin, p95Win float64 }
 	collect := func(m *model.Model, stream *workload.Stream,
-		build func(boot, test []exitsim.Sample) serving.Handler) run {
+		build func(prof exitsim.Profile, boot, test []exitsim.Sample) serving.Handler) run {
 		opts := serving.Options{Platform: serving.Clockwork, SLOms: m.SLO()}
 		v := serveVanilla(m, stream, opts)
 		samples := stream.Samples()
-		h := build(samples[:len(samples)/10], samples)
+		h := build(exitsim.ProfileFor(m, stream.Kind), samples[:len(samples)/10], samples)
 		s := serving.Run(stream.Iter(), h, opts)
 		vl, sl := v.Latencies(), s.Latencies()
 		return run{
@@ -276,26 +276,22 @@ func table2() []Table {
 			p95Win: metrics.WinPercent(vl.Percentile(95), sl.Percentile(95)),
 		}
 	}
-	// addRows takes the calibration kind instead of reading each
-	// stream's: the deebert rows serve IMDB under the Amazon profile, as
-	// the golden table pins.
-	addRows := func(label string, m *model.Model, kind exitsim.Kind, streams []*workload.Stream,
+	addRows := func(label string, m *model.Model, streams []*workload.Stream,
 		style ramp.Style, overhead float64) {
-		prof := exitsim.ProfileFor(m, kind)
 		systems := []struct {
 			name  string
-			build func(boot, test []exitsim.Sample) serving.Handler
+			build func(prof exitsim.Profile, boot, test []exitsim.Sample) serving.Handler
 		}{
-			{label + "-apparate", func(boot, test []exitsim.Sample) serving.Handler {
+			{label + "-apparate", func(prof exitsim.Profile, boot, test []exitsim.Sample) serving.Handler {
 				return serving.NewApparate(m, prof, 0.02, controller.Config{})
 			}},
-			{label, func(boot, test []exitsim.Sample) serving.Handler {
+			{label, func(prof exitsim.Profile, boot, test []exitsim.Sample) serving.Handler {
 				return baselines.StaticEE(m, prof, style, overhead, baselines.SharedThreshold, boot, nil, 0.01)
 			}},
-			{label + "+", func(boot, test []exitsim.Sample) serving.Handler {
+			{label + "+", func(prof exitsim.Profile, boot, test []exitsim.Sample) serving.Handler {
 				return baselines.StaticEE(m, prof, style, overhead, baselines.PerRamp, boot, nil, 0.01)
 			}},
-			{label + "-opt", func(boot, test []exitsim.Sample) serving.Handler {
+			{label + "-opt", func(prof exitsim.Profile, boot, test []exitsim.Sample) serving.Handler {
 				return baselines.StaticEE(m, prof, style, overhead, baselines.OracleTuned, nil, test, 0.01)
 			}},
 		}
@@ -317,10 +313,10 @@ func table2() []Table {
 		}
 	}
 	cvStreams := []*workload.Stream{cvStream(0, 20), cvStream(1, 21), cvStream(3, 22)}
-	addRows("branchynet", model.ResNet50(), exitsim.KindVideo, cvStreams, ramp.StyleDefault, 0.22)
+	addRows("branchynet", model.ResNet50(), cvStreams, ramp.StyleDefault, 0.22)
 	m := model.BERTBase()
 	nlpStreams := []*workload.Stream{nlpStream("amazon", m, 20), nlpStream("imdb", m, 21)}
-	addRows("deebert", m, exitsim.KindAmazon, nlpStreams, ramp.StyleDeeBERTPooler, 0.195)
+	addRows("deebert", m, nlpStreams, ramp.StyleDeeBERTPooler, 0.195)
 	return []Table{t}
 }
 

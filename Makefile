@@ -41,8 +41,10 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseFilters$$' -fuzztime 10s ./internal/sweep
 	$(GO) test -run '^$$' -fuzz '^FuzzByName$$' -fuzztime 10s ./internal/exitrule
 
-# Run each root-package benchmark once. The BENCH_*.json files are
-# static records of earlier runs; nothing regenerates them.
+# Run each root-package benchmark once: the whole-run cluster, fault,
+# generative, obs, streaming and sweep-grid benchmarks. The paper's
+# artifacts are timed by `apparate-bench -count N`. The BENCH_*.json
+# files are static records of earlier runs; nothing regenerates them.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 

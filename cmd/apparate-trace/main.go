@@ -17,6 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime/pprof"
 
@@ -35,6 +36,10 @@ func main() {
 		cpu    = flag.String("cpuprofile", "", "write a pprof CPU profile of the streaming pass to this file")
 	)
 	flag.Parse()
+	if err := checkFlags(*n, *qps, *binSec); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 
 	if *cpu != "" {
 		f, err := os.Create(*cpu)
@@ -88,8 +93,8 @@ func main() {
 
 	fmt.Printf("workload=%s n=%d span=%.1fs realized_rate=%.1fqps\n",
 		stream.Name, stream.Len(), last/1000, float64(stream.Len())/(last/1000))
-	s := diff.Summarize()
-	fmt.Printf("difficulty: p25=%.3f p50=%.3f p95=%.3f mean=%.3f\n", s.P25, s.Median, s.P95, s.Mean)
+	fmt.Printf("difficulty: p25=%.3f p50=%.3f p95=%.3f mean=%.3f\n",
+		diff.Percentile(25), diff.Median(), diff.Percentile(95), diff.Mean())
 	fmt.Printf("biased requests: %.1f%%\n", float64(biased)/float64(stream.Len())*100)
 
 	// Arrival-rate histogram over time bins.
@@ -114,4 +119,20 @@ func main() {
 		}
 		fmt.Println()
 	}
+}
+
+// checkFlags rejects what no trace can be built or summarized from: a
+// request count that is not positive, and an arrival rate or histogram
+// bin width that is not positive and finite.
+func checkFlags(n int, qps, binSec float64) error {
+	// !(v > 0) also rejects NaN, which compares false to everything.
+	switch {
+	case n <= 0:
+		return fmt.Errorf("apparate-trace: -n %d must be positive", n)
+	case !(qps > 0) || math.IsInf(qps, 0):
+		return fmt.Errorf("apparate-trace: -qps %g must be positive and finite", qps)
+	case !(binSec > 0) || math.IsInf(binSec, 0):
+		return fmt.Errorf("apparate-trace: -bin %g must be positive and finite", binSec)
+	}
+	return nil
 }

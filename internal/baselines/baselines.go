@@ -20,11 +20,17 @@ type OptimalHandler struct {
 	Model   *model.Model
 	Profile exitsim.Profile
 	sites   []model.RampSite
+	pts     []exitsim.Point // pts[i] is sites[i]'s point
 }
 
 // NewOptimal returns the oracle handler.
 func NewOptimal(m *model.Model, p exitsim.Profile) *OptimalHandler {
-	return &OptimalHandler{Model: m, Profile: p, sites: m.FeasibleRamps()}
+	sites := m.FeasibleRamps()
+	pts := make([]exitsim.Point, len(sites))
+	for i, site := range sites {
+		pts[i] = p.At(site.Frac, site.Quality)
+	}
+	return &OptimalHandler{Model: m, Profile: p, sites: sites, pts: pts}
 }
 
 // BatchLatency is the vanilla model latency (the oracle adds no ramps to
@@ -34,8 +40,8 @@ func (h *OptimalHandler) BatchLatency(b int) float64 { return h.Model.Latency(b)
 // Serve exits at the earliest correct ramp; inputs with no correct ramp
 // run the full model.
 func (h *OptimalHandler) Serve(s exitsim.Sample, b int) ramp.Outcome {
-	for _, site := range h.sites {
-		if h.Profile.Matches(s, site.Frac, site.Quality) {
+	for i, site := range h.sites {
+		if _, match := h.Profile.Observe(s, h.pts[i]); match {
 			return ramp.Outcome{
 				ExitIndex: site.NodeID,
 				ServeMS:   h.Model.PrefixLatency(site.NodeID, b),
@@ -175,6 +181,7 @@ type TwoLayerHandler struct {
 	// Threshold is the confidence cutoff below which the compressed
 	// result is released.
 	Threshold float64
+	pt        exitsim.Point // the point at (EquivDepth, 1)
 }
 
 // NewTwoLayer builds the two-layer baseline and tunes its confidence
@@ -192,13 +199,14 @@ func NewTwoLayer(m *model.Model, p exitsim.Profile, bootstrap []exitsim.Sample, 
 		h.CompressedFrac = 0.35
 		h.EquivDepth = 0.70
 	}
+	h.pt = p.At(h.EquivDepth, 1.0)
 	// Largest threshold whose bootstrap accuracy loss stays in budget.
 	best := 0.0
 	for i := 0; i <= 100; i++ {
 		t := float64(i) / 100
 		wrong := 0
 		for _, s := range bootstrap {
-			if p.ErrScore(s, h.EquivDepth, 1.0) < t && !p.Matches(s, h.EquivDepth, 1.0) {
+			if e, match := p.Observe(s, h.pt); e < t && !match {
 				wrong++
 			}
 		}
@@ -218,11 +226,11 @@ func (h *TwoLayerHandler) BatchLatency(b int) float64 { return h.Model.Latency(b
 // cascades the rest through the full model.
 func (h *TwoLayerHandler) Serve(s exitsim.Sample, b int) ramp.Outcome {
 	cLat := h.Model.Latency(b) * h.CompressedFrac
-	if h.Profile.ErrScore(s, h.EquivDepth, 1.0) < h.Threshold {
+	if e, match := h.Profile.Observe(s, h.pt); e < h.Threshold {
 		return ramp.Outcome{
 			ExitIndex: 0,
 			ServeMS:   cLat,
-			Correct:   h.Profile.Matches(s, h.EquivDepth, 1.0),
+			Correct:   match,
 		}
 	}
 	return ramp.Outcome{

@@ -26,10 +26,9 @@ func replay(cfg *ramp.Config, samples []exitsim.Sample, thresholds []float64) (a
 		overheadUpTo := 0.0
 		for i, r := range cfg.Active {
 			overheadUpTo += r.Style.OverheadFrac
-			q := r.Style.Quality * r.Site.Quality
-			e := cfg.Profile.ErrScore(s, r.Site.Frac, q)
+			e, match := cfg.Profile.Observe(s, cfg.Profile.At(r.Site.Frac, r.Style.Quality*r.Site.Quality))
 			if e < thresholds[i] {
-				if !cfg.Profile.Matches(s, r.Site.Frac, q) {
+				if !match {
 					wrong++
 				}
 				saving += (1 + allOverhead) - (r.Site.Frac + overheadUpTo)

@@ -61,10 +61,9 @@ type Profile struct {
 	NoiseSigma float64
 }
 
-// Capability returns the ramp capability at the given depth fraction
-// (0, 1] for a ramp-architecture quality multiplier (1.0 = Apparate's
-// default lightweight ramp; richer ramps are slightly above 1).
-func (p Profile) Capability(depth, quality float64) float64 {
+// capability returns the ramp capability at a depth fraction in (0, 1]
+// and a ramp-architecture quality multiplier (see At).
+func (p Profile) capability(depth, quality float64) float64 {
 	if depth <= 0 {
 		return 0
 	}
@@ -84,28 +83,27 @@ func logistic(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 type Point struct{ Depth, Cap float64 }
 
 // At returns the point of a ramp at the given depth fraction and
-// quality multiplier.
+// quality multiplier (1.0 = Apparate's default lightweight ramp; richer
+// ramps are slightly above 1).
 func (p Profile) At(depth, quality float64) Point {
-	return Point{Depth: depth, Cap: p.Capability(depth, quality)}
+	return Point{Depth: depth, Cap: p.capability(depth, quality)}
 }
 
 // Observe returns what the ramp at pt reports for the sample: its error
-// score and whether its prediction matches the original model. It is
-// (ErrScore, Matches) at the point's depth and quality, bit for bit, with
-// the latent error evaluated once for both.
+// score — the entropy-style confidence signal Apparate compares against
+// thresholds (§2.2), the true error plus bounded observation noise,
+// clamped to [0, 1] — and whether its top prediction matches the
+// original model's output. Both are deterministic for a given sample,
+// and matches are nested in depth: for a fixed sample and quality, a
+// match at depth d1 implies a match at every d2 >= d1.
 func (p Profile) Observe(s Sample, pt Point) (err float64, match bool) {
 	te := p.trueErr(s, pt)
 	return p.errScore(s, pt.Depth, te), matches(s, te)
 }
 
-// TrueErr returns the latent error of a ramp at the given depth for the
-// sample: the probability that the ramp's top prediction disagrees with
-// the original model, before miscalibration bias.
-func (p Profile) TrueErr(s Sample, depth, quality float64) float64 {
-	return p.trueErr(s, p.At(depth, quality))
-}
-
-// trueErr is TrueErr at pt.
+// trueErr returns the latent error of the ramp at pt for the sample:
+// the probability that the ramp's top prediction disagrees with the
+// original model, before miscalibration bias.
 func (p Profile) trueErr(s Sample, pt Point) float64 {
 	return logistic(p.Steep * (s.Difficulty - pt.Cap))
 }
@@ -131,15 +129,7 @@ func hashNorm(key uint64, depth float64) float64 {
 	return math.Sqrt(-2*math.Log(1-u1)) * math.Cos(2*math.Pi*u2)
 }
 
-// ErrScore returns the error score the ramp reports for the sample — the
-// entropy-style confidence signal Apparate compares against thresholds
-// (§2.2). It is the true error plus bounded observation noise, clamped to
-// [0, 1], and is deterministic for a given sample.
-func (p Profile) ErrScore(s Sample, depth, quality float64) float64 {
-	return p.errScore(s, depth, p.TrueErr(s, depth, quality))
-}
-
-// errScore is ErrScore given the sample's true error te at depth.
+// errScore is the error score given the sample's true error te at depth.
 func (p Profile) errScore(s Sample, depth, te float64) float64 {
 	e := te + p.NoiseSigma*hashNorm(s.NoiseKey, depth)
 	if e < 0 {
@@ -151,15 +141,7 @@ func (p Profile) errScore(s Sample, depth, te float64) float64 {
 	return e
 }
 
-// Matches reports whether the ramp's top prediction at the given depth
-// agrees with the original model's output. Matches are nested in depth:
-// for fixed sample and quality, Matches(d1) implies Matches(d2) for all
-// d2 >= d1.
-func (p Profile) Matches(s Sample, depth, quality float64) bool {
-	return matches(s, p.TrueErr(s, depth, quality))
-}
-
-// matches is Matches given the sample's true error te.
+// matches reports the oracle match given the sample's true error te.
 func matches(s Sample, te float64) bool {
 	prob := 1 - te - s.Bias
 	if prob < 0 {

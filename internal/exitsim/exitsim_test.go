@@ -1,6 +1,7 @@
 package exitsim
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -22,7 +23,7 @@ var testProfile = Profile{CMax: 0.95, Gamma: 0.3, Steep: 12, NoiseSigma: 0.02}
 func TestCapabilityMonotoneInDepth(t *testing.T) {
 	prev := -1.0
 	for d := 0.05; d <= 1.0; d += 0.05 {
-		c := testProfile.Capability(d, 1.0)
+		c := testProfile.capability(d, 1.0)
 		if c <= prev {
 			t.Fatalf("capability not increasing at depth %v", d)
 		}
@@ -34,14 +35,14 @@ func TestCapabilityMonotoneInDepth(t *testing.T) {
 }
 
 func TestCapabilityZeroDepth(t *testing.T) {
-	if got := testProfile.Capability(0, 1.0); got != 0 {
-		t.Fatalf("Capability(0) = %v, want 0", got)
+	if got := testProfile.capability(0, 1.0); got != 0 {
+		t.Fatalf("capability(0) = %v, want 0", got)
 	}
 }
 
 func TestCapabilityQualityBoost(t *testing.T) {
-	base := testProfile.Capability(0.4, 1.0)
-	rich := testProfile.Capability(0.4, 1.08)
+	base := testProfile.capability(0.4, 1.0)
+	rich := testProfile.capability(0.4, 1.08)
 	if rich <= base {
 		t.Fatal("richer ramp style did not raise capability")
 	}
@@ -53,7 +54,7 @@ func TestTrueErrMonotoneDepth(t *testing.T) {
 		s := sampleFrom(r)
 		prev := 2.0
 		for d := 0.05; d <= 1.0; d += 0.05 {
-			e := testProfile.TrueErr(s, d, 1.0)
+			e := testProfile.trueErr(s, testProfile.At(d, 1.0))
 			if e > prev {
 				return false
 			}
@@ -69,17 +70,19 @@ func TestTrueErrMonotoneDepth(t *testing.T) {
 func TestTrueErrMonotoneDifficulty(t *testing.T) {
 	s1 := Sample{Difficulty: 0.2}
 	s2 := Sample{Difficulty: 0.6}
-	if testProfile.TrueErr(s1, 0.3, 1.0) >= testProfile.TrueErr(s2, 0.3, 1.0) {
+	pt := testProfile.At(0.3, 1.0)
+	if testProfile.trueErr(s1, pt) >= testProfile.trueErr(s2, pt) {
 		t.Fatal("harder sample did not get higher true error")
 	}
 }
 
 func TestErrScoreDeterministic(t *testing.T) {
 	s := Sample{Difficulty: 0.4, MatchU: 0.5, NoiseKey: 123}
-	a := testProfile.ErrScore(s, 0.3, 1.0)
-	b := testProfile.ErrScore(s, 0.3, 1.0)
-	if a != b {
-		t.Fatal("ErrScore not deterministic")
+	pt := testProfile.At(0.3, 1.0)
+	a, am := testProfile.Observe(s, pt)
+	b, bm := testProfile.Observe(s, pt)
+	if a != b || am != bm {
+		t.Fatal("Observe not deterministic")
 	}
 }
 
@@ -88,7 +91,7 @@ func TestErrScoreBounded(t *testing.T) {
 		r := rng.New(seed)
 		s := sampleFrom(r)
 		for d := 0.05; d <= 1.0; d += 0.05 {
-			e := testProfile.ErrScore(s, d, 1.0)
+			e, _ := testProfile.Observe(s, testProfile.At(d, 1.0))
 			if e < 0 || e > 1 {
 				return false
 			}
@@ -108,7 +111,7 @@ func TestMatchesNestedInDepth(t *testing.T) {
 		s := sampleFrom(r)
 		matched := false
 		for d := 0.05; d <= 1.0; d += 0.01 {
-			m := testProfile.Matches(s, d, 1.0)
+			_, m := testProfile.Observe(s, testProfile.At(d, 1.0))
 			if matched && !m {
 				return false
 			}
@@ -125,16 +128,17 @@ func TestMatchesNestedInDepth(t *testing.T) {
 
 func TestMatchRateCalibrated(t *testing.T) {
 	// Over many samples at fixed depth, match frequency should be close
-	// to the mean of (1 - TrueErr - Bias).
+	// to the mean of (1 - trueErr - Bias).
 	r := rng.New(99)
 	const n = 50000
+	pt := testProfile.At(0.5, 1.0)
 	matches, expect := 0.0, 0.0
 	for i := 0; i < n; i++ {
 		s := sampleFrom(r)
-		if testProfile.Matches(s, 0.5, 1.0) {
+		if _, m := testProfile.Observe(s, pt); m {
 			matches++
 		}
-		p := 1 - testProfile.TrueErr(s, 0.5, 1.0) - s.Bias
+		p := 1 - testProfile.trueErr(s, pt) - s.Bias
 		if p < 0 {
 			p = 0
 		}
@@ -149,15 +153,16 @@ func TestMatchRateCalibrated(t *testing.T) {
 func TestBiasReducesMatches(t *testing.T) {
 	r := rng.New(7)
 	const n = 20000
+	pt := testProfile.At(0.4, 1.0)
 	base, biased := 0, 0
 	for i := 0; i < n; i++ {
 		s := sampleFrom(r)
 		s.Bias = 0
-		if testProfile.Matches(s, 0.4, 1.0) {
+		if _, m := testProfile.Observe(s, pt); m {
 			base++
 		}
 		s.Bias = 0.15
-		if testProfile.Matches(s, 0.4, 1.0) {
+		if _, m := testProfile.Observe(s, pt); m {
 			biased++
 		}
 	}
@@ -171,7 +176,7 @@ func TestProfileForCVEarlierThanNLP(t *testing.T) {
 	nlp := ProfileFor(model.BERTBase(), KindAmazon)
 	// At a shallow depth, CV capability must exceed NLP capability:
 	// that is what produces the paper's CV >> NLP win gap.
-	if cv.Capability(0.15, 1.0) <= nlp.Capability(0.15, 1.0) {
+	if cv.capability(0.15, 1.0) <= nlp.capability(0.15, 1.0) {
 		t.Fatal("CV profile not more capable early than NLP")
 	}
 }
@@ -179,7 +184,7 @@ func TestProfileForCVEarlierThanNLP(t *testing.T) {
 func TestProfileForLargerCVMoreCapable(t *testing.T) {
 	small := ProfileFor(model.ResNet18(), KindVideo)
 	large := ProfileFor(model.ResNet101(), KindVideo)
-	if large.Capability(0.1, 1.0) <= small.Capability(0.1, 1.0) {
+	if large.capability(0.1, 1.0) <= small.capability(0.1, 1.0) {
 		t.Fatal("larger CV model not relatively more capable early")
 	}
 }
@@ -215,10 +220,39 @@ func TestKindStrings(t *testing.T) {
 	}
 }
 
-// TestObserveMatchesWrappers pins Observe at At's point to ErrScore and
-// Matches bit for bit, over random samples, depths and qualities plus
-// samples built to hit both score clamps and a negative match
-// probability.
+// refObserve is the observation model written out from its formulas,
+// without the package's helpers: the capability at (depth, quality),
+// the latent error as the logistic of Steep·(Difficulty − capability),
+// the score as that error plus NoiseSigma times a standard normal keyed
+// by (NoiseKey, depth) and clamped to [0, 1], and the match as MatchU <
+// 1 − te − Bias. te is the latent error, returned for clamp coverage.
+func refObserve(p Profile, s Sample, depth, quality float64) (score float64, match bool, te float64) {
+	c := 0.0
+	if depth > 0 {
+		c = math.Min(p.CMax*math.Pow(depth, p.Gamma)*quality, 0.995)
+	}
+	te = 1 / (1 + math.Exp(-(p.Steep * (s.Difficulty - c))))
+
+	// The noise: a Box–Muller normal from two SplitMix64-finalized
+	// uniforms keyed by the sample's noise key xor the depth's bits.
+	mix := func(x uint64) uint64 {
+		x += 0x9e3779b97f4a7c15
+		x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+		x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+		return x ^ (x >> 31)
+	}
+	key := s.NoiseKey ^ math.Float64bits(depth)
+	u1 := math.Min(float64(mix(key)>>11)/(1<<53), math.Nextafter(1, 0))
+	u2 := float64(mix(key+1)>>11) / (1 << 53)
+	noise := math.Sqrt(-2*math.Log(1-u1)) * math.Cos(2*math.Pi*u2)
+	score = math.Max(0, math.Min(1, te+p.NoiseSigma*noise))
+
+	return score, s.MatchU < math.Max(0, 1-te-s.Bias), te
+}
+
+// TestObserveMatchesWrappers pins Observe at At's point to refObserve
+// bit for bit, over random samples, depths and qualities plus samples
+// built to hit both score clamps and a negative match probability.
 func TestObserveMatchesWrappers(t *testing.T) {
 	r := rng.New(5)
 	samples := []Sample{
@@ -240,9 +274,9 @@ func TestObserveMatchesWrappers(t *testing.T) {
 		q := 0.9 + 0.2*r.Float64()
 		for _, p := range []Profile{testProfile, {CMax: 0.96, Gamma: 0.22, Steep: 25, NoiseSigma: 0.02}} {
 			err, match := p.Observe(s, p.At(d, q))
-			wantErr, wantMatch := p.ErrScore(s, d, q), p.Matches(s, d, q)
+			wantErr, wantMatch, te := refObserve(p, s, d, q)
 			if err != wantErr || match != wantMatch {
-				t.Fatalf("sample %d depth %v quality %v: Observe = (%v, %v), ErrScore/Matches = (%v, %v)",
+				t.Fatalf("sample %d depth %v quality %v: Observe = (%v, %v), reference = (%v, %v)",
 					i, d, q, err, match, wantErr, wantMatch)
 			}
 			switch {
@@ -251,7 +285,7 @@ func TestObserveMatchesWrappers(t *testing.T) {
 			case err == 1:
 				clamped["score 1"] = true
 			}
-			if 1-p.TrueErr(s, d, q)-s.Bias < 0 {
+			if 1-te-s.Bias < 0 {
 				clamped["prob < 0"] = true
 			}
 		}
@@ -269,8 +303,8 @@ var (
 	sinkMatch bool
 )
 
-// BenchmarkObserve times observing one input at one ramp: Observe at a
-// precomputed point against the ErrScore+Matches pair it replaces.
+// BenchmarkObserve times observing one input at one ramp at a
+// precomputed point.
 func BenchmarkObserve(b *testing.B) {
 	p := ProfileFor(model.T5Large(), KindCNNDailyMail)
 	r := rng.New(1)
@@ -278,22 +312,11 @@ func BenchmarkObserve(b *testing.B) {
 	for i := range samples {
 		samples[i] = sampleFrom(r)
 	}
-	const depth, quality = 0.3, 1.0
-	b.Run("observe", func(b *testing.B) {
-		b.ReportAllocs()
-		pt := p.At(depth, quality)
-		for i := 0; b.Loop(); i++ {
-			e, m := p.Observe(samples[i%len(samples)], pt)
-			sinkErr += e
-			sinkMatch = sinkMatch != m
-		}
-	})
-	b.Run("errscore+matches", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; b.Loop(); i++ {
-			s := samples[i%len(samples)]
-			sinkErr += p.ErrScore(s, depth, quality)
-			sinkMatch = sinkMatch != p.Matches(s, depth, quality)
-		}
-	})
+	b.ReportAllocs()
+	pt := p.At(0.3, 1.0)
+	for i := 0; b.Loop(); i++ {
+		e, m := p.Observe(samples[i%len(samples)], pt)
+		sinkErr += e
+		sinkMatch = sinkMatch != m
+	}
 }

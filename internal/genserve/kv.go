@@ -153,6 +153,9 @@ func (e *Engine) newKVSim(stream *workload.GenStream, pol Policy) *kvSim {
 		k.firstArrival = r.ArrivalMS
 	}
 	k.tr, k.tl = e.Trace, e.Timeline
+	if k.tr != nil {
+		k.tr.Gen = true
+	}
 	if k.tl != nil {
 		// Sample from the advance hook, never from tick events on the
 		// heap — the clock must not move for the sampler's sake (same

@@ -2,6 +2,7 @@ package genserve
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"testing"
 
@@ -279,4 +280,38 @@ func TestGenZeroSequenceTimelineHeaderOnly(t *testing.T) {
 			t.Fatalf("kv=%v: zero-sequence CSV = %q, want header only", kv, csv.String())
 		}
 	}
+}
+
+// TestGenEmptyTraceNamesQueueTrack: the engine declares its trace
+// generative when it attaches the tracer, so a run that emits no event
+// still renders the generative track layout: the Chrome trace's
+// cluster-level track is the admission queue, not a dispatcher.
+func TestGenEmptyTraceNamesQueueTrack(t *testing.T) {
+	e := kvEngine()
+	tr := obs.NewTracer()
+	e.Trace = tr
+	e.Run(workload.GenFromSlice("kv-test", exitsim.KindCNNDailyMail, nil), VanillaGen{})
+	var buf bytes.Buffer
+	if err := tr.WriteChrome(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Ph   string
+			Tid  int
+			Args map[string]any
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("Chrome trace is not valid JSON: %v\n%s", err, buf.String())
+	}
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "M" && ev.Tid == 0 {
+			if name := ev.Args["name"]; name != "queue" {
+				t.Fatalf("track 0 is named %v, want queue", name)
+			}
+			return
+		}
+	}
+	t.Fatalf("no name for track 0 in %s", buf.String())
 }

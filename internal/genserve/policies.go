@@ -26,19 +26,24 @@ func (VanillaGen) ObserveFlush() {}
 // only on non-exits, which the oracle takes only when no ramp matches).
 type OptimalGen struct {
 	Profile exitsim.Profile
-	Sites   []model.RampSite
+	pts     []exitsim.Point // one per feasible site, shallowest first
 }
 
 // NewOptimalGen builds the oracle over the model's feasible ramp sites.
 func NewOptimalGen(m *model.Model, p exitsim.Profile) *OptimalGen {
-	return &OptimalGen{Profile: p, Sites: m.FeasibleRamps()}
+	sites := m.FeasibleRamps()
+	o := &OptimalGen{Profile: p, pts: make([]exitsim.Point, len(sites))}
+	for i, site := range sites {
+		o.pts[i] = p.At(site.Frac, site.Quality)
+	}
+	return o
 }
 
 // Decide exits at the earliest matching site.
 func (o *OptimalGen) Decide(s exitsim.Sample) (bool, float64, float64, bool) {
-	for _, site := range o.Sites {
-		if o.Profile.Matches(s, site.Frac, site.Quality) {
-			return true, site.Frac, 0, true
+	for _, pt := range o.pts {
+		if _, match := o.Profile.Observe(s, pt); match {
+			return true, pt.Depth, 0, true
 		}
 	}
 	return false, 1, 0, true
@@ -58,8 +63,9 @@ type FREEGen struct {
 	Threshold float64
 	Overhead  float64
 	Quality   float64
-	// siteQ is the chosen site's intrinsic quality.
-	siteQ float64
+	// pt is the chosen site's point, at Quality times the site's
+	// intrinsic quality.
+	pt exitsim.Point
 }
 
 // NewFREE selects the ramp position and threshold on the bootstrap
@@ -84,14 +90,14 @@ func NewFREE(m *model.Model, p exitsim.Profile, stream *workload.GenStream, accB
 	sites := m.FeasibleRamps()
 	bestSaving := -1.0
 	for _, site := range sites {
+		pt := p.At(site.Frac, f.Quality*site.Quality)
 		for ti := 0; ti <= 100; ti += 2 {
 			t := float64(ti) / 100
 			wrong, exits := 0, 0
 			for _, s := range samples {
-				q := f.Quality * site.Quality
-				if p.ErrScore(s, site.Frac, q) < t {
+				if e, match := p.Observe(s, pt); e < t {
 					exits++
-					if !p.Matches(s, site.Frac, q) {
+					if !match {
 						wrong++
 					}
 				}
@@ -104,7 +110,7 @@ func NewFREE(m *model.Model, p exitsim.Profile, stream *workload.GenStream, accB
 				bestSaving = saving
 				f.Depth = site.Frac
 				f.Threshold = t
-				f.siteQ = site.Quality
+				f.pt = pt
 			}
 		}
 	}
@@ -113,9 +119,8 @@ func NewFREE(m *model.Model, p exitsim.Profile, stream *workload.GenStream, accB
 
 // Decide applies the fixed ramp.
 func (f *FREEGen) Decide(s exitsim.Sample) (bool, float64, float64, bool) {
-	q := f.Quality * f.siteQ
-	if f.Profile.ErrScore(s, f.Depth, q) < f.Threshold {
-		return true, f.Depth, f.Overhead, f.Profile.Matches(s, f.Depth, q)
+	if e, match := f.Profile.Observe(s, f.pt); e < f.Threshold {
+		return true, f.Depth, f.Overhead, match
 	}
 	return false, 1, f.Overhead, true
 }

@@ -13,7 +13,7 @@ import (
 
 // refApparateGen is ApparateGen as it was before observation points,
 // the ring window and the one-pass tune: every token re-derives the
-// ramp's capability through ErrScore and Matches, the feedback window
+// ramp's point with At before observing it, the feedback window
 // slides by re-slicing an append-grown slice, and tune rescans the whole
 // window once per grid threshold. It is kept as the reference the
 // policy must reproduce token for token.
@@ -72,9 +72,7 @@ func newRefApparateGen(m *model.Model, p exitsim.Profile, accBudget float64) *re
 func (a *refApparateGen) depth() float64 { return a.Sites[a.SiteIdx].Frac }
 
 func (a *refApparateGen) Decide(s exitsim.Sample) (bool, float64, float64, bool) {
-	q := a.Sites[a.SiteIdx].Quality
-	e := a.Profile.ErrScore(s, a.depth(), q)
-	match := a.Profile.Matches(s, a.depth(), q)
+	e, match := a.Profile.Observe(s, a.Profile.At(a.depth(), a.Sites[a.SiteIdx].Quality))
 	exit := e < a.Threshold
 	if !a.divergence {
 		a.window = append(a.window, tokenObs{err: e, match: match})

@@ -6,6 +6,27 @@ import "testing"
 // depends on: it creates a fresh recorder per window, merges shards,
 // and summarizes windows that may hold a single completion.
 
+// stats is every statistic a Recorder answers, read through its
+// methods, so the tests can compare or bound them all at once.
+type stats struct {
+	Count                                 int
+	Mean, P25, Median, P95, P99, Min, Max float64
+}
+
+// statsOf reads every statistic of a non-empty recorder.
+func statsOf(r Recorder) stats {
+	return stats{
+		Count:  r.Len(),
+		Mean:   r.Mean(),
+		P25:    r.Percentile(25),
+		Median: r.Median(),
+		P95:    r.Percentile(95),
+		P99:    r.Percentile(99),
+		Min:    r.Min(),
+		Max:    r.Max(),
+	}
+}
+
 // TestMergeEmptyOperand checks merging an empty recorder is a no-op for
 // both implementations — stats, count, and percentiles are unchanged.
 func TestMergeEmptyOperand(t *testing.T) {
@@ -15,9 +36,9 @@ func TestMergeEmptyOperand(t *testing.T) {
 			for _, v := range []float64{5, 10, 20} {
 				r.Add(v)
 			}
-			before := r.Summarize()
+			before := statsOf(r)
 			r.Merge(NewRecorder(mode, 0))
-			after := r.Summarize()
+			after := statsOf(r)
 			if before != after {
 				t.Fatalf("merging an empty operand changed the summary: %+v vs %+v", before, after)
 			}
@@ -42,7 +63,7 @@ func TestMergeIntoEmpty(t *testing.T) {
 			if dst.Len() != 3 {
 				t.Fatalf("Len = %d after merge into empty, want 3", dst.Len())
 			}
-			s := dst.Summarize()
+			s := statsOf(dst)
 			// The sketch answers within ~0.5% relative error; exact is exact.
 			if s.Min > 5.03 || s.Min < 4.97 || s.Max > 20.1 || s.Max < 19.9 {
 				t.Fatalf("merge into empty lost min/max: %+v", s)
@@ -58,7 +79,7 @@ func TestSummarizeSingleSample(t *testing.T) {
 		t.Run(mode.String(), func(t *testing.T) {
 			r := NewRecorder(mode, 1)
 			r.Add(42)
-			s := r.Summarize()
+			s := statsOf(r)
 			if s.Count != 1 {
 				t.Fatalf("Count = %d, want 1", s.Count)
 			}

@@ -34,8 +34,6 @@ type Recorder interface {
 	Min() float64
 	// Max returns the largest sample. It panics when empty.
 	Max() float64
-	// Summarize computes a Summary. It panics when empty.
-	Summarize() Summary
 	// Merge folds another recorder of the same implementation into this
 	// one. It panics on mismatched implementations: exact and sketched
 	// samples cannot be combined losslessly.
@@ -191,35 +189,6 @@ func (d *Dist) Max() float64 {
 	}
 	d.ensureSorted()
 	return d.samples[len(d.samples)-1]
-}
-
-// Summary is the (median, p25, p95, mean) tuple the paper's figures report.
-type Summary struct {
-	Count  int
-	Mean   float64
-	P25    float64
-	Median float64
-	P95    float64
-	P99    float64
-	Min    float64
-	Max    float64
-}
-
-// Summarize computes a Summary. It panics on an empty distribution.
-func (d *Dist) Summarize() Summary { return summarize(d) }
-
-// summarize builds a Summary from any recorder.
-func summarize(r Recorder) Summary {
-	return Summary{
-		Count:  r.Len(),
-		Mean:   r.Mean(),
-		P25:    r.Percentile(25),
-		Median: r.Median(),
-		P95:    r.Percentile(95),
-		P99:    r.Percentile(99),
-		Min:    r.Min(),
-		Max:    r.Max(),
-	}
 }
 
 // WinPercent reports the relative improvement of got over base at a given

@@ -172,7 +172,7 @@ func TestSummarize(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		d.Add(float64(i))
 	}
-	s := d.Summarize()
+	s := statsOf(d)
 	if s.Count != 100 || s.Min != 1 || s.Max != 100 {
 		t.Errorf("Summary basics wrong: %+v", s)
 	}

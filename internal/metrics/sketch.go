@@ -217,6 +217,3 @@ func (s *Sketch) Max() float64 {
 	}
 	return s.max
 }
-
-// Summarize computes a Summary. It panics when empty.
-func (s *Sketch) Summarize() Summary { return summarize(s) }

@@ -129,8 +129,8 @@ func (g *Graph) Validate() error {
 		return fmt.Errorf("model: graph contains a cycle")
 	}
 	// Reachability from source and to sink.
-	fromSrc := g.reachableFrom(g.Source(), nil)
-	toSink := g.reachableTo(g.Sink(), nil)
+	fromSrc := reachable(g.succ, g.Source(), -1)
+	toSink := reachable(g.pred, g.Sink(), -1)
 	for i := range g.Nodes {
 		if !fromSrc[i] || !toSink[i] {
 			return fmt.Errorf("model: node %d (%s) not on a source→sink path", i, g.Nodes[i].Name)
@@ -190,11 +190,12 @@ func (g *Graph) TopoOrder() []int {
 	return order
 }
 
-// reachableFrom marks every node reachable from start following edges
-// forward, skipping the node `skip` (pass nil-equivalent -1 via skipID).
-func (g *Graph) reachableFrom(start int, skip map[int]bool) []bool {
-	seen := make([]bool, len(g.Nodes))
-	if skip[start] {
+// reachable marks every node reachable from start along adj (g.succ
+// to walk forward, g.pred to walk backward) without passing through the
+// node skip; -1 skips nothing, and skipping start marks nothing.
+func reachable(adj [][]int, start, skip int) []bool {
+	seen := make([]bool, len(adj))
+	if start == skip {
 		return seen
 	}
 	stack := []int{start}
@@ -202,30 +203,10 @@ func (g *Graph) reachableFrom(start int, skip map[int]bool) []bool {
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, s := range g.succ[n] {
-			if !seen[s] && !skip[s] {
+		for _, s := range adj[n] {
+			if !seen[s] && s != skip {
 				seen[s] = true
 				stack = append(stack, s)
-			}
-		}
-	}
-	return seen
-}
-
-func (g *Graph) reachableTo(end int, skip map[int]bool) []bool {
-	seen := make([]bool, len(g.Nodes))
-	if skip[end] {
-		return seen
-	}
-	stack := []int{end}
-	seen[end] = true
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, p := range g.pred[n] {
-			if !seen[p] && !skip[p] {
-				seen[p] = true
-				stack = append(stack, p)
 			}
 		}
 	}
@@ -247,8 +228,7 @@ func (g *Graph) CutVertices() []bool {
 			out[v] = true
 			continue
 		}
-		reach := g.reachableFrom(src, map[int]bool{v: true})
-		out[v] = !reach[snk]
+		out[v] = !reachable(g.succ, src, v)[snk]
 	}
 	return out
 }

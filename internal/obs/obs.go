@@ -184,6 +184,10 @@ type Tracer struct {
 	// Events holds a buffered tracer's events; a streaming tracer
 	// leaves it empty.
 	Events []Event
+	// Gen marks a generative trace, whose tracks are decode slots and
+	// the admission queue instead of replicas and the dispatcher. Set by
+	// the generative engine when it attaches the tracer.
+	Gen bool
 
 	out *sink // the streaming destination; nil when buffered
 	n   int   // events streamed into out
@@ -326,20 +330,14 @@ func chromeTID(e Event) int {
 	return chromeDispatcherTID
 }
 
-// genTrace reports whether the trace came from the generative engine
-// (tracks are decode slots, not replicas): generative traces always
-// open with a seq_arrive, classification traces never emit one.
-func (t *Tracer) genTrace() bool {
-	return len(t.Events) > 0 && t.Events[0].Kind == KindSeqArrive
-}
-
 // WriteChrome writes a buffered trace in the Chrome trace-event JSON format
 // (viewable at ui.perfetto.dev or chrome://tracing): batches render as
 // duration slices on their replica's track, crash/restart and
 // outage_start/outage_end pairs render as "down"/"outage" spans, and
 // every other event renders as an instant with its fields as args.
 //
-// Generative traces render one track per decode slot instead: each
+// Generative traces (Gen set) render one track per decode slot
+// instead, beside a queue track in the dispatcher's place: each
 // committed slot residency is an "X" slice named seq(<req>) emitted at
 // its seq_complete/preempt (so work lost to preemption never paints the
 // track), prefill chunks and decode stretches nest inside it as
@@ -368,7 +366,7 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 		return emit(fmt.Sprintf(`{"ph":"M","pid":0,"tid":%d,"name":"thread_name","args":{"name":%q}}`, tid, name))
 	}
 	track, track0 := "replica", "dispatcher"
-	if t.genTrace() {
+	if t.Gen {
 		track, track0 = "slot", "queue"
 	}
 	if err := meta(chromeDispatcherTID, track0); err != nil {

@@ -128,6 +128,7 @@ func TestWriteChromeValidJSONAndTracks(t *testing.T) {
 // commit instant minus duration, and preemptions as instants.
 func TestWriteChromeGenSlotTracks(t *testing.T) {
 	tr := NewTracer()
+	tr.Gen = true
 	a := At(0, KindSeqArrive)
 	a.Req = 3
 	a.Val = 64

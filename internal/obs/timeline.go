@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 
 	"repro/internal/metrics"
@@ -24,6 +25,9 @@ type Gauges struct {
 	// replica is live.
 	Parked int
 	// QueueDepths is the per-replica queue depth, indexed by replica.
+	// The timeline consumes a snapshot before it takes the next, so a
+	// simulator may hand it the same slice every time: a buffered
+	// timeline copies the depths into each row it keeps.
 	QueueDepths []int
 
 	// Generative gauges, sampled only when Timeline.Gen is set (zero on
@@ -165,6 +169,7 @@ func (tl *Timeline) Flush() error {
 // encoded into the writer on a streaming one.
 func (tl *Timeline) emit(r Row) {
 	if tl.out == nil {
+		r.Gauges.QueueDepths = slices.Clone(r.Gauges.QueueDepths)
 		tl.Rows = append(tl.Rows, r)
 		return
 	}

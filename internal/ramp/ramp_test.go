@@ -194,8 +194,8 @@ func TestEvaluateRecordsAllRamps(t *testing.T) {
 
 // TestEvaluateObservesAtEachRampsSite pins each ramp's stored point to
 // its site and style, in the original and in a clone: every
-// observation equals ErrScore and Matches at the ramp's depth and
-// quality, bit for bit, for ramps of mixed styles.
+// observation equals Observe at At of the ramp's depth and quality, bit
+// for bit, for ramps of mixed styles.
 func TestEvaluateObservesAtEachRampsSite(t *testing.T) {
 	c := testConfig(t)
 	c.BudgetFrac = 0.05
@@ -210,8 +210,8 @@ func TestEvaluateObservesAtEachRampsSite(t *testing.T) {
 			s := exitsim.Sample{Difficulty: r.Float64() * 1.2, MatchU: r.Float64(), Bias: r.Float64() * 0.05, NoiseKey: r.Uint64()}
 			out := cfg.Evaluate(s, 1)
 			for i, rp := range cfg.Active {
-				q := rp.Style.Quality * rp.Site.Quality
-				want := Observation{Err: cfg.Profile.ErrScore(s, rp.Site.Frac, q), Match: cfg.Profile.Matches(s, rp.Site.Frac, q)}
+				var want Observation
+				want.Err, want.Match = cfg.Profile.Observe(s, cfg.Profile.At(rp.Site.Frac, rp.Style.Quality*rp.Site.Quality))
 				if out.PerRamp[i] != want {
 					t.Fatalf("ramp %d: observed %+v, want %+v", i, out.PerRamp[i], want)
 				}

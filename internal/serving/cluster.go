@@ -544,11 +544,10 @@ type clusterSim struct {
 	peakBacklog float64
 	busy        float64
 
-	// depthArena backs the QueueDepths slices handed to the timeline:
-	// each gauge sample takes the next len(replicas) slots instead of
-	// its own allocation. Retained rows keep old blocks alive; the
-	// arena only ever appends, so handed-out slices never move.
-	depthArena []int
+	// depths backs every gauge sample's QueueDepths: the timeline
+	// consumes a sample before the next is taken, and copies the
+	// depths when it keeps the row.
+	depths []int
 	// snapAt and snapFn let the advance hook pass a pre-advance
 	// snapshot instant to the timeline without allocating a closure per
 	// clock step.
@@ -720,20 +719,10 @@ func (c *clusterSim) setActive(n int) {
 // batch sizes, live capacity, and parked arrivals.
 func (c *clusterSim) gauges(nowMS float64) obs.Gauges {
 	n := len(c.replicas)
-	// Carve the sample's depth row out of the arena: retained timeline
-	// rows keep old blocks alive, so a full block is abandoned to them
-	// and replaced rather than grown (growing would move slices already
-	// handed out).
-	if cap(c.depthArena)-len(c.depthArena) < n {
-		size := 1024
-		if size < 4*n {
-			size = 4 * n
-		}
-		c.depthArena = make([]int, 0, size)
+	if cap(c.depths) < n {
+		c.depths = make([]int, n)
 	}
-	start := len(c.depthArena)
-	c.depthArena = c.depthArena[:start+n]
-	g := obs.Gauges{Replicas: c.active, QueueDepths: c.depthArena[start : start+n : start+n]}
+	g := obs.Gauges{Replicas: c.active, QueueDepths: c.depths[:n]}
 	for i, rep := range c.replicas {
 		g.QueueDepths[i] = rep.qlen()
 		g.Queued += rep.qlen()

@@ -2,6 +2,7 @@ package serving
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/engine"
@@ -518,7 +519,7 @@ func (fm *faultMode) pick(now float64, tried []int) (int, bool) {
 	c := fm.c
 	fm.eligible = fm.eligible[:0]
 	for i := 0; i < c.active; i++ {
-		if c.replicas[i].down || containsInt(tried, i) {
+		if c.replicas[i].down || slices.Contains(tried, i) {
 			continue
 		}
 		fm.eligible = append(fm.eligible, i)
@@ -709,13 +710,4 @@ func (fm *faultMode) finish(endMS float64) {
 		fm.del(id)
 		fm.recordLost(entry.req, endMS)
 	}
-}
-
-func containsInt(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }

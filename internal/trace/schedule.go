@@ -3,7 +3,6 @@ package trace
 import (
 	"fmt"
 	"math"
-	"slices"
 	"strconv"
 	"strings"
 
@@ -272,25 +271,11 @@ func parseFloats(spec string, parts []string, min, max int) ([]float64, error) {
 	return out, nil
 }
 
-// scheduled emits arrivals from a rate-scheduled Poisson process, one
-// second at a time like the MAF source: each second's arrival count is
-// Poisson at baseQPS × Rate(mid-second), with uniform offsets inside
-// the second. Only the current second is buffered, so memory is O(peak
-// per-second rate) — the streaming pipeline's bound — and the emitted
-// stream is globally sorted.
-type scheduled struct {
-	r       *rng.Rand
-	baseQPS float64
-	sched   Schedule
-	sec     int
-	buf     []float64
-	next    int
-}
-
 // NewScheduled returns an arrival source whose rate follows
-// baseQPS × sched.Rate(t). Randomness comes from r only, so rebuilding
-// the source with an identically seeded generator replays the same
-// sequence (the restartable-Arrivals contract).
+// baseQPS × sched.Rate(t): each second's arrival count is Poisson at
+// baseQPS × Rate(mid-second). Randomness comes from r only, so
+// rebuilding the source with an identically seeded generator replays
+// the same sequence (the restartable-Arrivals contract).
 func NewScheduled(baseQPS float64, sched Schedule, r *rng.Rand) Arrivals {
 	if !(baseQPS > 0) || math.IsInf(baseQPS, 0) {
 		panic("trace: Scheduled baseQPS must be positive and finite")
@@ -298,27 +283,7 @@ func NewScheduled(baseQPS float64, sched Schedule, r *rng.Rand) Arrivals {
 	if sched == nil {
 		panic("trace: Scheduled needs a schedule")
 	}
-	return &scheduled{r: r, baseQPS: baseQPS, sched: sched}
-}
-
-func (s *scheduled) Next() float64 {
-	for s.next >= len(s.buf) {
-		s.fillSecond()
-	}
-	v := s.buf[s.next]
-	s.next++
-	return v
-}
-
-func (s *scheduled) fillSecond() {
-	rate := s.baseQPS * s.sched.Rate(float64(s.sec)+0.5)
-	k := s.r.Poisson(rate)
-	base := float64(s.sec) * 1000
-	s.sec++
-	s.buf = s.buf[:0]
-	s.next = 0
-	for i := 0; i < k; i++ {
-		s.buf = append(s.buf, base+s.r.Float64()*1000)
-	}
-	slices.Sort(s.buf)
+	return &perSecond{r: r, rate: func(sec int) float64 {
+		return baseQPS * sched.Rate(float64(sec)+0.5)
+	}}
 }

@@ -5,7 +5,11 @@
 //
 // Every process is a pull-based Arrivals source that generates
 // timestamps one at a time in O(1) memory, the form the streaming
-// workload iterators consume.
+// workload iterators consume. The MAF and the scheduled processes are
+// one per-second source: a function gives each simulated second's mean
+// rate, the second's arrival count is Poisson at that rate, and its
+// arrivals are sorted uniform offsets inside the second. Only the rate
+// function differs between the two.
 package trace
 
 import (
@@ -18,7 +22,7 @@ import (
 
 // Arrivals is an unbounded stream of arrival timestamps in milliseconds,
 // non-decreasing across calls. Implementations hold O(1) state (at most
-// one second of buffered arrivals for the bursty MAF process), so a
+// one second of buffered arrivals for the per-second sources), so a
 // consumer that pulls n timestamps never materializes the trace.
 type Arrivals interface {
 	// Next returns the next arrival timestamp.
@@ -68,19 +72,39 @@ func (p *poisson) Next() float64 {
 	return p.t
 }
 
-// maf emits arrivals from the bursty MAF-style process one second at a
-// time: the per-second rate follows a mean-reverting AR(1) on the log
-// scale with occasional multiplicative spikes, and arrivals within each
-// second are Poisson at that second's rate. Only the current second's
-// arrivals are buffered, so memory is O(peak per-second rate), not O(n).
-type maf struct {
-	r       *rng.Rand
-	meanQPS float64
-	statVar float64
-	x       float64
-	sec     int
-	buf     []float64
-	next    int
+// perSecond is the per-second source of the package doc: rate returns
+// each second's mean rate. Only the current second's arrivals are
+// buffered, so memory is O(peak per-second rate), not O(n).
+type perSecond struct {
+	r    *rng.Rand
+	rate func(sec int) float64
+	sec  int
+	buf  []float64
+	next int
+}
+
+func (p *perSecond) Next() float64 {
+	for p.next >= len(p.buf) {
+		p.fillSecond()
+	}
+	v := p.buf[p.next]
+	p.next++
+	return v
+}
+
+// fillSecond draws the next second's rate and its Poisson arrival batch.
+// Uniform offsets within the second are sorted before use; seconds never
+// interleave, so the emitted stream is globally sorted.
+func (p *perSecond) fillSecond() {
+	k := p.r.Poisson(p.rate(p.sec))
+	base := float64(p.sec) * 1000
+	p.sec++
+	p.buf = p.buf[:0]
+	p.next = 0
+	for i := 0; i < k; i++ {
+		p.buf = append(p.buf, base+p.r.Float64()*1000)
+	}
+	slices.Sort(p.buf)
 }
 
 // MAF process parameters.
@@ -91,11 +115,11 @@ const (
 	mafSpikeMul = 3.0  // burst magnitude
 )
 
-// Bounds on what a scenario may ask of an arrival source. The MAF and
-// scheduled sources draw and sort each simulated second's arrivals in
-// one batch, so the per-second mean sets their memory and sort work,
-// and they step through every simulated second, arrivals or not, so a
-// vanishing rate stalls them. The benchmark and golden grids peak at
+// Bounds on what a scenario may ask of an arrival source. The
+// per-second sources (MAF and scheduled) draw and sort each simulated
+// second's arrivals in one batch, so the per-second mean sets their
+// memory and sort work, and they step through every simulated second,
+// arrivals or not, so a vanishing rate stalls them. The benchmark and golden grids peak at
 // ~930 req/s and span at most 2000 s. On 2 CPUs, slices.Sort of one
 // second's uniform offsets costs ~120 ns per arrival at MaxQPS and ~80
 // ns at 930 req/s; stepping MaxRunSec empty seconds takes ~1.5 s.
@@ -105,47 +129,26 @@ const (
 )
 
 // NewMAF returns a bursty, rate-modulated arrival source in the style of
-// the Microsoft Azure Functions traces.
+// the Microsoft Azure Functions traces: the per-second rate follows a
+// mean-reverting AR(1) on the log scale with occasional multiplicative
+// spikes, and arrivals within each second are Poisson at that second's
+// rate.
 func NewMAF(meanQPS float64, r *rng.Rand) Arrivals {
 	if !(meanQPS > 0) || math.IsInf(meanQPS, 0) {
 		panic("trace: MAF meanQPS must be positive and finite")
 	}
 	// Stationary variance of the AR(1); subtracting half of it keeps the
 	// mean rate at meanQPS despite the lognormal modulation.
-	return &maf{
-		r:       r,
-		meanQPS: meanQPS,
-		statVar: mafSigma * mafSigma / (1 - mafPhi*mafPhi),
-	}
-}
-
-func (m *maf) Next() float64 {
-	for m.next >= len(m.buf) {
-		m.fillSecond()
-	}
-	v := m.buf[m.next]
-	m.next++
-	return v
-}
-
-// fillSecond draws the next second's rate and its Poisson arrival batch.
-// Uniform offsets within the second are sorted before use; seconds never
-// interleave, so the emitted stream is globally sorted.
-func (m *maf) fillSecond() {
-	m.x = mafPhi*m.x + mafSigma*m.r.Norm()
-	rate := m.meanQPS * math.Exp(m.x-m.statVar/2)
-	if m.r.Bool(mafSpikeP) {
-		rate *= mafSpikeMul
-	}
-	k := m.r.Poisson(rate)
-	base := float64(m.sec) * 1000
-	m.sec++
-	m.buf = m.buf[:0]
-	m.next = 0
-	for i := 0; i < k; i++ {
-		m.buf = append(m.buf, base+m.r.Float64()*1000)
-	}
-	slices.Sort(m.buf)
+	statVar := mafSigma * mafSigma / (1 - mafPhi*mafPhi)
+	x := 0.0 // the log-rate's AR(1) state
+	return &perSecond{r: r, rate: func(int) float64 {
+		x = mafPhi*x + mafSigma*r.Norm()
+		rate := meanQPS * math.Exp(x-statVar/2)
+		if r.Bool(mafSpikeP) {
+			rate *= mafSpikeMul
+		}
+		return rate
+	}}
 }
 
 // TargetQPS returns a sustainable mean request rate for the model at its

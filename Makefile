@@ -24,14 +24,15 @@ fmt:
 race:
 	$(GO) test -race ./internal/sweep/... ./internal/serving/... ./internal/autoscale/... ./internal/core/... ./internal/engine/... ./internal/faults/... ./internal/obs/... ./internal/genserve/... ./internal/controller/...
 
-# Fuzz the scenario-spec parsers, the exit-rule names and the sweep's
-# -only/-skip filter parser for 10s per target (go test -fuzz takes one
-# target per run). A target fails on a panic, a parsed non-finite
-# number, a canonical form that does not parse back to itself, an
-# accepted exit-rule name that is not the rule's own, or an accepted
-# filter with an unknown axis or a malformed glob; the failing input is
-# saved under the package's testdata/fuzz/ and replays in plain go test
-# from then on.
+# Fuzz the scenario-spec parsers, the exit-rule names, the sweep's
+# -only/-skip filter parser and the trace's JSONL encoder for 10s per
+# target (go test -fuzz takes one target per run). A target fails on a
+# panic, a parsed non-finite number, a canonical form that does not
+# parse back to itself, an accepted exit-rule name that is not the
+# rule's own, an accepted filter with an unknown axis or a malformed
+# glob, or a trace line that differs from a plain strconv rendering of
+# its event; the failing input is saved under the package's
+# testdata/fuzz/ and replays in plain go test from then on.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSchedule$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/autoscale
@@ -40,6 +41,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpeeds$$' -fuzztime 10s ./internal/serving
 	$(GO) test -run '^$$' -fuzz '^FuzzParseFilters$$' -fuzztime 10s ./internal/sweep
 	$(GO) test -run '^$$' -fuzz '^FuzzByName$$' -fuzztime 10s ./internal/exitrule
+	$(GO) test -run '^$$' -fuzz '^FuzzTracerEncoding$$' -fuzztime 10s ./internal/obs
 
 # Run each root-package benchmark once: the whole-run cluster, fault,
 # generative, obs, streaming and sweep-grid benchmarks. The paper's

@@ -91,8 +91,8 @@ func main() {
 		last = r.ArrivalMS
 	}
 
-	fmt.Printf("workload=%s n=%d span=%.1fs realized_rate=%.1fqps\n",
-		stream.Name, stream.Len(), last/1000, float64(stream.Len())/(last/1000))
+	fmt.Printf("workload=%s n=%d span=%.1fs realized_rate=%s\n",
+		stream.Name, stream.Len(), last/1000, realizedRate(stream.Len(), last))
 	fmt.Printf("difficulty: p25=%.3f p50=%.3f p95=%.3f mean=%.3f\n",
 		diff.Percentile(25), diff.Median(), diff.Percentile(95), diff.Mean())
 	fmt.Printf("biased requests: %.1f%%\n", float64(biased)/float64(stream.Len())*100)
@@ -135,4 +135,14 @@ func checkFlags(n int, qps, binSec float64) error {
 		return fmt.Errorf("apparate-trace: -bin %g must be positive and finite", binSec)
 	}
 	return nil
+}
+
+// realizedRate renders n arrivals over the spanMS from the first (at 0)
+// to the last as a rate. A span of 0, such as a one-frame video stream
+// whose frame arrives at 0, has no rate.
+func realizedRate(n int, spanMS float64) string {
+	if spanMS <= 0 {
+		return "n/a"
+	}
+	return fmt.Sprintf("%.1fqps", float64(n)/(spanMS/1000))
 }

@@ -38,3 +38,21 @@ func TestCheckFlags(t *testing.T) {
 		})
 	}
 }
+
+// TestRealizedRate prints n/a for a span of 0, where the division would
+// print +Inf, and the rate otherwise.
+func TestRealizedRate(t *testing.T) {
+	for _, tc := range []struct {
+		n      int
+		spanMS float64
+		want   string
+	}{
+		{1, 0, "n/a"},
+		{3, 1500, "2.0qps"},
+		{12000, 399960, "30.0qps"},
+	} {
+		if got := realizedRate(tc.n, tc.spanMS); got != tc.want {
+			t.Errorf("realizedRate(%d, %g) = %q, want %q", tc.n, tc.spanMS, got, tc.want)
+		}
+	}
+}

@@ -244,6 +244,55 @@ func TestCutVerticesMatchPathEnumeration(t *testing.T) {
 	}
 }
 
+// randomGraph builds a random graph on 2 to 9 nodes: edges from lower
+// to higher IDs at a random density, and now and then an edge back that
+// closes a cycle.
+func randomGraph(r *rng.Rand) *Graph {
+	g := NewGraph()
+	n := 2 + r.Intn(8)
+	for i := 0; i < n; i++ {
+		g.AddNode("n", OpConv, 1/float64(n), -1)
+	}
+	density := 0.2 + 0.5*r.Float64()
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if r.Bool(density) {
+				g.AddEdge(i, j)
+			}
+			if r.Bool(0.03) {
+				g.AddEdge(j, i)
+			}
+		}
+	}
+	return g
+}
+
+// TestValidatedGraphsConnectSourceToSink: in every random graph that
+// Validate accepts, every node is reachable from the source and reaches
+// the sink, though Validate walks neither way. One source, one sink and
+// no cycle imply it; a cycle apart from the source→sink paths is the
+// case the cycle check rules out.
+func TestValidatedGraphsConnectSourceToSink(t *testing.T) {
+	const tries = 3000
+	accepted := 0
+	for seed := uint64(1); seed <= tries; seed++ {
+		g := randomGraph(rng.New(seed))
+		if g.Validate() != nil {
+			continue
+		}
+		accepted++
+		fromSrc, toSink := reachable(g.succ, g.Source(), -1), reachable(g.pred, g.Sink(), -1)
+		for i := range g.Nodes {
+			if !fromSrc[i] || !toSink[i] {
+				t.Fatalf("seed %d: Validate accepts a graph whose node %d is not on a source→sink path (succ %v)", seed, i, g.succ)
+			}
+		}
+	}
+	if accepted < tries/20 {
+		t.Fatalf("only %d of %d random graphs validate", accepted, tries)
+	}
+}
+
 func TestAddEdgePanicsOutOfRange(t *testing.T) {
 	g := chain(2)
 	defer func() {

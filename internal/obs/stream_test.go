@@ -153,10 +153,42 @@ func (f *failAfter) Write(p []byte) (int, error) {
 	return n, errFull
 }
 
+// shortWriter accepts one byte less than each write offers and reports
+// no error, which a writer must not do.
+type shortWriter struct{}
+
+func (shortWriter) Write(p []byte) (int, error) { return max(len(p)-1, 0), nil }
+
+// failOnce fails its first write and accepts every later one, counting
+// the bytes it accepts.
+type failOnce struct {
+	failed   bool
+	accepted int
+}
+
+func (f *failOnce) Write(p []byte) (int, error) {
+	if !f.failed {
+		f.failed = true
+		return 0, errFull
+	}
+	f.accepted += len(p)
+	return len(p), nil
+}
+
+// writeSizes records the length of each write it is handed.
+type writeSizes []int
+
+func (w *writeSizes) Write(p []byte) (int, error) {
+	*w = append(*w, len(p))
+	return len(p), nil
+}
+
 // TestStreamingSinksReportFirstWriteError: a writer that fails after k
 // bytes makes Flush return its error, whether the failure comes while
-// the bufio buffer drains mid-run or at the final flush; events and
-// rows after the failure are still counted.
+// the sink's buffer drains mid-run, exactly at the boundary between two
+// of its writes, or at the final flush; events and rows after the
+// failure are still counted but not written. A short write with no
+// error reports io.ErrShortWrite, as bufio.Writer does.
 func TestStreamingSinksReportFirstWriteError(t *testing.T) {
 	evs := sampleEvents()
 	var want bytes.Buffer
@@ -167,14 +199,28 @@ func TestStreamingSinksReportFirstWriteError(t *testing.T) {
 	if err := ref.WriteJSONL(&want); err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []int{0, 1, 100, want.Len() - 1} {
-		for _, n := range []int{len(evs), 400 * len(evs)} { // below and far above the bufio size
+	long := 400 * len(evs) // far above the sink's 64 KiB buffer
+	var sizes writeSizes
+	probe := NewTracerTo(&sizes)
+	for i := 0; i < long; i++ {
+		probe.Emit(evs[i%len(evs)])
+	}
+	if err := probe.Flush(); err != nil || len(sizes) < 3 {
+		t.Fatalf("a %d-event stream made %d writes (err %v), want several", long, len(sizes), err)
+	}
+	first := sizes[0] // the failure lands at the end of the first write
+	for _, k := range []int{0, 1, 100, want.Len() - 1, first - 1, first, first + 1} {
+		for _, n := range []int{len(evs), long} {
 			tr := NewTracerTo(&failAfter{k: k})
 			for i := 0; i < n; i++ {
 				tr.Emit(evs[i%len(evs)])
 			}
-			if err := tr.Flush(); !errors.Is(err, errFull) {
-				t.Fatalf("k=%d n=%d: tracer Flush = %v, want %v", k, n, err, errFull)
+			var wantErr error
+			if k < n/len(evs)*want.Len() {
+				wantErr = errFull
+			}
+			if err := tr.Flush(); !errors.Is(err, wantErr) {
+				t.Fatalf("k=%d n=%d: tracer Flush = %v, want %v", k, n, err, wantErr)
 			}
 			if tr.Len() != n {
 				t.Fatalf("k=%d n=%d: Len = %d after a failed write, want %d", k, n, tr.Len(), n)
@@ -196,6 +242,73 @@ func TestStreamingSinksReportFirstWriteError(t *testing.T) {
 	}
 	if err := tr.Flush(); err != nil {
 		t.Fatalf("Flush into a writer with exactly enough room = %v", err)
+	}
+	// After a failed write the sink writes nothing more, even to a
+	// writer that would accept it.
+	once := &failOnce{}
+	tr = NewTracerTo(once)
+	for i := 0; i < long; i++ {
+		tr.Emit(evs[i%len(evs)])
+	}
+	if err := tr.Flush(); !errors.Is(err, errFull) || once.accepted != 0 {
+		t.Fatalf("after a failed first write: Flush = %v and %d bytes written, want %v and none", err, once.accepted, errFull)
+	}
+	// A short write fails the sink, and the error stays.
+	tr = NewTracerTo(shortWriter{})
+	tr.Emit(evs[0])
+	for i := 0; i < 2; i++ {
+		if err := tr.Flush(); !errors.Is(err, io.ErrShortWrite) {
+			t.Fatalf("Flush %d after a short write = %v, want %v", i+1, err, io.ErrShortWrite)
+		}
+	}
+	tl := NewTimelineTo(shortWriter{}, 1, 0)
+	if err := tl.Flush(); !errors.Is(err, io.ErrShortWrite) {
+		t.Fatalf("timeline Flush after a short write = %v, want %v", err, io.ErrShortWrite)
+	}
+}
+
+// TestStreamingSinksWriteAfterFlush: a streaming tracer or timeline
+// that goes on after a Flush writes what follows at the next Flush, so
+// the output still equals the buffered writer's.
+func TestStreamingSinksWriteAfterFlush(t *testing.T) {
+	evs := sampleEvents()
+	var streamed, want bytes.Buffer
+	st, buffered := NewTracerTo(&streamed), NewTracer()
+	for i, e := range evs {
+		st.Emit(e)
+		buffered.Emit(e)
+		if i == 0 || i == len(evs)/2 {
+			if err := st.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := buffered.WriteJSONL(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(streamed.Bytes(), want.Bytes()) {
+		t.Fatalf("events emitted after a Flush:\n got %s\nwant %s", streamed.String(), want.String())
+	}
+
+	streamed.Reset()
+	want.Reset()
+	tl, btl := NewTimelineTo(&streamed, 10, 0), NewTimeline(10, 0)
+	g := staticGauges(Gauges{Replicas: 2, Live: 2, QueueDepths: []int{3, 1}})
+	for _, now := range []float64{0, 35, 90} {
+		tl.CatchUp(now, g)
+		btl.CatchUp(now, g)
+		if err := tl.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := btl.WriteCSV(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(streamed.Bytes(), want.Bytes()) {
+		t.Fatalf("rows emitted after a Flush:\n got %s\nwant %s", streamed.String(), want.String())
 	}
 }
 
@@ -229,33 +342,4 @@ func TestStreamingEmitZeroAlloc(t *testing.T) {
 			t.Fatalf("gen=%v: only %d rows emitted", gen, tl.Len())
 		}
 	}
-}
-
-// BenchmarkTracerEmit measures one Emit into a buffered tracer (append
-// to Events, amortized slice growth included) and into a streaming
-// tracer writing JSONL to io.Discard (encode + buffered write). The
-// buffered tracer is replaced every 1<<20 events so a long benchmark
-// run cannot hold an unbounded trace.
-func BenchmarkTracerEmit(b *testing.B) {
-	evs := sampleEvents()
-	b.Run("buffered", func(b *testing.B) {
-		b.ReportAllocs()
-		var tr *Tracer
-		for i := 0; i < b.N; i++ {
-			if i&(1<<20-1) == 0 {
-				tr = NewTracer()
-			}
-			tr.Emit(evs[i%len(evs)])
-		}
-	})
-	b.Run("streaming", func(b *testing.B) {
-		b.ReportAllocs()
-		tr := NewTracerTo(io.Discard)
-		for i := 0; i < b.N; i++ {
-			tr.Emit(evs[i%len(evs)])
-		}
-		if err := tr.Flush(); err != nil {
-			b.Fatal(err)
-		}
-	})
 }

@@ -136,11 +136,13 @@ func NewTimeline(tickMS, sloMS float64) *Timeline {
 // sampling: every emitted row is written to w as one CSV line,
 // byte-identical to what WriteCSV would write for a buffered timeline.
 // The header is written with the first row, or by Flush for a row-less
-// run, so a simulator may still set Gen after construction. Writes go
-// through a bufio.Writer; call Flush when the run ends.
+// run, so a simulator may still set Gen after construction. Rows collect
+// in a 64 KiB buffer taken from a pool, as a streaming Tracer's events
+// do; call Flush when the run ends, to write the rest and give the
+// buffer back.
 func NewTimelineTo(w io.Writer, tickMS, sloMS float64) *Timeline {
 	tl := NewTimeline(tickMS, sloMS)
-	tl.out = newSink(w)
+	tl.out = &sink{w: w}
 	return tl
 }
 
@@ -160,8 +162,9 @@ func (tl *Timeline) Flush() error {
 	if tl.out == nil {
 		return nil
 	}
-	tl.out.buf = tl.head(tl.out.buf[:0])
-	tl.out.put() // empty once the header is out
+	if !tl.headed {
+		tl.out.end(tl.head(tl.out.begin()))
+	}
 	return tl.out.flush()
 }
 
@@ -174,8 +177,7 @@ func (tl *Timeline) emit(r Row) {
 		return
 	}
 	tl.n++
-	tl.out.buf = tl.appendRow(tl.head(tl.out.buf[:0]), r)
-	tl.out.put()
+	tl.out.end(tl.appendRow(tl.head(tl.out.begin()), r))
 }
 
 // head appends the CSV header the first time a streaming timeline
@@ -268,12 +270,10 @@ func (tl *Timeline) appendRow(buf []byte, r Row) []byte {
 // column set. Floats use the shortest exact representation; output is
 // byte-stable.
 func (tl *Timeline) WriteCSV(w io.Writer) error {
-	s := newSink(w)
-	s.buf = append(s.buf[:0], tl.header()...)
-	s.put()
+	s := &sink{w: w}
+	s.end(append(s.begin(), tl.header()...))
 	for _, r := range tl.Rows {
-		s.buf = tl.appendRow(s.buf[:0], r)
-		s.put()
+		s.end(tl.appendRow(s.begin(), r))
 	}
 	return s.flush()
 }

@@ -160,10 +160,11 @@ mem-smoke:
 mem-soak:
 	GOMEMLIMIT=256MiB APPARATE_MEM_GUARD=1 APPARATE_MEM_N=100000000 $(GO) test -run TestStreamingMillionBoundedMemory -v -timeout 30m .
 
-# Refresh the golden pins (testdata/golden_sweep.csv and one
-# testdata/tables/<id>.txt per paper artifact) after an intentional
-# behavior change; review the diff like code.
+# Refresh the golden pins (testdata/golden_sweep.csv, one
+# testdata/tables/<id>.txt per paper artifact, and the sha256 of every
+# golden grid's trace and timeline file in testdata/golden_traces.txt)
+# after an intentional behavior change; review the diff like code.
 golden:
-	$(GO) test -run '^TestGolden(Sweep|Tables)$$' -update .
+	$(GO) test -run '^TestGolden(Sweep|Tables|Traces)$$' -update .
 
 ci: build test vet fmt race fuzz examples sweep-smoke mem-smoke

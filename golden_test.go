@@ -2,6 +2,7 @@ package repro
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"flag"
 	"fmt"
 	"os"
@@ -120,6 +121,79 @@ func TestGoldenSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "golden_sweep.csv", buf.Bytes())
+}
+
+// goldenChaosGrid is a width-8 fault-mode grid shaped like the
+// benchmark's cluster-chaos workload: both platforms, hetero speeds,
+// autoscaling over 2..8 replicas, a square-wave rate, churn with
+// transit delay and loss, and retries with hedging. Its traces pin the
+// order of same-instant events across many replicas, which results
+// alone do not: two replicas' completions at one instant can swap
+// places in a trace while every count and percentile stays the same.
+func goldenChaosGrid() sweep.Grid {
+	return sweep.Grid{
+		Models:        []string{"resnet18", "bert-base"},
+		Workloads:     []string{"video-1", "amazon"},
+		Platforms:     []string{"clockwork", "tf-serve"},
+		Replicas:      []int{8},
+		Dispatches:    []string{"least-loaded", "join-shortest-queue"},
+		Heteros:       []string{"", "1,0.5"},
+		Autoscales:    []string{"2..8"},
+		RateSchedules: []string{"square:30/0.5/2"},
+		Faults:        []string{"mtbf:20000/1000;delaydist=exp:1;loss=0.001"},
+		Retries:       []string{"attempts=3/hedge=95"},
+		N:             1500,
+		Seed:          7,
+	}
+}
+
+// TestGoldenTraces pins the bytes of every trace and timeline file, as
+// TestGoldenSweep pins results: it runs the three golden grids and
+// goldenChaosGrid with Trace and Timeline on through sweep.Run into a
+// temporary ObsDir, and compares one "grid/file sha256" line per file
+// with testdata/golden_traces.txt. A change that reorders same-instant
+// events can leave every result byte alone and still move a trace;
+// this is the test that sees it. `make golden` refreshes the pin.
+func TestGoldenTraces(t *testing.T) {
+	grids := []struct {
+		name string
+		g    sweep.Grid
+	}{
+		{"sweep", goldenGrid()},
+		{"faults", goldenFaultGrid()},
+		{"kv", goldenKVGrid()},
+		{"chaos", goldenChaosGrid()},
+	}
+	var buf bytes.Buffer
+	for _, gc := range grids {
+		g := gc.g
+		g.Trace, g.Timeline = true, true
+		scenarios, err := g.Expand()
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		for _, r := range sweep.Run(scenarios, sweep.Options{Workers: 4, ObsDir: dir}) {
+			if r.Err != "" {
+				t.Fatalf("%s scenario %s failed: %s", gc.name, r.Scenario.Key(), r.Err)
+			}
+		}
+		entries, err := os.ReadDir(dir) // sorted by name
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 2*len(scenarios) {
+			t.Fatalf("%s grid wrote %d obs files for %d scenarios", gc.name, len(entries), len(scenarios))
+		}
+		for _, e := range entries {
+			b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&buf, "%s/%s %x\n", gc.name, e.Name(), sha256.Sum256(b))
+		}
+	}
+	checkGolden(t, "golden_traces.txt", buf.Bytes())
 }
 
 // wallClockColumns names, per table ID, the columns whose cells time the

@@ -398,10 +398,8 @@ func (sc Scenario) Validate() error {
 	if _, err := faults.ParseRetry(sc.Retry); err != nil {
 		return err
 	}
-	// Normalize turns any non-positive replica count into one; only 0
-	// means unset.
-	if sc.Replicas < 0 {
-		return fmt.Errorf("scenario: replica count %d must be non-negative (0 = one replica)", sc.Replicas)
+	if err := CheckReplicas(sc.Replicas); err != nil {
+		return err
 	}
 	sc = sc.Normalize()
 	m, err := model.ByName(sc.Model)
@@ -510,6 +508,17 @@ func (sc Scenario) Validate() error {
 func CheckWorkload(wl string) error {
 	if !slices.Contains(workload.Names(), wl) && !slices.Contains(workload.GenNames(), wl) {
 		return fmt.Errorf("scenario: unknown workload %q", wl)
+	}
+	return nil
+}
+
+// CheckReplicas reports an error for a negative replica count; only 0
+// means unset (one replica). Validate and the sweep's grid expansion
+// share it, and both call it before Normalize, which turns any count
+// below one into one and sets a generative scenario's to one.
+func CheckReplicas(n int) error {
+	if n < 0 {
+		return fmt.Errorf("scenario: replica count %d must be non-negative (0 = one replica)", n)
 	}
 	return nil
 }

@@ -10,10 +10,24 @@
 // replica wake that batches it; the generative runtime queues an
 // arrival before the milestone that may admit it), and the
 // monotonically increasing sequence number makes same-time same-class
-// events FIFO in scheduling order. Because scheduling order is itself a
+// events FIFO in the order they took their numbers, their scheduling
+// order unless reserved (below). Because that order is itself a
 // deterministic function of the simulation inputs, an engine run is a
 // pure function of its initial events — the root of the sweep's
 // workers-1-vs-8 byte-identity guarantee.
+//
+// An event may take its place in that order before it enters the heap:
+// Reserve hands out the next sequence number in a class as a Key, and
+// ScheduleKey later schedules an event under it, so the event pops as
+// if it had been scheduled when its key was reserved. Schedule is
+// exactly Reserve followed by ScheduleKey. A reservation that is never
+// scheduled costs nothing but its number, and the relative order of
+// every other event is unchanged, since only the order of sequence
+// numbers matters, never their values. This is how an actor skips an
+// event that would do nothing while keeping the place of the same event
+// should it turn out to have work after all. NextAt shows the time of
+// the earliest pending event, so an actor can see that nothing else is
+// due at the current instant.
 //
 // Memory is O(pending events), never O(trace): sources schedule one
 // arrival of lookahead at a time, so the heap stays a handful of
@@ -22,14 +36,17 @@
 // Allocation is O(peak pending events), never O(events fired): heap
 // entries are pointer-free values in the heap slice, so its spare
 // capacity is the freelist, and each entry's handler waits in a side
-// table slot that pop clears and the next Schedule reuses. Neither
+// table slot that pop clears and the next ScheduleKey reuses. Neither
 // grows past the peak pending count, and sifting the heap copies plain
 // memory with no GC write barrier. Actors implement Handler and
 // schedule (handler, op, arg) triples instead of capturing state in
 // closures.
 package engine
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Class ranks simultaneous events: at equal timestamps, lower classes
 // fire first. Callers define their own ordering; the serving cluster
@@ -58,9 +75,14 @@ type event struct {
 	op   uint8
 }
 
-// seqBits is the width of an event key's sequence number. Schedule
+// seqBits is the width of an event key's sequence number. Reserve
 // panics before the sequence would carry into the class byte.
 const seqBits = 56
+
+// Key is an event's place among simultaneous events: its class above a
+// sequence number that orders same-class events by reservation. Reserve
+// never returns the zero Key, so callers may use it for "none".
+type Key uint64
 
 // Loop is a single-threaded discrete-event loop: a virtual clock in
 // milliseconds and a deterministic min-heap of pending events. The zero
@@ -69,10 +91,11 @@ type Loop struct {
 	now  float64
 	heap []event
 	// hs holds each pending event's handler at its slot; free lists the
-	// slots pop has released, for Schedule to reuse.
+	// slots pop has released, for ScheduleKey to reuse.
 	hs      []Handler
 	free    []uint32
 	seq     uint64
+	fired   int
 	inRun   bool
 	advance func(prev, now float64)
 }
@@ -87,22 +110,45 @@ func (l *Loop) Now() float64 { return l.now }
 // Pending returns the number of scheduled events.
 func (l *Loop) Pending() int { return len(l.heap) }
 
-// Schedule enqueues h.OnEvent(at, op, arg) at virtual time `at`. This
-// is the zero-alloc path: the event is a value appended into the heap
-// slice's spare capacity and h takes a released slot of the handler
-// table, so steady-state scheduling (pop one, push one) never
-// allocates. Scheduling in the past panics: an actor that reacts to an
-// event it should already have seen is a simulation bug, not a
-// recoverable condition. Events at the current instant are legal and
-// fire after the running callback returns, in (class,
-// scheduling-order) rank.
-func (l *Loop) Schedule(at float64, class Class, h Handler, op uint8, arg uint64) {
-	if at < l.now {
-		panic(fmt.Sprintf("engine: scheduling at %g before now %g", at, l.now))
+// NextAt returns the time of the earliest pending event, or +Inf when
+// none is pending. Inside a callback the running event has already
+// left the heap, so NextAt() > Now() means nothing else is due at the
+// current instant.
+func (l *Loop) NextAt() float64 {
+	if len(l.heap) == 0 {
+		return math.Inf(1)
 	}
+	return l.heap[0].at
+}
+
+// Fired returns the number of events Run has dispatched.
+func (l *Loop) Fired() int { return l.fired }
+
+// Reserve takes the next sequence number in class and returns it as
+// the Key of an event not yet scheduled. ScheduleKey under that key
+// pops the event as if Schedule had been called at the reservation:
+// after every same-time same-class event scheduled before it, before
+// every one scheduled after. The caller must schedule it, if at all,
+// before the loop passes that place, at a time no earlier than Now.
+func (l *Loop) Reserve(class Class) Key {
 	l.seq++
 	if l.seq >= 1<<seqBits {
 		panic("engine: event sequence number overflow")
+	}
+	return Key(uint64(class)<<seqBits | l.seq)
+}
+
+// ScheduleKey enqueues h.OnEvent(at, op, arg) at virtual time at, in the
+// place key reserved. This is the zero-alloc path: the event is a value
+// appended into the heap slice's spare capacity and h takes a released
+// slot of the handler table, so steady-state scheduling (pop one, push
+// one) never allocates. Scheduling in the past panics: an actor that
+// reacts to an event it should already have seen is a simulation bug,
+// not a recoverable condition. Events at the current instant are legal
+// and fire after the running callback returns, in key order.
+func (l *Loop) ScheduleKey(at float64, key Key, h Handler, op uint8, arg uint64) {
+	if at < l.now {
+		panic(fmt.Sprintf("engine: scheduling at %g before now %g", at, l.now))
 	}
 	var slot uint32
 	if n := len(l.free); n > 0 {
@@ -113,8 +159,15 @@ func (l *Loop) Schedule(at float64, class Class, h Handler, op uint8, arg uint64
 		slot = uint32(len(l.hs))
 		l.hs = append(l.hs, h)
 	}
-	l.heap = append(l.heap, event{at: at, key: uint64(class)<<seqBits | l.seq, arg: arg, slot: slot, op: op})
+	l.heap = append(l.heap, event{at: at, key: uint64(key), arg: arg, slot: slot, op: op})
 	l.up(len(l.heap) - 1)
+}
+
+// Schedule enqueues h.OnEvent(at, op, arg) at virtual time at in class
+// class, after every same-time same-class event already scheduled. It
+// is ScheduleKey under a fresh Reserve.
+func (l *Loop) Schedule(at float64, class Class, h Handler, op uint8, arg uint64) {
+	l.ScheduleKey(at, l.Reserve(class), h, op, arg)
 }
 
 // Process is a simulation actor: Start schedules its initial event(s).
@@ -153,6 +206,7 @@ func (l *Loop) Run() {
 			l.advance(l.now, e.at)
 		}
 		l.now = e.at
+		l.fired++
 		h.OnEvent(l.now, e.op, e.arg)
 	}
 }
@@ -178,7 +232,7 @@ func (l *Loop) up(i int) {
 }
 
 // pop removes the earliest event and returns it with its handler,
-// releasing the handler's slot for the next Schedule.
+// releasing the handler's slot for the next ScheduleKey.
 func (l *Loop) pop() (event, Handler) {
 	top := l.heap[0]
 	h := l.hs[top.slot]

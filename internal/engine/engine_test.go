@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"testing"
 
@@ -456,6 +457,151 @@ func TestPopOrderMatchesStableSort(t *testing.T) {
 		}
 		if len(l.hs) > p.peak {
 			t.Fatalf("seed %d: %d handler slots for at most %d pending events", seed, len(l.hs), p.peak)
+		}
+	}
+}
+
+// reserveProbe drives a loop through Schedule, Reserve and a later
+// ScheduleKey, and records what it dispatched. Every event gets a ticket
+// when it is scheduled or reserved, so the test's own bookkeeping, not
+// the engine's keys, says where each event belongs.
+type reserveProbe struct {
+	l       *Loop
+	r       *rng.Rand
+	evs     []probeEvent // every event scheduled or reserved, by ticket
+	keys    []Key        // each reserved event's key, by ticket
+	entered []bool       // the event entered the heap
+	done    []bool       // the event was dispatched
+	fired   []uint64     // tickets in dispatch order
+	waiting []int        // reserved events not yet in the heap
+	late    int          // events scheduled after the callback that reserved them
+	unused  int          // reservations never scheduled
+}
+
+// schedule either schedules an event at at in class c at once, or only
+// reserves its place: then it is scheduled right away, in a later
+// callback, or never.
+func (p *reserveProbe) schedule(at float64, c Class) {
+	id := len(p.evs)
+	p.evs = append(p.evs, probeEvent{at, c})
+	p.keys = append(p.keys, 0)
+	p.entered = append(p.entered, false)
+	p.done = append(p.done, false)
+	switch p.r.Intn(4) {
+	case 0:
+		p.l.Schedule(at, c, p, 0, uint64(id))
+		p.entered[id] = true
+	case 1:
+		p.keys[id] = p.l.Reserve(c)
+		p.l.ScheduleKey(at, p.keys[id], p, 0, uint64(id))
+		p.entered[id] = true
+	default:
+		p.keys[id] = p.l.Reserve(c)
+		p.waiting = append(p.waiting, id)
+	}
+}
+
+// OnEvent records the dispatch and checks NextAt against the events
+// still in the heap. Then it settles the waiting reservations: each one
+// whose time is still ahead is scheduled now or left waiting, and each
+// one whose time has come is dropped, never scheduled. Last it
+// schedules or reserves up to three more events, as orderProbe does.
+func (p *reserveProbe) OnEvent(now float64, _ uint8, arg uint64) {
+	p.fired = append(p.fired, arg)
+	p.done[arg] = true
+	pending := math.Inf(1)
+	for id, in := range p.entered {
+		if in && !p.done[id] {
+			pending = min(pending, p.evs[id].at)
+		}
+	}
+	if got := p.l.NextAt(); got != pending {
+		panic(fmt.Sprintf("NextAt() = %g at %g, want %g", got, now, pending))
+	}
+	kept := p.waiting[:0]
+	for _, id := range p.waiting {
+		switch {
+		case p.evs[id].at <= now:
+			p.unused++
+		case p.r.Bool(0.5):
+			p.l.ScheduleKey(p.evs[id].at, p.keys[id], p, 0, uint64(id))
+			p.entered[id] = true
+			p.late++
+		default:
+			kept = append(kept, id)
+		}
+	}
+	p.waiting = kept
+	cur := p.evs[arg].class
+	for k := p.r.Intn(4); k > 0 && len(p.evs) < reserveEvents; k-- {
+		if p.r.Bool(0.5) {
+			p.schedule(now, cur+Class(p.r.Intn(256-int(cur))))
+		} else {
+			p.schedule(now+0.5*float64(1+p.r.Intn(probeSteps)), Class(p.r.Intn(256)))
+		}
+	}
+}
+
+// reserveEvents bounds the events reserveProbe schedules or reserves,
+// 800 of them before Run.
+const reserveEvents = 2400
+
+// TestReservedPopOrderMatchesReference pins Reserve and ScheduleKey: an
+// event scheduled under a reserved key, in the callback that reserved
+// it or in a later one, pops exactly where it would have popped had it
+// been scheduled when its key was reserved, and a reservation never
+// scheduled leaves every other event's order alone. The reference is a
+// stable sort by (time, class) of the events that entered the heap, in
+// ticket order, the order of the Schedule and Reserve calls. Times are
+// quantized so many events tie across classes. NextAt is checked in
+// every callback and on the empty loop, Fired against the dispatches,
+// and every Key against zero, which callers may use for "none".
+func TestReservedPopOrderMatchesReference(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		l := New()
+		if got := l.NextAt(); !math.IsInf(got, 1) {
+			t.Fatalf("NextAt() = %g on an empty loop, want +Inf", got)
+		}
+		p := &reserveProbe{l: l, r: rng.New(seed)}
+		for range 800 {
+			p.schedule(0.5*float64(p.r.Intn(probeSteps)), Class(p.r.Intn(256)))
+		}
+		l.Run()
+		p.unused += len(p.waiting)
+		if p.late == 0 || p.unused == 0 {
+			t.Fatalf("seed %d: %d late schedules and %d unused reservations, want both", seed, p.late, p.unused)
+		}
+		if got := l.NextAt(); !math.IsInf(got, 1) {
+			t.Fatalf("seed %d: NextAt() = %g after Run, want +Inf", seed, got)
+		}
+		if l.Fired() != len(p.fired) {
+			t.Fatalf("seed %d: Fired() = %d, dispatched %d", seed, l.Fired(), len(p.fired))
+		}
+		var want []int
+		for id, in := range p.entered {
+			if in {
+				want = append(want, id)
+			}
+			if p.keys[id] == 0 && !in {
+				t.Fatalf("seed %d: event %d neither scheduled nor reserved", seed, id)
+			}
+		}
+		sort.SliceStable(want, func(i, j int) bool {
+			a, b := p.evs[want[i]], p.evs[want[j]]
+			if a.at != b.at {
+				return a.at < b.at
+			}
+			return a.class < b.class
+		})
+		if len(p.fired) != len(want) {
+			t.Fatalf("seed %d: dispatched %d of the %d events scheduled", seed, len(p.fired), len(want))
+		}
+		for i, id := range want {
+			if p.fired[i] != uint64(id) {
+				e, g := p.evs[id], p.evs[p.fired[i]]
+				t.Fatalf("seed %d: dispatch %d is event %d (at %g class %d), want event %d (at %g class %d)",
+					seed, i, p.fired[i], g.at, g.class, id, e.at, e.class)
+			}
 		}
 	}
 }

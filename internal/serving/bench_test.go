@@ -14,8 +14,11 @@ import (
 // 8,000 frames at 30 fps on Clockwork — through Run, the cluster runtime
 // at width one, and through refRun, the time-stepped loop Run replaced,
 // for vanilla and Apparate handlers. It reports ns per simulated
-// request; the gap between the two runtimes is the event engine's cost
-// at width one. Building each run's handler is timed too.
+// request. On this light stream Run fires one engine event per request,
+// its arrival, so the gap between the two runtimes is the event
+// engine's cost at width one: on 2 CPUs vanilla read 205–256 ns per
+// request against refRun's 175–239, where three events per request read
+// 247–362 against 170–236. Building each run's handler is timed too.
 func BenchmarkRun(b *testing.B) {
 	m := model.ResNet18()
 	prof := exitsim.ProfileFor(m, exitsim.KindVideo)

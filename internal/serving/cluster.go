@@ -169,12 +169,21 @@ type ClusterStats struct {
 	// Faults reports availability under the injected fault model (nil
 	// when the run had no fault mode active).
 	Faults *FaultStats
+	// Fired is the number of engine events the run dispatched, a cost
+	// of the simulation, not an outcome of the simulated system.
+	Fired int
 }
 
 // Event classes on the shared engine loop. Arrivals rank before replica
 // wakes at the same instant, so every request that has arrived by time
 // t is enqueued before any replica forms a batch at t: a batch formed at
-// t can take every request that has arrived by t.
+// t can take every request that has arrived by t. A wake is a replica's
+// scheduled re-evaluation of its batching policy. Only wakes that can
+// do work enter the heap: a batch's completion wake keeps its place in
+// this order from the moment the batch starts (engine.Loop.Reserve) but
+// is scheduled only once a request waits for the replica, and a lone
+// request that nothing else can join this instant is evaluated at once
+// instead of through a wake at its own arrival instant (see enqueue).
 const (
 	classArrival engine.Class = iota
 	classWake
@@ -207,9 +216,10 @@ func (h *scaledHandler) Serve(s exitsim.Sample, b int) ramp.Outcome {
 
 // replicaSim is one replica on the shared event loop: its own handler,
 // queue, GPU-busy horizon, and Stats. It is an event-driven state
-// machine: enqueue on arrival, wake at batch completion / hold expiry /
-// batch timeout, and at each wake re-evaluate the platform's batching
-// policy (clockworkPick or tfservePick, plus Clockwork's catch-up hold).
+// machine: enqueue on arrival, wake at batch completion (when a request
+// is waiting for it) / hold expiry / batch timeout, and at each wake
+// re-evaluate the platform's batching policy (clockworkPick or
+// tfservePick, plus Clockwork's catch-up hold).
 type replicaSim struct {
 	c   *clusterSim
 	idx int
@@ -227,8 +237,10 @@ type replicaSim struct {
 	// request; onWake compacts the dead prefix back to the front once
 	// it outgrows the live tail, so memory stays O(peak queue) and
 	// steady-state admission is allocation-free.
-	queue     []workload.Request
-	qhead     int
+	queue []workload.Request
+	qhead int
+	// busyUntil is when the batch in flight completes, and inflight its
+	// size; the replica is idle from busyUntil on.
 	busyUntil float64
 	inflight  int
 	// down marks a crashed replica (fault injection only): it receives
@@ -237,10 +249,22 @@ type replicaSim struct {
 	// simulator treats batch execution as atomic — but everything queued
 	// is requeued to the dispatcher.
 	down bool
-	// wakeAt is the earliest pending wake (+Inf when none); used to
-	// dedup wake events so a hold or timeout wait schedules one event,
-	// not one per evaluation.
+	// wakeAt dedups wakes, so a hold or timeout wait schedules one
+	// event, not one per evaluation: scheduleWake skips any wake at or
+	// after it. It is the time of the last wake scheduled, or +Inf. It is
+	// not the earliest pending wake: onWake resets it to +Inf whenever a
+	// wake at or after it fires, even while a later wake it superseded is
+	// still pending. Later dedup decisions, and so every output byte,
+	// depend on that reset, so whatever stands in for a wake — a
+	// completion wake that never entered the heap (settle), a policy
+	// evaluated at once (enqueue) — leaves wakeAt exactly as the fired
+	// wake would have.
 	wakeAt float64
+	// done is the reserved place of the batch's completion wake while it
+	// is not in the heap (0 otherwise): serve reserves it when the queue
+	// it leaves is empty, and the next enqueue schedules it under that
+	// key if the batch is still in flight, or settles it if not.
+	done engine.Key
 	// recordFn caches the record method value so batch picking does not
 	// allocate a closure per batch.
 	recordFn func(Result)
@@ -296,8 +320,12 @@ func (c *clusterSim) observeResult(res Result, idx int) {
 	}
 }
 
-// enqueue admits one dispatched arrival at time now.
-func (r *replicaSim) enqueue(req workload.Request, now float64) {
+// enqueue admits one dispatched arrival at time now. last marks the
+// enqueue as the last action of its event, a reliable arrival or a
+// fault-mode delivery: then, if the replica is idle and nothing else
+// can happen at this instant, the policy is evaluated at once, where a
+// wake at now would have evaluated it right after this event returns.
+func (r *replicaSim) enqueue(req workload.Request, now float64, last bool) {
 	r.st.noteArrival(req)
 	if r.opts.Platform == TFServe && r.qlen() >= r.opts.QueueCap {
 		if r.c.fm != nil {
@@ -324,11 +352,42 @@ func (r *replicaSim) enqueue(req workload.Request, now float64) {
 		e.Val = r.qlen()
 		tr.Emit(e)
 	}
-	if r.busyUntil < now {
-		// Idle (no completion wake pending): evaluate at this instant.
-		// busyUntil == now means the completion wake at now is still
-		// pending and will evaluate after all of now's arrivals.
-		r.scheduleWake(now)
+	if r.busyUntil > now || r.busyUntil == now && !r.c.late {
+		// Busy: the completion wake evaluates, after every arrival at
+		// its instant. Put it in the heap if it is not there yet.
+		if r.done != 0 {
+			r.c.loop.ScheduleKey(r.busyUntil, r.done, r, 0, 0)
+			r.done = 0
+		}
+		return
+	}
+	r.settle()
+	if r.busyUntil == now {
+		// A crash, restart, hedge or timeout at the completion instant
+		// ranks after the completion wake, which has already evaluated
+		// an empty queue: the request waits for the next enqueue.
+		return
+	}
+	if last && r.c.loop.NextAt() > now && (!r.c.has || r.c.next.ArrivalMS > now) {
+		// A wake at now would fire next, with nothing before it, so
+		// evaluate now. Nothing pending also means no wake at or before
+		// now, so scheduleWake would have scheduled it, and it would
+		// have left wakeAt at +Inf.
+		r.wakeAt = math.Inf(1)
+		r.onWake(now)
+		return
+	}
+	r.scheduleWake(now)
+}
+
+// settle drops a reserved completion wake whose instant has passed with
+// nothing waiting: had it been scheduled, it would have fired on an
+// empty queue and only reset wakeAt, which serve set to its instant
+// (and which any wake that fired since has reset already).
+func (r *replicaSim) settle() {
+	if r.done != 0 {
+		r.done = 0
+		r.wakeAt = math.Inf(1)
 	}
 }
 
@@ -362,7 +421,6 @@ func (r *replicaSim) onWake(now float64) {
 	if r.busyUntil > now {
 		return // serving; the completion wake re-evaluates
 	}
-	r.inflight = 0
 	if r.qlen() == 0 {
 		if r.qhead > 0 {
 			// Empty: rewind to the front so appends reuse the capacity.
@@ -434,8 +492,11 @@ func (r *replicaSim) onWake(now float64) {
 	}
 }
 
-// serve executes one batch starting at now and schedules the completion
-// wake.
+// serve executes one batch starting at now and takes the completion
+// wake's place in the event order: in the heap when requests are left
+// waiting, reserved otherwise (enqueue schedules it if one arrives
+// before the batch completes). Like scheduleWake, it defers to a
+// pending wake at or before the completion.
 func (r *replicaSim) serve(batch []workload.Request, now float64) {
 	b := len(batch)
 	dur := r.h.BatchLatency(b)
@@ -463,7 +524,18 @@ func (r *replicaSim) serve(batch []workload.Request, now float64) {
 	}
 	r.inflight = b
 	r.busyUntil = now + dur
-	r.scheduleWake(r.busyUntil)
+	if r.wakeAt <= r.busyUntil {
+		return
+	}
+	r.wakeAt = r.busyUntil
+	if r.qlen() > 0 {
+		r.c.loop.Schedule(r.busyUntil, classWake, r, 0, 0)
+		return
+	}
+	// Nothing aliases the served batch any more: rewind the empty
+	// queue so appends reuse its capacity.
+	r.queue, r.qhead = r.queue[:0], 0
+	r.done = r.c.loop.Reserve(classWake)
 }
 
 // work is the replica's outstanding estimated work at time now in
@@ -544,14 +616,17 @@ type clusterSim struct {
 	peakBacklog float64
 	busy        float64
 
+	// late is set while the fault runtime handles a crash, restart,
+	// hedge or timeout: those classes rank after every replica wake at
+	// their instant.
+	late bool
+
 	// depths backs every gauge sample's QueueDepths: the timeline
 	// consumes a sample before the next is taken, and copies the
 	// depths when it keeps the row.
 	depths []int
-	// snapAt and snapFn let the advance hook pass a pre-advance
-	// snapshot instant to the timeline without allocating a closure per
-	// clock step.
-	snapAt float64
+	// snapFn is the gauges method value, bound once so the advance hook
+	// allocates no closure per clock step.
 	snapFn func(float64) obs.Gauges
 }
 
@@ -612,7 +687,9 @@ func (c *clusterSim) onArrival(now float64) {
 		if c.scaler != nil {
 			c.noteDemand(rep, now)
 		}
-		rep.enqueue(req, now)
+		// Scheduling the next arrival below is this event's only other
+		// action, and enqueue checks that arrival itself.
+		rep.enqueue(req, now, true)
 	}
 
 	if c.has {
@@ -714,10 +791,14 @@ func (c *clusterSim) setActive(n int) {
 	}
 }
 
-// gauges snapshots the cluster's instantaneous state as of time nowMS
-// (the last processed instant): per-replica queue depths, in-flight
-// batch sizes, live capacity, and parked arrivals.
-func (c *clusterSim) gauges(nowMS float64) obs.Gauges {
+// gauges snapshots the cluster's state for a timeline row at time tMS:
+// per-replica queue depths, in-flight batch sizes, live capacity, and
+// parked arrivals. The advance hook samples each tick it steps over
+// before the events at the new instant run, so the state is the last
+// processed instant's, and a batch counts as in flight through its
+// completion instant: no event of its own marks the completion unless
+// a request waits for it.
+func (c *clusterSim) gauges(tMS float64) obs.Gauges {
 	n := len(c.replicas)
 	if cap(c.depths) < n {
 		c.depths = make([]int, n)
@@ -726,7 +807,7 @@ func (c *clusterSim) gauges(nowMS float64) obs.Gauges {
 	for i, rep := range c.replicas {
 		g.QueueDepths[i] = rep.qlen()
 		g.Queued += rep.qlen()
-		if rep.busyUntil > nowMS {
+		if rep.busyUntil >= tMS {
 			g.Inflight += rep.inflight
 		}
 		if i < c.active && !rep.down {
@@ -763,8 +844,8 @@ func (c *clusterSim) addReplica(i int) {
 		estCost: h.BatchLatency(1),
 		st:      &Stats{Lat: metrics.NewRecorder(c.base.Metrics, c.recCap)},
 		opts:    ropts,
-		// busyUntil == now means "completion wake pending at now", so a
-		// fresh replica must start strictly idle, not at zero.
+		// A batch completing at now still holds the replica at now, so
+		// a fresh replica must start strictly idle, not at zero.
 		busyUntil: math.Inf(-1),
 		wakeAt:    math.Inf(1),
 	}
@@ -849,22 +930,26 @@ func runCluster(it *workload.Iter, makeHandler func(i int) Handler, opts Cluster
 		// Sample from the engine's advance hook, never from tick events on
 		// the heap: a tick process would extend the clock past the last
 		// real event and shift end-of-run bookkeeping (fault windows clip
-		// at loop.Now()), breaking timeline-on == timeline-off results.
-		// snapFn is bound once; snapAt carries the pre-advance instant so
-		// no per-step closure is needed.
-		c.snapFn = func(float64) obs.Gauges { return c.gauges(c.snapAt) }
-		c.loop.OnAdvance(func(prev, now float64) {
-			c.snapAt = prev
-			c.tl.CatchUp(now, c.snapFn)
-		})
+		// at the run's end), breaking timeline-on == timeline-off results.
+		c.snapFn = c.gauges
+		c.loop.OnAdvance(func(_, now float64) { c.tl.CatchUp(now, c.snapFn) })
 	}
 	c.loop.Run()
+	// The run ends at its last event or its last batch completion,
+	// whichever is later: a completion with nothing waiting fires no
+	// event.
+	end := c.loop.Now()
+	for _, rep := range c.replicas {
+		end = max(end, rep.busyUntil)
+	}
 	if c.tl != nil {
-		end := c.loop.Now()
-		c.tl.Finish(end, func(float64) obs.Gauges { return c.gauges(end) })
+		// Step the timeline to the end as the clock would have, then
+		// write its final row as of the end, when every batch is done.
+		c.tl.CatchUp(end, c.snapFn)
+		c.tl.Finish(end, func(float64) obs.Gauges { return c.gauges(math.Inf(1)) })
 	}
 
-	cs := &ClusterStats{PerReplica: make([]*Stats, len(c.replicas)), Scale: c.plan}
+	cs := &ClusterStats{PerReplica: make([]*Stats, len(c.replicas)), Scale: c.plan, Fired: c.loop.Fired()}
 	merged := &Stats{}
 	if len(c.replicas) == 1 && c.fm == nil {
 		// The one replica's recorder holds every latency of the run, and
@@ -885,7 +970,7 @@ func runCluster(it *workload.Iter, makeHandler func(i int) Handler, opts Cluster
 		batches.Add(rep.st.AvgBatch)
 	}
 	if c.fm != nil {
-		c.fm.finish(c.loop.Now())
+		c.fm.finish(end)
 		mergeStats(merged, c.fm.st)
 		cs.Faults = c.fm.fs
 	}

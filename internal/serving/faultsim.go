@@ -226,8 +226,17 @@ const deliverIDBits = 40
 
 // OnEvent dispatches the fault runtime's engine events; faultMode is
 // its own pre-bound handler, so arming a crash, restart, hedge,
-// timeout, or delayed delivery never allocates.
+// timeout, or delayed delivery never allocates. Every op but a delivery
+// ranks after the replica wakes at its instant, which enqueue reads
+// from clusterSim.late.
 func (fm *faultMode) OnEvent(now float64, op uint8, arg uint64) {
+	fm.c.late = op != opDeliver
+	fm.handle(now, op, arg)
+	fm.c.late = false
+}
+
+// handle runs one fault-runtime event.
+func (fm *faultMode) handle(now float64, op uint8, arg uint64) {
 	switch op {
 	case opCrashOnce:
 		fm.crash(int(arg), now)
@@ -507,7 +516,7 @@ func (fm *faultMode) send(entry *pendSlot, now float64, fresh bool, kind obs.Kin
 			}
 		}
 	}
-	rep.enqueue(entry.req, now)
+	rep.enqueue(entry.req, now, false)
 }
 
 // pick selects a live active replica under the cluster's dispatch
@@ -552,7 +561,7 @@ func (fm *faultMode) deliver(target, id int, now float64) {
 		fm.send(entry, now, false, obs.KindRequeue)
 		return
 	}
-	rep.enqueue(entry.req, now)
+	rep.enqueue(entry.req, now, true)
 }
 
 // onLossTimeout fires when a lost copy's detection timeout expires:

@@ -374,6 +374,13 @@ func (g Grid) Expand() ([]core.Scenario, error) {
 			return nil, err
 		}
 	}
+	// Normalize below turns a negative replica count into one, so check
+	// the replica axis before any scenario is normalized.
+	for _, r := range g.Replicas {
+		if err := core.CheckReplicas(r); err != nil {
+			return nil, err
+		}
+	}
 
 	seen := map[string]bool{}
 	var out []core.Scenario

@@ -41,6 +41,13 @@ func refExpand(g Grid) ([]core.Scenario, error) {
 			return nil, err
 		}
 	}
+	// So is every replica count, which Normalize would turn from
+	// negative into one.
+	for _, rep := range g.Replicas {
+		if err := core.CheckReplicas(rep); err != nil {
+			return nil, err
+		}
+	}
 
 	seen := map[string]bool{}
 	// The fault and retry axes expand as a precomputed product so the

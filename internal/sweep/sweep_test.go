@@ -77,6 +77,31 @@ func TestExpandRejectsMisspeltWorkload(t *testing.T) {
 	}
 }
 
+// TestExpandRejectsNegativeReplicas: a negative replica count fails the
+// grid for every model class, as it fails Validate. Normalize, which
+// Expand applies before it validates a scenario, turns it into one
+// replica, so without the axis check -replicas -2 ran width-one
+// scenarios without a word.
+func TestExpandRejectsNegativeReplicas(t *testing.T) {
+	for _, g := range []Grid{
+		{Models: []string{"resnet18"}, Workloads: []string{"video-0"}, Replicas: []int{-2}},
+		{Models: []string{"resnet18"}, Workloads: []string{"video-0"}, Replicas: []int{-2, 1}},
+		{Models: []string{"bert-base"}, Workloads: []string{"amazon"}, Replicas: []int{2, -2}},
+		{Models: []string{"t5-large"}, Workloads: []string{"squad"}, Replicas: []int{-2}},
+		{Models: []string{"resnet50"}, Workloads: []string{"video-1"}, Replicas: []int{-2}, Autoscales: []string{"1..4"}},
+	} {
+		scs, err := g.Expand()
+		if err == nil || err.Error() != "scenario: replica count -2 must be non-negative (0 = one replica)" {
+			t.Errorf("%v × %v at replicas %v: expanded %d scenarios, error %v; want the negative-count error",
+				g.Models, g.Workloads, g.Replicas, len(scs), err)
+		}
+	}
+	scs, err := Grid{Models: []string{"resnet18"}, Workloads: []string{"video-0"}, Platforms: []string{"clockwork"}, Replicas: []int{0}}.Expand()
+	if err != nil || len(scs) != 1 || scs[0].Replicas != 1 {
+		t.Fatalf("replicas 0 expanded to %v, error %v; want one width-one scenario", scs, err)
+	}
+}
+
 func TestExpandGenerativeAxesCollapse(t *testing.T) {
 	g := Grid{
 		Models:    []string{"t5-large"},

@@ -145,10 +145,11 @@ sweep-smoke:
 # enforced at 10x the original 1M gate (the zero-alloc hot path made
 # the extra requests nearly free in both time and allocator pressure),
 # including the time-varying arrival source. The traced twin runs the
-# same scenario with the lifecycle trace and gauge timeline streamed
-# into a byte counter under the same ceiling: a traced run keeps no
-# trace in memory. Override the request count with APPARATE_MEM_N (e.g.
-# APPARATE_MEM_N=100000000 for a 100M soak).
+# same scenario with the lifecycle trace (JSONL and Chrome trace-event)
+# and gauge timeline streamed into byte counters under the same
+# ceiling: a traced run keeps no trace in memory. Override the request
+# count with APPARATE_MEM_N (e.g. APPARATE_MEM_N=100000000 for a 100M
+# soak).
 APPARATE_MEM_N ?= 10000000
 mem-smoke:
 	GOMEMLIMIT=256MiB APPARATE_MEM_GUARD=1 APPARATE_MEM_N=$(APPARATE_MEM_N) $(GO) test -run '^TestStreaming(Million|Traced)BoundedMemory$$' -v .

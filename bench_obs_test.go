@@ -2,6 +2,7 @@ package repro
 
 import (
 	"fmt"
+	"io"
 	"testing"
 
 	"repro/internal/core"
@@ -15,11 +16,12 @@ import (
 // BenchmarkObsOverhead measures the observability layer's cost on the
 // cluster hot path: the same 100k-request, 4-replica run as
 // BenchmarkClusterScaling, untraced (obs=off), with the lifecycle
-// trace attached (obs=trace), and with trace plus timeline sampling
-// (obs=trace+timeline). The traced rows bound the per-request cost of
-// a fully observed study. Every emission site is one nil check, so an
-// untraced run allocates for setup only; the AllocsPerRun budgets in
-// internal/serving pin that. BENCH_obs.json is a static record of
+// trace streamed as JSONL (obs=trace), and with trace plus timeline
+// sampling (obs=trace+timeline), both streamed into io.Discard the way
+// apparate-serve and apparate-sweep stream them into files. The traced
+// rows bound the per-request cost of a fully observed study. Every
+// emission site is one nil check, so an untraced run allocates for
+// setup only; the AllocsPerRun budgets in internal/serving pin that. BENCH_obs.json is a static record of
 // earlier runs; nothing regenerates it.
 func BenchmarkObsOverhead(b *testing.B) {
 	const n = 100_000
@@ -30,9 +32,9 @@ func BenchmarkObsOverhead(b *testing.B) {
 		mk   func() (*obs.Tracer, *obs.Timeline)
 	}{
 		{"obs=off", func() (*obs.Tracer, *obs.Timeline) { return nil, nil }},
-		{"obs=trace", func() (*obs.Tracer, *obs.Timeline) { return obs.NewTracer(), nil }},
+		{"obs=trace", func() (*obs.Tracer, *obs.Timeline) { return obs.NewTracerTo(io.Discard, nil), nil }},
 		{"obs=trace+timeline", func() (*obs.Tracer, *obs.Timeline) {
-			return obs.NewTracer(), obs.NewTimeline(0, m.SLO())
+			return obs.NewTracerTo(io.Discard, nil), obs.NewTimelineTo(io.Discard, 0, m.SLO())
 		}},
 	}
 	for _, tc := range cases {
@@ -56,21 +58,39 @@ func BenchmarkObsOverhead(b *testing.B) {
 				if cs.Merged.Total != n {
 					b.Fatalf("cluster served %d requests, want %d", cs.Merged.Total, n)
 				}
-				if tr != nil && tr.Len() == 0 {
-					b.Fatal("traced run emitted no events")
-				}
+				flush(b, tr, tl)
 			}
 		})
+	}
+}
+
+// flush ends a streamed run's sinks, either of which may be nil, and
+// fails b unless the tracer emitted events.
+func flush(b *testing.B, tr *obs.Tracer, tl *obs.Timeline) {
+	if tr == nil {
+		return
+	}
+	if tr.Len() == 0 {
+		b.Fatal("traced run emitted no events")
+	}
+	if err := tr.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	if tl != nil {
+		if err := tl.Flush(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 // BenchmarkGenObsOverhead measures the observability layer's cost on
 // the generative KV hot path: BenchmarkGenKV's saturated
 // kv=48/prefix=0.5/chunk=256 configuration, untraced (gen-obs=off),
-// with the sequence-lifecycle trace attached (gen-obs=trace), and with
-// trace plus KV-pool timeline sampling (gen-obs=trace+timeline). That
-// an untraced run allocates for setup only is pinned by the
-// AllocsPerRun budgets in internal/genserve.
+// with the sequence-lifecycle trace streamed as JSONL (gen-obs=trace),
+// and with trace plus KV-pool timeline sampling
+// (gen-obs=trace+timeline), both streamed into io.Discard. That an
+// untraced run allocates for setup only is pinned by the AllocsPerRun
+// budgets in internal/genserve.
 func BenchmarkGenObsOverhead(b *testing.B) {
 	const (
 		n    = 200
@@ -83,9 +103,9 @@ func BenchmarkGenObsOverhead(b *testing.B) {
 		mk   func() (*obs.Tracer, *obs.Timeline)
 	}{
 		{"gen-obs=off", func() (*obs.Tracer, *obs.Timeline) { return nil, nil }},
-		{"gen-obs=trace", func() (*obs.Tracer, *obs.Timeline) { return obs.NewTracer(), nil }},
+		{"gen-obs=trace", func() (*obs.Tracer, *obs.Timeline) { return obs.NewTracerTo(io.Discard, nil), nil }},
 		{"gen-obs=trace+timeline", func() (*obs.Tracer, *obs.Timeline) {
-			return obs.NewTracer(), obs.NewTimeline(0, 0)
+			return obs.NewTracerTo(io.Discard, nil), obs.NewTimelineTo(io.Discard, 0, 0)
 		}},
 	}
 	for _, tc := range cases {
@@ -100,9 +120,7 @@ func BenchmarkGenObsOverhead(b *testing.B) {
 				if last.Seqs != n {
 					b.Fatalf("served %d sequences, want %d", last.Seqs, n)
 				}
-				if tr != nil && tr.Len() == 0 {
-					b.Fatal("traced run emitted no events")
-				}
+				flush(b, tr, tl)
 			}
 		})
 	}

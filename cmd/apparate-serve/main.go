@@ -90,29 +90,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	if *chromeP != "" {
-		// The Chrome sink makes two passes over the events, so only it
-		// needs the trace buffered in memory.
-		res, od, err := core.RunScenarioObs(sc)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		printResult(res)
-		if *tracePath != "" {
-			writeSink(*tracePath, od.Trace.WriteJSONL)
-		}
-		writeSink(*chromeP, od.Trace.WriteChrome)
-		if *timelineP != "" {
-			writeSink(*timelineP, od.Timeline.WriteCSV)
-		}
-		reportObs(od, *tracePath, *chromeP, *timelineP)
-		return
-	}
-	// Everything else streams into its file while the run goes.
-	traceF, timelineF := create(*tracePath), create(*timelineP)
-	res, od, err := core.RunScenarioTo(sc, traceF, timelineF)
-	for _, f := range []io.WriteCloser{traceF, timelineF} {
+	// Every sink streams into a file opened before the run, so a bad
+	// path fails before any work.
+	traceF, chromeF, timelineF := create(*tracePath), create(*chromeP), create(*timelineP)
+	res, od, err := core.RunScenarioTo(sc, traceF, chromeF, timelineF)
+	for _, f := range []io.WriteCloser{traceF, chromeF, timelineF} {
 		if f == nil {
 			continue
 		}
@@ -125,7 +107,7 @@ func main() {
 		os.Exit(1)
 	}
 	printResult(res)
-	reportObs(od, *tracePath, "", *timelineP)
+	reportObs(od, *tracePath, *chromeP, *timelineP)
 }
 
 // create opens path for a streamed sink; an empty path is no sink.
@@ -139,20 +121,6 @@ func create(path string) io.WriteCloser {
 		os.Exit(1)
 	}
 	return f
-}
-
-func writeSink(path string, write func(io.Writer) error) {
-	f, err := os.Create(path)
-	if err == nil {
-		err = write(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
 }
 
 // reportObs names the observability files written, with their event

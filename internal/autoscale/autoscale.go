@@ -224,15 +224,6 @@ type Scaler struct {
 	replicas int
 	lastAct  float64
 	acted    bool
-
-	// Ups and Downs count committed scaling actions.
-	Ups, Downs int
-
-	// OnDecision, when non-nil, is invoked after each committed scaling
-	// action with the decision time and the replica counts before and
-	// after. It is observation only — the decision is already made when
-	// it fires — so wiring it cannot change scaler behavior.
-	OnDecision func(atMS float64, from, to int)
 }
 
 // New returns a scaler starting at cfg.Min replicas. It panics on an
@@ -259,28 +250,21 @@ func (s *Scaler) Observe(nowMS float64, sig Signal) (int, bool) {
 	if s.acted && nowMS-s.lastAct < s.cfg.CooldownMS {
 		return s.replicas, false
 	}
-	prev := s.replicas
 	slo := s.cfg.SLOms
 	switch {
 	case s.replicas < s.cfg.Max &&
 		(sig.P99LatMS > s.cfg.UpLatFrac*slo || sig.PeakBacklogMS > s.cfg.UpBacklogFrac*slo):
 		s.replicas++
-		s.Ups++
 	case s.replicas > s.cfg.Min && sig.Requests > 0 &&
 		sig.P99LatMS < s.cfg.DownLatFrac*slo && sig.Utilization < s.cfg.DownUtil:
 		s.replicas--
-		s.Downs++
 	case s.replicas > s.cfg.Min && sig.Requests == 0:
 		// An idle window is the strongest scale-down evidence there is.
 		s.replicas--
-		s.Downs++
 	default:
 		return s.replicas, false
 	}
 	s.lastAct, s.acted = nowMS, true
-	if s.OnDecision != nil {
-		s.OnDecision(nowMS, prev, s.replicas)
-	}
 	return s.replicas, true
 }
 

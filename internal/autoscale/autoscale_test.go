@@ -56,8 +56,9 @@ func scalerCfg() Config {
 func TestScalerScalesUpOnLatency(t *testing.T) {
 	s := New(scalerCfg())
 	hot := Signal{Requests: 50, P99LatMS: 250, Utilization: 1.2}
+	ups := 0
 	for i := 1; i <= 5; i++ {
-		n, _ := s.Observe(float64(i)*1000, hot)
+		n, changed := s.Observe(float64(i)*1000, hot)
 		want := 1 + i
 		if want > 4 {
 			want = 4
@@ -65,9 +66,12 @@ func TestScalerScalesUpOnLatency(t *testing.T) {
 		if n != want {
 			t.Fatalf("window %d: replicas %d, want %d", i, n, want)
 		}
+		if changed {
+			ups++
+		}
 	}
-	if s.Ups != 3 {
-		t.Fatalf("Ups = %d, want 3 (capped at max)", s.Ups)
+	if ups != 3 {
+		t.Fatalf("%d scale-ups, want 3 (capped at max)", ups)
 	}
 }
 
@@ -86,21 +90,27 @@ func TestScalerScalesDownWhenIdle(t *testing.T) {
 	s.Observe(1000, hot)
 	s.Observe(2000, hot) // at 3 replicas
 	cold := Signal{Requests: 20, P99LatMS: 40, Utilization: 0.1}
-	n, _ := s.Observe(3000, cold)
-	if n != 2 {
-		t.Fatalf("cold window: replicas %d, want 2", n)
+	downs := 0
+	n, changed := s.Observe(3000, cold)
+	if n != 2 || !changed {
+		t.Fatalf("cold window: replicas %d changed=%v, want 2 true", n, changed)
 	}
+	downs++
 	// A zero-request window also scales down.
-	n, _ = s.Observe(4000, Signal{})
-	if n != 1 {
-		t.Fatalf("idle window: replicas %d, want 1", n)
+	n, changed = s.Observe(4000, Signal{})
+	if n != 1 || !changed {
+		t.Fatalf("idle window: replicas %d changed=%v, want 1 true", n, changed)
 	}
+	downs++
 	// Never below min.
-	if n, _ = s.Observe(5000, Signal{}); n != 1 {
+	if n, changed = s.Observe(5000, Signal{}); n != 1 {
 		t.Fatalf("below-min scale-down: replicas %d, want 1", n)
 	}
-	if s.Downs != 2 {
-		t.Fatalf("Downs = %d, want 2", s.Downs)
+	if changed {
+		downs++
+	}
+	if downs != 2 {
+		t.Fatalf("%d scale-downs, want 2", downs)
 	}
 }
 
@@ -145,6 +155,8 @@ func TestPlanCounts(t *testing.T) {
 	}
 }
 
+// TestScalerOnDecision: Observe reports each committed action, and
+// only those, with the replica count after it.
 func TestScalerOnDecision(t *testing.T) {
 	s := New(scalerCfg())
 	type dec struct {
@@ -152,15 +164,22 @@ func TestScalerOnDecision(t *testing.T) {
 		from, to int
 	}
 	var decs []dec
-	s.OnDecision = func(atMS float64, from, to int) { decs = append(decs, dec{atMS, from, to}) }
+	observe := func(atMS float64, sig Signal) {
+		from := s.Replicas()
+		if to, changed := s.Observe(atMS, sig); changed {
+			decs = append(decs, dec{atMS, from, to})
+		} else if to != from {
+			t.Fatalf("Observe at %v moved %d -> %d without reporting a change", atMS, from, to)
+		}
+	}
 	hot := Signal{Requests: 50, P99LatMS: 250, Utilization: 1.2}
-	s.Observe(1000, hot)      // 1 -> 2
-	s.Observe(2000, hot)      // 2 -> 3
-	s.Observe(2500, hot)      // cooldown: no decision, no callback
-	s.Observe(3000, Signal{}) // idle: 3 -> 2
+	observe(1000, hot)      // 1 -> 2
+	observe(2000, hot)      // 2 -> 3
+	observe(2500, hot)      // cooldown: no decision
+	observe(3000, Signal{}) // idle: 3 -> 2
 	want := []dec{{1000, 1, 2}, {2000, 2, 3}, {3000, 3, 2}}
 	if len(decs) != len(want) {
-		t.Fatalf("OnDecision fired %d times, want %d: %v", len(decs), len(want), decs)
+		t.Fatalf("Observe reported %d decisions, want %d: %v", len(decs), len(want), decs)
 	}
 	for i, w := range want {
 		if decs[i] != w {

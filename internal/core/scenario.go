@@ -116,10 +116,10 @@ type Scenario struct {
 	Retry string `json:"retry,omitempty"`
 	// Trace records the Apparate run's full request lifecycle (arrival,
 	// dispatch, queueing, service, completion, and every fault-path
-	// event) into an obs.Tracer, buffered by RunScenarioObs or streamed
-	// by RunScenarioTo. Timeline additionally samples cluster gauges
-	// every ObsTickMS virtual milliseconds (0 = obs.DefaultTickMS) into
-	// an obs.Timeline.
+	// event) into an obs.Tracer, which RunScenarioTo streams as JSONL,
+	// as Chrome trace-event JSON or as both. Timeline additionally
+	// samples cluster gauges every ObsTickMS virtual milliseconds (0 =
+	// obs.DefaultTickMS) into an obs.Timeline.
 	// Observability knobs never enter Identity — attaching a tracer
 	// must not shift a scenario's derived seed or any simulated
 	// outcome. Generative scenarios trace sequence lifecycles
@@ -578,49 +578,33 @@ type ObsData struct {
 
 // openSinks builds the Apparate run's observability sinks for the
 // normalized scenario, once the run knows the timeline's goodput SLO.
+// The tests build buffered sinks through it, as the reference the
+// streamed bytes are checked against.
 type openSinks func(sc Scenario, sloMS float64) ObsData
 
 // noSinks builds none: an untraced run.
 func noSinks(Scenario, float64) ObsData { return ObsData{} }
 
-// RunScenarioObs runs the scenario exactly like RunScenario and also
-// returns its observability output, buffered in memory. Only the
+// RunScenarioTo runs the scenario like RunScenario and streams the
+// observability output of its Apparate run while the run goes: the
+// lifecycle trace as JSONL into traceW and as Chrome trace-event JSON
+// into chromeW, and the gauge timeline as CSV into timelineW. Only the
 // Apparate run is traced — the trace answers "what did Apparate's
 // cluster do", and interleaving the vanilla baseline into the same file
-// would make every track ambiguous. The Result is identical to an
-// untraced run's: the sinks observe the simulation without perturbing
-// it. Callers that only write the trace out as JSONL or the timeline as
-// CSV should use RunScenarioTo, which keeps neither in memory.
-func RunScenarioObs(sc Scenario) (*Result, *ObsData, error) {
+// would make every track ambiguous. No sink keeps its output in memory,
+// and the bytes equal what a buffered tracer's WriteJSONL and
+// WriteChrome and a buffered timeline's WriteCSV write. A sink runs
+// when the scenario's knob (Trace for both trace formats, Timeline)
+// asks for it and its writer is non-nil, so RunScenarioTo(sc, nil, nil,
+// nil) is RunScenario(sc). The Result is identical to an untraced
+// run's: the sinks observe the simulation without perturbing it. The
+// returned ObsData holds the flushed sinks, whose Len counts the events
+// and rows written. A failing writer does not stop the simulation: the
+// Result comes back with the first write error.
+func RunScenarioTo(sc Scenario, traceW, chromeW, timelineW io.Writer) (*Result, *ObsData, error) {
 	res, od, err := run(sc, func(sc Scenario, sloMS float64) (od ObsData) {
-		if sc.Trace {
-			od.Trace = obs.NewTracer()
-		}
-		if sc.Timeline {
-			od.Timeline = obs.NewTimeline(sc.ObsTickMS, sloMS)
-		}
-		return od
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, &od, nil
-}
-
-// RunScenarioTo runs the scenario like RunScenarioObs, but streams the
-// Apparate run's lifecycle trace as JSONL into traceW and its gauge
-// timeline as CSV into timelineW while the run goes, keeping neither in
-// memory; the bytes equal what the buffered sinks' WriteJSONL and
-// WriteCSV write. A sink runs when the scenario's knob (Trace, Timeline)
-// asks for it and its writer is non-nil, so RunScenarioTo(sc, nil, nil)
-// is RunScenario(sc). The returned ObsData holds the flushed streaming
-// sinks, whose Len counts the events and rows written. A failing writer
-// does not stop the simulation: the Result comes back with the first
-// write error.
-func RunScenarioTo(sc Scenario, traceW, timelineW io.Writer) (*Result, *ObsData, error) {
-	res, od, err := run(sc, func(sc Scenario, sloMS float64) (od ObsData) {
-		if sc.Trace && traceW != nil {
-			od.Trace = obs.NewTracerTo(traceW)
+		if sc.Trace && (traceW != nil || chromeW != nil) {
+			od.Trace = obs.NewTracerTo(traceW, chromeW)
 		}
 		if sc.Timeline && timelineW != nil {
 			od.Timeline = obs.NewTimelineTo(timelineW, sc.ObsTickMS, sloMS)

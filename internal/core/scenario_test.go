@@ -244,10 +244,7 @@ func TestRunScenarioObsGenerative(t *testing.T) {
 	if n := sc.Normalize(); !n.Trace || !n.Timeline {
 		t.Fatal("Normalize cleared the generative observability knobs")
 	}
-	res, od, err := RunScenarioObs(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, od := runBuffered(t, sc)
 	if od.Trace == nil || od.Timeline == nil {
 		t.Fatalf("generative traced run returned nil sinks: %+v", od)
 	}

@@ -4,7 +4,29 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	"repro/internal/obs"
 )
+
+// runBuffered runs sc like RunScenarioTo, with buffered sinks attached
+// through run's openSinks seam: the reference the streamed bytes are
+// checked against.
+func runBuffered(tb testing.TB, sc Scenario) (*Result, ObsData) {
+	tb.Helper()
+	res, od, err := run(sc, func(sc Scenario, sloMS float64) (od ObsData) {
+		if sc.Trace {
+			od.Trace = obs.NewTracer()
+		}
+		if sc.Timeline {
+			od.Timeline = obs.NewTimeline(sc.ObsTickMS, sloMS)
+		}
+		return od
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res, od
+}
 
 // streamScenarios covers every simulator a streamed sink can attach
 // to: single-replica serving.Run, faulty+hedged and autoscaled
@@ -25,28 +47,28 @@ var streamScenarios = []struct {
 }
 
 // TestRunScenarioToMatchesBuffered: streaming a scenario's trace and
-// timeline writes exactly the bytes the buffered sinks' WriteJSONL and
-// WriteCSV write, keeps nothing in memory, and returns the same Result
-// as the buffered and the untraced runs.
+// timeline writes exactly the bytes the buffered sinks' WriteJSONL,
+// WriteChrome and WriteCSV write, keeps nothing in memory, and returns
+// the same Result as the buffered and the untraced runs.
 func TestRunScenarioToMatchesBuffered(t *testing.T) {
 	for _, tc := range streamScenarios {
 		t.Run(tc.name, func(t *testing.T) {
 			sc := tc.sc
 			sc.Trace, sc.Timeline, sc.ObsTickMS = true, true, 50
-			bres, bod, err := RunScenarioObs(sc)
-			if err != nil {
+			bres, bod := runBuffered(t, sc)
+			var wantTrace, wantChrome, wantTimeline bytes.Buffer
+			if err := bod.Trace.WriteJSONL(&wantTrace); err != nil {
 				t.Fatal(err)
 			}
-			var wantTrace, wantTimeline bytes.Buffer
-			if err := bod.Trace.WriteJSONL(&wantTrace); err != nil {
+			if err := bod.Trace.WriteChrome(&wantChrome); err != nil {
 				t.Fatal(err)
 			}
 			if err := bod.Timeline.WriteCSV(&wantTimeline); err != nil {
 				t.Fatal(err)
 			}
 
-			var gotTrace, gotTimeline bytes.Buffer
-			sres, sod, err := RunScenarioTo(sc, &gotTrace, &gotTimeline)
+			var gotTrace, gotChrome, gotTimeline bytes.Buffer
+			sres, sod, err := RunScenarioTo(sc, &gotTrace, &gotChrome, &gotTimeline)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -71,6 +93,9 @@ func TestRunScenarioToMatchesBuffered(t *testing.T) {
 			if !bytes.Equal(gotTrace.Bytes(), wantTrace.Bytes()) {
 				t.Errorf("streamed JSONL (%d bytes) differs from WriteJSONL (%d bytes)", gotTrace.Len(), wantTrace.Len())
 			}
+			if !bytes.Equal(gotChrome.Bytes(), wantChrome.Bytes()) {
+				t.Errorf("streamed Chrome trace (%d bytes) differs from WriteChrome (%d bytes)", gotChrome.Len(), wantChrome.Len())
+			}
 			if !bytes.Equal(gotTimeline.Bytes(), wantTimeline.Bytes()) {
 				t.Errorf("streamed CSV (%d bytes) differs from WriteCSV (%d bytes)", gotTimeline.Len(), wantTimeline.Len())
 			}
@@ -90,7 +115,7 @@ func TestRunScenarioToMatchesBuffered(t *testing.T) {
 func TestRunScenarioToSinksFollowKnobsAndWriters(t *testing.T) {
 	sc := Scenario{Model: "resnet18", Workload: "video-0", N: 300, Seed: 2, Trace: true}
 	var tw, lw bytes.Buffer
-	_, od, err := RunScenarioTo(sc, &tw, &lw)
+	_, od, err := RunScenarioTo(sc, &tw, nil, &lw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +126,7 @@ func TestRunScenarioToSinksFollowKnobsAndWriters(t *testing.T) {
 		t.Fatal("timeline streamed although the Timeline knob is off")
 	}
 	sc.Timeline = true
-	_, od, err = RunScenarioTo(sc, nil, &lw)
+	_, od, err = RunScenarioTo(sc, nil, nil, &lw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,11 +164,11 @@ func TestRunScenarioToReturnsWriteError(t *testing.T) {
 		t.Fatal(err)
 	}
 	var tw, lw bytes.Buffer
-	if _, _, err := RunScenarioTo(sc, &tw, &lw); err != nil {
+	if _, _, err := RunScenarioTo(sc, &tw, nil, &lw); err != nil {
 		t.Fatal(err)
 	}
 	for _, k := range []int{0, 1000, tw.Len() - 1} {
-		res, _, err := RunScenarioTo(sc, &failAfter{k: k}, &bytes.Buffer{})
+		res, _, err := RunScenarioTo(sc, &failAfter{k: k}, nil, &bytes.Buffer{})
 		if !errors.Is(err, errDiskFull) {
 			t.Fatalf("trace writer failing after %d of %d bytes: err = %v, want %v", k, tw.Len(), err, errDiskFull)
 		}
@@ -152,7 +177,7 @@ func TestRunScenarioToReturnsWriteError(t *testing.T) {
 		}
 	}
 	for _, k := range []int{0, 1000, lw.Len() - 1} {
-		res, _, err := RunScenarioTo(sc, &bytes.Buffer{}, &failAfter{k: k})
+		res, _, err := RunScenarioTo(sc, &bytes.Buffer{}, nil, &failAfter{k: k})
 		if !errors.Is(err, errDiskFull) {
 			t.Fatalf("timeline writer failing after %d of %d bytes: err = %v, want %v", k, lw.Len(), err, errDiskFull)
 		}

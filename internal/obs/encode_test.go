@@ -55,7 +55,7 @@ func checkJSONL(tb testing.TB, evs []Event) {
 	tb.Helper()
 	want := refJSONL(evs)
 	var streamed, written bytes.Buffer
-	st, buffered := NewTracerTo(&streamed), NewTracer()
+	st, buffered := NewTracerTo(&streamed, nil), NewTracer()
 	for _, e := range evs {
 		st.Emit(e)
 		buffered.Emit(e)
@@ -145,19 +145,19 @@ func TestJSONLMemosHoldLastRendering(t *testing.T) {
 		e.DurMS = v
 		evs = append(evs, e, e)
 	}
-	tr := NewTracerTo(io.Discard)
+	tr := NewTracerTo(io.Discard, nil)
 	holds := func(m *floatText, v float64) bool {
 		return m.n > 0 && m.bits == math.Float64bits(v) && string(m.text[:m.n]) == ftoa(v)
 	}
 	for i, e := range evs {
 		tr.Emit(e)
-		if !holds(&tr.out.t, e.TMS) {
-			t.Fatalf("event %d: the t memo holds %q (bits %#x), want %s", i, tr.out.t.text[:tr.out.t.n], tr.out.t.bits, ftoa(e.TMS))
+		if !holds(&tr.jsonl.t, e.TMS) {
+			t.Fatalf("event %d: the t memo holds %q (bits %#x), want %s", i, tr.jsonl.t.text[:tr.jsonl.t.n], tr.jsonl.t.bits, ftoa(e.TMS))
 		}
 		if e.DurMS == 0 {
 			continue
 		}
-		if m := &tr.out.dur[durSlot(math.Float64bits(e.DurMS))]; !holds(m, e.DurMS) {
+		if m := &tr.jsonl.dur[durSlot(math.Float64bits(e.DurMS))]; !holds(m, e.DurMS) {
 			t.Fatalf("event %d: the dur_ms memo slot holds %q (bits %#x), want %s", i, m.text[:m.n], m.bits, ftoa(e.DurMS))
 		}
 	}

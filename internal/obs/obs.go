@@ -24,20 +24,21 @@
 //
 // Each recorder comes in two forms. A buffered Tracer or Timeline
 // (NewTracer, NewTimeline) keeps every event or row, so its memory is
-// O(run length); the Chrome sink needs one, because it makes two passes
-// over the events. A streaming one (NewTracerTo, NewTimelineTo) encodes
-// each event or row as it is emitted into one pooled 64 KiB buffer,
-// which it writes out in 64 KiB chunks, and keeps nothing else, so a
-// traced run holds the same bounded memory as an untraced one. Both
-// forms share one encoder per format and write identical bytes.
+// O(run length). A streaming one (NewTracerTo, NewTimelineTo) encodes
+// each event or row as it is emitted into one pooled 64 KiB buffer per
+// destination, which it writes out in 64 KiB chunks, and keeps nothing
+// else, so a traced run holds the same bounded memory as an untraced
+// one. Every sink streams, the Chrome one included: a buffered form's
+// writers (WriteJSONL, WriteChrome, WriteCSV) replay its events or rows
+// through the same encoders, so both forms write identical bytes.
 package obs
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"math"
 	"strconv"
+	"strings"
 	"sync"
 )
 
@@ -179,62 +180,87 @@ func At(tMS float64, kind Kind) Event {
 // concurrency-safe — one tracer belongs to one (single-threaded)
 // simulation run, exactly like the engine loop it observes. A buffered
 // tracer (NewTracer) keeps every event in Events, so its memory is
-// O(events); a streaming tracer (NewTracerTo) writes each event as JSONL
-// when it is emitted and keeps none, so its memory is O(1) and a traced
-// run stays inside the same bounded heap as an untraced one (the traced
-// mem-smoke guard).
+// O(events); a streaming tracer (NewTracerTo) writes each event as JSONL,
+// as Chrome trace-event records or as both when it is emitted and keeps
+// none, so its memory is O(1) and a traced run stays inside the same
+// bounded heap as an untraced one (the traced mem-smoke guard).
 type Tracer struct {
 	// Events holds a buffered tracer's events; a streaming tracer
 	// leaves it empty.
 	Events []Event
 	// Gen marks a generative trace, whose tracks are decode slots and
 	// the admission queue instead of replicas and the dispatcher. Set by
-	// the generative engine when it attaches the tracer.
+	// the generative engine when it attaches the tracer, before the
+	// first Emit: a Chrome destination names its tracks from it.
 	Gen bool
 
-	out *sink // the streaming destination; nil when buffered
-	n   int   // events streamed into out
+	jsonl  *sink   // the JSONL destination, if any
+	chrome *chrome // the Chrome destination, if any
+	n      int     // events emitted
 }
 
 // NewTracer returns an empty buffered tracer.
 func NewTracer() *Tracer { return &Tracer{} }
 
 // NewTracerTo returns a streaming tracer: every emitted event is
-// written to w as one JSONL line, byte-identical to what WriteJSONL
-// would write for a buffered tracer. Events collect in a 64 KiB buffer
-// taken from a pool, which goes to w in 64 KiB writes; call Flush when
-// the run ends, to write the rest and give the buffer back.
-func NewTracerTo(w io.Writer) *Tracer { return &Tracer{out: &sink{w: w}} }
+// written to jsonl as one JSONL line and to chrome as Chrome
+// trace-event records, byte-identical to what WriteJSONL and
+// WriteChrome would write for a buffered tracer. Either writer may be
+// nil, not both. Each destination collects its records in a 64 KiB
+// buffer taken from a pool, which goes to its writer in 64 KiB writes;
+// call Flush when the run ends, to write the rest and give the buffers
+// back.
+func NewTracerTo(jsonl, chrome io.Writer) *Tracer {
+	if jsonl == nil && chrome == nil {
+		panic("obs: NewTracerTo needs a JSONL or a Chrome writer")
+	}
+	t := &Tracer{}
+	if jsonl != nil {
+		t.jsonl = &sink{w: jsonl}
+	}
+	if chrome != nil {
+		t.chrome = newChrome(chrome)
+	}
+	return t
+}
 
 // Emit records one event: appended to Events on a buffered tracer,
-// encoded into the writer on a streaming one.
+// encoded into each destination of a streaming one.
 func (t *Tracer) Emit(e Event) {
-	if t.out == nil {
+	t.n++
+	if t.jsonl == nil && t.chrome == nil {
 		t.Events = append(t.Events, e)
 		return
 	}
-	t.n++
-	t.out.event(e)
+	if t.jsonl != nil {
+		t.jsonl.event(e)
+	}
+	if t.chrome != nil {
+		t.chrome.event(e, t.Gen)
+	}
 }
 
 // Len reports the number of events emitted so far.
-func (t *Tracer) Len() int {
-	if t.out != nil {
-		return t.n
-	}
-	return len(t.Events)
-}
+func (t *Tracer) Len() int { return t.n }
 
 // Flush writes out what a streaming tracer still buffers and returns
-// its first write error; events after a failed write are counted but
-// not written. A streaming tracer may go on emitting after a Flush, and
-// a second Flush writes only what came since. On a buffered tracer it
-// does nothing.
+// the first write error of its destinations; events after a failed
+// write are counted but not written. A JSONL destination goes on after
+// a Flush, and a second Flush writes only what came since. A Chrome
+// destination ends at its first Flush, which closes the trace-event
+// array: later events are not written to it, and a second Flush writes
+// nothing more to it. On a buffered tracer Flush does nothing.
 func (t *Tracer) Flush() error {
-	if t.out == nil {
-		return nil
+	var err error
+	if t.jsonl != nil {
+		err = t.jsonl.flush()
 	}
-	return t.out.flush()
+	if t.chrome != nil {
+		if cerr := t.chrome.close(t.Gen); err == nil {
+			err = cerr
+		}
+	}
+	return err
 }
 
 // sinkSize is the capacity of a sink's buffer, and so the size of its
@@ -260,8 +286,8 @@ var sinkBufs = sync.Pool{New: func() any {
 // else is kept. The first write error is sticky: nothing more is
 // written, and flush returns it. A write that returns n < len(p) with a
 // nil error counts as io.ErrShortWrite. The buffered writers
-// (WriteJSONL, WriteCSV) drain through a sink too, so both forms share
-// the encoders and the error handling.
+// (WriteJSONL, WriteChrome, WriteCSV) drain through a sink too, so both
+// forms share the encoders and the error handling.
 type sink struct {
 	w   io.Writer
 	err error
@@ -406,152 +432,136 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 	return s.flush()
 }
 
-// Chrome trace-event constants: timestamps are microseconds, and every
-// event lives in one process ("the cluster") with one thread per track.
-const (
-	chromeDispatcherTID = 0 // dispatcher / cluster-level track
-)
-
-// chromeTID maps an event to its track: replica-scoped events render on
-// the replica's thread, everything else on the dispatcher track.
-func chromeTID(e Event) int {
-	if e.Replica >= 0 {
-		return e.Replica + 1
-	}
-	return chromeDispatcherTID
+// chrome is the Chrome trace-event encoder, backed by a sink like the
+// JSONL encoder. Every record lives in one process ("the cluster") with
+// one thread per track: track 0 is the dispatcher (the admission queue
+// on a generative trace) and track r+1 is replica (decode slot) r. It
+// writes each event's records as the event comes and names each track
+// just before the first record on it, so it keeps nothing of the events
+// but the count of tracks named.
+type chrome struct {
+	sink
+	track  string // the name of tracks past 0: "replica" or "slot"
+	tracks int    // tracks named; 0 until the header is written
+	closed bool   // the closing "]}" is written
 }
 
-// WriteChrome writes a buffered trace in the Chrome trace-event JSON format
-// (viewable at ui.perfetto.dev or chrome://tracing): batches render as
-// duration slices on their replica's track, crash/restart and
-// outage_start/outage_end pairs render as "down"/"outage" spans, and
-// every other event renders as an instant with its fields as args.
-//
-// Generative traces (Gen set) render one track per decode slot
-// instead, beside a queue track in the dispatcher's place: each
-// committed slot residency is an "X" slice named seq(<req>) emitted at
-// its seq_complete/preempt (so work lost to preemption never paints the
-// track), prefill chunks and decode stretches nest inside it as
-// prefill(<tokens>)/decode(<tokens>) slices, and preemptions add an
-// instant marker at the eviction instant.
-func (t *Tracer) WriteChrome(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	maxReplica := -1
-	for _, e := range t.Events {
-		if e.Replica > maxReplica {
-			maxReplica = e.Replica
+func newChrome(w io.Writer) *chrome { return &chrome{sink: sink{w: w}} }
+
+// chromeThread is a track's thread_name record.
+const chromeThread = `{"ph":"M","pid":0,"tid":%d,"name":"thread_name","args":{"name":%q}}`
+
+// open appends the header and track 0's name, once; gen selects the
+// generative track layout.
+func (c *chrome) open(buf []byte, gen bool) []byte {
+	if c.tracks > 0 {
+		return buf
+	}
+	c.tracks, c.track = 1, "replica"
+	track0 := "dispatcher"
+	if gen {
+		track0, c.track = "queue", "slot"
+	}
+	return fmt.Appendf(buf, "{\"traceEvents\":[\n"+chromeThread, 0, track0)
+}
+
+// event encodes one event as Chrome records, naming its track first if
+// no record was on it yet: batches render as duration slices on their
+// replica's track, crash/restart and outage_start/outage_end pairs as
+// "down"/"outage" spans, and every other event as an instant with its
+// fields as args. On a generative trace each committed slot residency
+// is an "X" slice named seq(<req>) emitted at its seq_complete/preempt
+// (so work lost to preemption never paints the track), prefill chunks
+// and decode stretches nest inside it as prefill(<tokens>)/
+// decode(<tokens>) slices, and preemptions add an instant marker at the
+// eviction instant. Times are microseconds.
+func (c *chrome) event(e Event, gen bool) {
+	if c.closed {
+		return
+	}
+	buf := c.open(c.begin(), gen)
+	tid := 0
+	if e.Replica >= 0 {
+		tid = e.Replica + 1
+		for ; c.tracks <= tid; c.tracks++ {
+			c.end(fmt.Appendf(buf, ",\n"+chromeThread, c.tracks, fmt.Sprintf("%s %d", c.track, c.tracks-1)))
+			buf = c.begin()
 		}
 	}
-	if _, err := bw.WriteString(`{"traceEvents":[`); err != nil {
-		return err
-	}
-	sep := "\n"
-	emit := func(s string) error {
-		if _, err := bw.WriteString(sep + s); err != nil {
-			return err
-		}
-		sep = ",\n"
-		return nil
-	}
-	meta := func(tid int, name string) error {
-		return emit(fmt.Sprintf(`{"ph":"M","pid":0,"tid":%d,"name":"thread_name","args":{"name":%q}}`, tid, name))
-	}
-	track, track0 := "replica", "dispatcher"
-	if t.Gen {
-		track, track0 = "slot", "queue"
-	}
-	if err := meta(chromeDispatcherTID, track0); err != nil {
-		return err
-	}
-	for i := 0; i <= maxReplica; i++ {
-		if err := meta(i+1, fmt.Sprintf("%s %d", track, i)); err != nil {
-			return err
-		}
-	}
+	ts := ftoa(e.TMS * 1000)
 	// slice renders the [TMS-DurMS, TMS] span an event commits as an
 	// "X" duration slice on its track.
-	slice := func(e Event, name string, extra string) error {
-		return emit(fmt.Sprintf(`{"name":%q,"ph":"X","ts":%s,"dur":%s,"pid":0,"tid":%d%s}`,
-			name, ftoa((e.TMS-e.DurMS)*1000), ftoa(e.DurMS*1000), chromeTID(e), extra))
+	slice := func(name, args string) []byte {
+		return fmt.Appendf(buf, ",\n"+`{"name":%q,"ph":"X","ts":%s,"dur":%s,"pid":0,"tid":%d%s}`,
+			name, ftoa((e.TMS-e.DurMS)*1000), ftoa(e.DurMS*1000), tid, args)
 	}
+	switch e.Kind {
+	case KindServeStart:
+		buf = fmt.Appendf(buf, ",\n"+`{"name":"batch(%d)","ph":"X","ts":%s,"dur":%s,"pid":0,"tid":%d}`,
+			e.Batch, ts, ftoa(e.DurMS*1000), tid)
+	case KindSeqComplete:
+		buf = slice(fmt.Sprintf("seq(%d)", e.Req), `,"args":{"lat_ms":`+ftoa(e.LatMS)+"}")
+	case KindPreempt:
+		// The evicted residency paints the track, then an instant marks
+		// the eviction itself.
+		buf = fmt.Appendf(slice(fmt.Sprintf("seq(%d)", e.Req), ""),
+			",\n"+`{"name":"preempt","ph":"i","s":"t","ts":%s,"pid":0,"tid":%d,"args":{"req":%d,"blocks":%d}}`, ts, tid, e.Req, e.Val)
+	case KindPrefillChunk, KindDecodeFlush:
+		name := "prefill"
+		if e.Kind == KindDecodeFlush {
+			name = "decode"
+		}
+		buf = slice(fmt.Sprintf("%s(%d)", name, e.Val), fmt.Sprintf(`,"args":{"req":%d}`, e.Req))
+	case KindCrash, KindRestart, KindOutageStart, KindOutageEnd:
+		name, ph := "down", "B"
+		if e.Kind == KindOutageStart || e.Kind == KindOutageEnd {
+			name = "outage"
+		}
+		if e.Kind == KindRestart || e.Kind == KindOutageEnd {
+			ph = "E"
+		}
+		buf = fmt.Appendf(buf, ",\n"+`{"name":%q,"ph":%q,"ts":%s,"pid":0,"tid":%d}`, name, ph, ts, tid)
+	default:
+		var args []string
+		if e.Req >= 0 {
+			args = append(args, `"req":`+strconv.Itoa(e.Req))
+		}
+		if e.Batch != 0 {
+			args = append(args, `"batch":`+strconv.Itoa(e.Batch))
+		}
+		if e.Val != 0 {
+			args = append(args, `"val":`+strconv.Itoa(e.Val))
+		}
+		if e.LatMS != 0 {
+			args = append(args, `"lat_ms":`+ftoa(e.LatMS))
+		}
+		buf = fmt.Appendf(buf, ",\n"+`{"name":%q,"ph":"i","s":"t","ts":%s,"pid":0,"tid":%d,"args":{%s}}`,
+			string(e.Kind), ts, tid, strings.Join(args, ","))
+	}
+	c.end(buf)
+}
+
+// close ends the trace-event array, the header first if no record was
+// written, and flushes; it returns the sink's first write error. It
+// writes the closing "]}" once: events and flushes after it write
+// nothing more.
+func (c *chrome) close(gen bool) error {
+	if !c.closed {
+		c.end(append(c.open(c.begin(), gen), "\n]}\n"...))
+		c.closed = true
+	}
+	return c.flush()
+}
+
+// WriteChrome writes a buffered trace in the Chrome trace-event JSON
+// format (viewable at ui.perfetto.dev or chrome://tracing), replaying
+// its events through the streaming tracer's encoder: one track per
+// replica, or on a generative trace (Gen set) one per decode slot,
+// beside a dispatcher (queue) track.
+func (t *Tracer) WriteChrome(w io.Writer) error {
+	c := newChrome(w)
 	for _, e := range t.Events {
-		ts := ftoa(e.TMS * 1000) // ms -> us
-		tid := chromeTID(e)
-		var line string
-		switch e.Kind {
-		case KindServeStart:
-			line = fmt.Sprintf(`{"name":"batch(%d)","ph":"X","ts":%s,"dur":%s,"pid":0,"tid":%d}`,
-				e.Batch, ts, ftoa(e.DurMS*1000), tid)
-		case KindSeqComplete:
-			if err := slice(e, fmt.Sprintf("seq(%d)", e.Req),
-				fmt.Sprintf(`,"args":{"lat_ms":%s}`, ftoa(e.LatMS))); err != nil {
-				return err
-			}
-			continue
-		case KindPreempt:
-			// The evicted residency paints the track, then an instant
-			// marks the eviction itself.
-			if err := slice(e, fmt.Sprintf("seq(%d)", e.Req), ""); err != nil {
-				return err
-			}
-			line = fmt.Sprintf(`{"name":"preempt","ph":"i","s":"t","ts":%s,"pid":0,"tid":%d,"args":{"req":%d,"blocks":%d}}`,
-				ts, tid, e.Req, e.Val)
-		case KindPrefillChunk:
-			if err := slice(e, fmt.Sprintf("prefill(%d)", e.Val),
-				fmt.Sprintf(`,"args":{"req":%d}`, e.Req)); err != nil {
-				return err
-			}
-			continue
-		case KindDecodeFlush:
-			if err := slice(e, fmt.Sprintf("decode(%d)", e.Val),
-				fmt.Sprintf(`,"args":{"req":%d}`, e.Req)); err != nil {
-				return err
-			}
-			continue
-		case KindCrash:
-			line = fmt.Sprintf(`{"name":"down","ph":"B","ts":%s,"pid":0,"tid":%d}`, ts, tid)
-		case KindRestart:
-			line = fmt.Sprintf(`{"name":"down","ph":"E","ts":%s,"pid":0,"tid":%d}`, ts, tid)
-		case KindOutageStart:
-			line = fmt.Sprintf(`{"name":"outage","ph":"B","ts":%s,"pid":0,"tid":%d}`, ts, tid)
-		case KindOutageEnd:
-			line = fmt.Sprintf(`{"name":"outage","ph":"E","ts":%s,"pid":0,"tid":%d}`, ts, tid)
-		default:
-			args := make([]byte, 0, 64)
-			if e.Req >= 0 {
-				args = append(args, `"req":`...)
-				args = strconv.AppendInt(args, int64(e.Req), 10)
-			}
-			if e.Batch != 0 {
-				if len(args) > 0 {
-					args = append(args, ',')
-				}
-				args = append(args, `"batch":`...)
-				args = strconv.AppendInt(args, int64(e.Batch), 10)
-			}
-			if e.Val != 0 {
-				if len(args) > 0 {
-					args = append(args, ',')
-				}
-				args = append(args, `"val":`...)
-				args = strconv.AppendInt(args, int64(e.Val), 10)
-			}
-			if e.LatMS != 0 {
-				if len(args) > 0 {
-					args = append(args, ',')
-				}
-				args = append(args, `"lat_ms":`...)
-				args = append(args, ftoa(e.LatMS)...)
-			}
-			line = fmt.Sprintf(`{"name":%q,"ph":"i","s":"t","ts":%s,"pid":0,"tid":%d,"args":{%s}}`,
-				string(e.Kind), ts, tid, args)
-		}
-		if err := emit(line); err != nil {
-			return err
-		}
+		c.event(e, t.Gen)
 	}
-	if _, err := bw.WriteString("\n]}\n"); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return c.close(t.Gen)
 }

@@ -1,6 +1,9 @@
 package obs_test
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -10,16 +13,71 @@ import (
 	"repro/internal/obs"
 )
 
-// record runs sc with a buffered tracer and returns its events.
+// record runs sc with its trace streamed as JSONL and returns the
+// events decoded from it. The decoded events must re-encode through
+// WriteJSONL to the streamed bytes, so the decoding loses nothing.
 func record(tb testing.TB, sc core.Scenario) []obs.Event {
 	tb.Helper()
 	sc.Trace = true
-	_, od, err := core.RunScenarioObs(sc)
-	if err != nil {
+	var jsonl bytes.Buffer
+	if _, _, err := core.RunScenarioTo(sc, &jsonl, nil, nil); err != nil {
 		tb.Fatal(err)
 	}
-	return od.Trace.Events
+	evs := decodeJSONL(tb, jsonl.Bytes())
+	tr := obs.NewTracer()
+	for _, e := range evs {
+		tr.Emit(e)
+	}
+	var again bytes.Buffer
+	if err := tr.WriteJSONL(&again); err != nil {
+		tb.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), jsonl.Bytes()) {
+		tb.Fatalf("%d decoded events re-encode to %d bytes, not the %d streamed", len(evs), again.Len(), jsonl.Len())
+	}
+	return evs
 }
+
+// jsonEvent is obs.Event with the JSONL keys as tags.
+type jsonEvent struct {
+	TMS     float64  `json:"t"`
+	Kind    obs.Kind `json:"kind"`
+	Req     int      `json:"req"`
+	Replica int      `json:"replica"`
+	Batch   int      `json:"batch"`
+	Val     int      `json:"val"`
+	DurMS   float64  `json:"dur_ms"`
+	LatMS   float64  `json:"lat_ms"`
+}
+
+// decodeJSONL decodes a JSONL trace, one event per line; a line without
+// req or replica gets the -1 sentinel, and an unknown key fails.
+func decodeJSONL(tb testing.TB, b []byte) []obs.Event {
+	tb.Helper()
+	var evs []obs.Event
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	for dec.More() {
+		e := jsonEvent{Req: -1, Replica: -1}
+		if err := dec.Decode(&e); err != nil {
+			tb.Fatalf("JSONL event %d: %v", len(evs), err)
+		}
+		evs = append(evs, obs.Event(e))
+	}
+	return evs
+}
+
+// clusterScenario runs a two-replica cluster under faults, hedging and
+// autoscaling, which shows every cluster event kind; genKVScenario runs
+// the generative engine with a KV pool small enough to preempt, a prefix
+// cache and chunked prefill, which shows every sequence kind.
+var (
+	clusterScenario = core.Scenario{Model: "distilbert-base", Workload: "amazon", Platform: "clockwork",
+		Replicas: 2, Dispatch: "least-loaded", Autoscale: "1..3", RateSchedule: "square:30/0.5/2",
+		Faults: "mtbf:800/200;loss=0.05", Retry: "attempts=2/hedge=95", N: 2000, Seed: 1}
+	genKVScenario = core.Scenario{Model: "t5-large", Workload: "cnn-dailymail", KVBlocks: 48, PrefixHit: 0.5,
+		PrefillChunk: 256, N: 300, Seed: 1}
+)
 
 // TestTracerEncodingMatchesReference: the events of real runs, streamed
 // through NewTracerTo and written by WriteJSONL, encode to the
@@ -35,17 +93,14 @@ func TestTracerEncodingMatchesReference(t *testing.T) {
 	}{
 		{
 			name: "cluster",
-			sc: core.Scenario{Model: "distilbert-base", Workload: "amazon", Platform: "clockwork",
-				Replicas: 2, Dispatch: "least-loaded", Autoscale: "1..3", RateSchedule: "square:30/0.5/2",
-				Faults: "mtbf:800/200;loss=0.05", Retry: "attempts=2/hedge=95", N: 2000, Seed: 1},
+			sc:   clusterScenario,
 			kinds: []obs.Kind{obs.KindArrive, obs.KindDispatch, obs.KindEnqueue, obs.KindServeStart, obs.KindComplete,
 				obs.KindDrop, obs.KindRequeue, obs.KindRetry, obs.KindHedge, obs.KindPark, obs.KindLost, obs.KindTimeout,
 				obs.KindCrash, obs.KindRestart, obs.KindScaleUp, obs.KindScaleDown, obs.KindOutageStart, obs.KindOutageEnd},
 		},
 		{
 			name: "gen-kv",
-			sc: core.Scenario{Model: "t5-large", Workload: "cnn-dailymail", KVBlocks: 48, PrefixHit: 0.5,
-				PrefillChunk: 256, N: 300, Seed: 1},
+			sc:   genKVScenario,
 			kinds: []obs.Kind{obs.KindSeqArrive, obs.KindKVAdmit, obs.KindPrefixHit, obs.KindPrefillChunk,
 				obs.KindDecodeFlush, obs.KindPreempt, obs.KindSeqRequeue, obs.KindSeqComplete},
 		},
@@ -71,6 +126,73 @@ func TestTracerEncodingMatchesReference(t *testing.T) {
 var chaosScenario = core.Scenario{Model: "resnet50", Workload: "video-1", Platform: "clockwork",
 	Replicas: 8, Dispatch: "least-loaded", Hetero: "1,0.5", Autoscale: "2..8", RateSchedule: "square:30/0.5/2",
 	Faults: "mtbf:20000/1000;delaydist=exp:1;loss=0.001", Retry: "attempts=3/hedge=95", N: 3000, Seed: 1}
+
+// TestStreamedChromeStructure: the Chrome trace that a chaos-like
+// cluster run and a generative KV run stream is one JSON document in
+// which every track in use is named exactly once, before its first
+// record, after the trace's layout (dispatcher and replicas, or queue
+// and slots), and the tracks named are 0 through the largest in use.
+func TestStreamedChromeStructure(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		sc            core.Scenario
+		track0, track string
+	}{
+		{"cluster", chaosScenario, "dispatcher", "replica"},
+		{"gen-kv", genKVScenario, "queue", "slot"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sc := tc.sc
+			sc.Trace = true
+			var chrome bytes.Buffer
+			if _, _, err := core.RunScenarioTo(sc, nil, &chrome, nil); err != nil {
+				t.Fatal(err)
+			}
+			var doc struct {
+				TraceEvents []struct {
+					Ph   string `json:"ph"`
+					Tid  int    `json:"tid"`
+					Name string `json:"name"`
+					Args struct {
+						Name string `json:"name"`
+					} `json:"args"`
+				} `json:"traceEvents"`
+			}
+			if err := json.Unmarshal(chrome.Bytes(), &doc); err != nil {
+				t.Fatalf("the streamed Chrome trace is not JSON: %v", err)
+			}
+			named, used := map[int]bool{}, map[int]bool{}
+			maxTid := -1
+			for i, ev := range doc.TraceEvents {
+				if ev.Ph != "M" {
+					if !named[ev.Tid] {
+						t.Fatalf("record %d is on track %d before the track is named", i, ev.Tid)
+					}
+					used[ev.Tid] = true
+					maxTid = max(maxTid, ev.Tid)
+					continue
+				}
+				want := tc.track0
+				if ev.Tid > 0 {
+					want = fmt.Sprintf("%s %d", tc.track, ev.Tid-1)
+				}
+				if ev.Name != "thread_name" || ev.Args.Name != want {
+					t.Fatalf("record %d names track %d %s %q, want thread_name %q", i, ev.Tid, ev.Name, ev.Args.Name, want)
+				}
+				if named[ev.Tid] {
+					t.Fatalf("record %d names track %d a second time", i, ev.Tid)
+				}
+				named[ev.Tid] = true
+			}
+			if maxTid < 2 || len(used) < 3 {
+				t.Fatalf("records on %d tracks, the largest %d; want several", len(used), maxTid)
+			}
+			if len(named) != maxTid+1 {
+				t.Fatalf("%d tracks named, want tracks 0 through %d", len(named), maxTid)
+			}
+		})
+	}
+}
 
 // BenchmarkTracerEmit measures one Emit into a buffered tracer (append
 // to Events, amortized slice growth included) and into a streaming
@@ -99,7 +221,7 @@ func BenchmarkTracerEmit(b *testing.B) {
 	})
 	b.Run("streaming", func(b *testing.B) {
 		b.ReportAllocs()
-		tr := obs.NewTracerTo(io.Discard)
+		tr := obs.NewTracerTo(io.Discard, nil)
 		for i := 0; i < b.N; i++ {
 			tr.Emit(evs[i%len(evs)])
 		}
@@ -125,7 +247,7 @@ func BenchmarkTracerEmit(b *testing.B) {
 					b.Fatal(err)
 				}
 				cw := &counter{w: dst.w}
-				tr := obs.NewTracerTo(cw)
+				tr := obs.NewTracerTo(cw, nil)
 				for _, e := range chaos {
 					tr.Emit(e)
 				}

@@ -60,7 +60,7 @@ func sampleTimeline(tl *Timeline) {
 func TestStreamingTracerMatchesWriteJSONL(t *testing.T) {
 	buffered := NewTracer()
 	var streamed bytes.Buffer
-	st := NewTracerTo(&streamed)
+	st := NewTracerTo(&streamed, nil)
 	for _, e := range sampleEvents() {
 		buffered.Emit(e)
 		st.Emit(e)
@@ -80,6 +80,125 @@ func TestStreamingTracerMatchesWriteJSONL(t *testing.T) {
 	}
 	if err := buffered.Flush(); err != nil {
 		t.Fatalf("Flush on a buffered tracer = %v, want nil", err)
+	}
+}
+
+// ev builds an event with every field given, -1 for no request or
+// replica.
+func ev(tMS float64, k Kind, req, replica, batch, val int, durMS, latMS float64) Event {
+	return Event{TMS: tMS, Kind: k, Req: req, Replica: replica, Batch: batch, Val: val, DurMS: durMS, LatMS: latMS}
+}
+
+// chromeCases are small traces of both layouts with the exact Chrome
+// bytes they encode to: every record form, tracks first reached out of
+// order (replica 2 before 0 and 1, replica 4 with no record on 3, slot 1
+// before slot 0), and each track's name just before its first record.
+var chromeCases = []struct {
+	name string
+	gen  bool
+	evs  []Event
+	want string
+}{
+	{"cluster", false, []Event{
+		ev(0.5, KindArrive, 7, -1, 0, 0, 0, 0),
+		ev(0.5, KindDispatch, 7, 2, 0, 1, 0, 0),
+		ev(0.5, KindEnqueue, 7, 2, 0, 1, 0, 0),
+		ev(0.5, KindServeStart, -1, 2, 4, 0, 6.25, 0),
+		ev(6.75, KindComplete, 7, 2, 4, 0, 0, 6.25),
+		ev(8, KindCrash, -1, 0, 0, 0, 0, 0),
+		ev(9, KindOutageStart, -1, -1, 0, 0, 0, 0),
+		ev(10, KindOutageEnd, -1, -1, 0, 0, 1, 0),
+		ev(12, KindRestart, -1, 0, 0, 0, 4, 0),
+		ev(13, KindScaleUp, -1, -1, 0, 3, 0, 0),
+		ev(14, KindDrop, 8, 4, 0, 0, 0, 0),
+	}, `{"traceEvents":[
+{"ph":"M","pid":0,"tid":0,"name":"thread_name","args":{"name":"dispatcher"}},
+{"name":"arrive","ph":"i","s":"t","ts":500,"pid":0,"tid":0,"args":{"req":7}},
+{"ph":"M","pid":0,"tid":1,"name":"thread_name","args":{"name":"replica 0"}},
+{"ph":"M","pid":0,"tid":2,"name":"thread_name","args":{"name":"replica 1"}},
+{"ph":"M","pid":0,"tid":3,"name":"thread_name","args":{"name":"replica 2"}},
+{"name":"dispatch","ph":"i","s":"t","ts":500,"pid":0,"tid":3,"args":{"req":7,"val":1}},
+{"name":"enqueue","ph":"i","s":"t","ts":500,"pid":0,"tid":3,"args":{"req":7,"val":1}},
+{"name":"batch(4)","ph":"X","ts":500,"dur":6250,"pid":0,"tid":3},
+{"name":"complete","ph":"i","s":"t","ts":6750,"pid":0,"tid":3,"args":{"req":7,"batch":4,"lat_ms":6.25}},
+{"name":"down","ph":"B","ts":8000,"pid":0,"tid":1},
+{"name":"outage","ph":"B","ts":9000,"pid":0,"tid":0},
+{"name":"outage","ph":"E","ts":10000,"pid":0,"tid":0},
+{"name":"down","ph":"E","ts":12000,"pid":0,"tid":1},
+{"name":"scale_up","ph":"i","s":"t","ts":13000,"pid":0,"tid":0,"args":{"val":3}},
+{"ph":"M","pid":0,"tid":4,"name":"thread_name","args":{"name":"replica 3"}},
+{"ph":"M","pid":0,"tid":5,"name":"thread_name","args":{"name":"replica 4"}},
+{"name":"drop","ph":"i","s":"t","ts":14000,"pid":0,"tid":5,"args":{"req":8}}
+]}
+`},
+	{"gen", true, []Event{
+		ev(0, KindSeqArrive, 3, -1, 0, 64, 0, 0),
+		ev(1, KindKVAdmit, 3, 1, 0, 4, 1, 0),
+		ev(40, KindPrefillChunk, 3, 1, 0, 32, 30, 0),
+		ev(55, KindDecodeFlush, 3, 1, 0, 16, 15, 0),
+		ev(70, KindPreempt, 3, 1, 0, 5, 60, 0),
+		ev(71, KindSeqRequeue, 3, -1, 0, 1, 0, 0),
+		ev(200, KindSeqComplete, 3, 0, 0, 0, 120, 200),
+	}, `{"traceEvents":[
+{"ph":"M","pid":0,"tid":0,"name":"thread_name","args":{"name":"queue"}},
+{"name":"seq_arrive","ph":"i","s":"t","ts":0,"pid":0,"tid":0,"args":{"req":3,"val":64}},
+{"ph":"M","pid":0,"tid":1,"name":"thread_name","args":{"name":"slot 0"}},
+{"ph":"M","pid":0,"tid":2,"name":"thread_name","args":{"name":"slot 1"}},
+{"name":"kv_admit","ph":"i","s":"t","ts":1000,"pid":0,"tid":2,"args":{"req":3,"val":4}},
+{"name":"prefill(32)","ph":"X","ts":10000,"dur":30000,"pid":0,"tid":2,"args":{"req":3}},
+{"name":"decode(16)","ph":"X","ts":40000,"dur":15000,"pid":0,"tid":2,"args":{"req":3}},
+{"name":"seq(3)","ph":"X","ts":10000,"dur":60000,"pid":0,"tid":2},
+{"name":"preempt","ph":"i","s":"t","ts":70000,"pid":0,"tid":2,"args":{"req":3,"blocks":5}},
+{"name":"seq_requeue","ph":"i","s":"t","ts":71000,"pid":0,"tid":0,"args":{"req":3,"val":1}},
+{"name":"seq(3)","ph":"X","ts":80000,"dur":120000,"pid":0,"tid":1,"args":{"lat_ms":200}}
+]}
+`},
+	{"empty", false, nil, "{\"traceEvents\":[\n" + `{"ph":"M","pid":0,"tid":0,"name":"thread_name","args":{"name":"dispatcher"}}` + "\n]}\n"},
+	{"empty-gen", true, nil, "{\"traceEvents\":[\n" + `{"ph":"M","pid":0,"tid":0,"name":"thread_name","args":{"name":"queue"}}` + "\n]}\n"},
+}
+
+// TestStreamingChromeMatchesWriteChrome: for both track layouts
+// WriteChrome and a streaming tracer, with a JSONL destination beside
+// the Chrome one or without, write the same pinned bytes; the streaming
+// tracer keeps no event, and its JSONL equals WriteJSONL's.
+func TestStreamingChromeMatchesWriteChrome(t *testing.T) {
+	for _, tc := range chromeCases {
+		buffered := NewTracer()
+		var jsonl, chrome, alone bytes.Buffer
+		both, only := NewTracerTo(&jsonl, &chrome), NewTracerTo(nil, &alone)
+		buffered.Gen, both.Gen, only.Gen = tc.gen, tc.gen, tc.gen
+		for _, e := range tc.evs {
+			buffered.Emit(e)
+			both.Emit(e)
+			only.Emit(e)
+		}
+		for _, tr := range []*Tracer{both, only} {
+			if err := tr.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var written, wantJSONL bytes.Buffer
+		if err := buffered.WriteChrome(&written); err != nil {
+			t.Fatal(err)
+		}
+		if err := buffered.WriteJSONL(&wantJSONL); err != nil {
+			t.Fatal(err)
+		}
+		for _, got := range []struct {
+			name string
+			b    []byte
+		}{{"WriteChrome", written.Bytes()}, {"streamed beside JSONL", chrome.Bytes()}, {"streamed alone", alone.Bytes()}} {
+			if string(got.b) != tc.want {
+				t.Errorf("%s: %s Chrome trace:\n got %s\nwant %s", tc.name, got.name, got.b, tc.want)
+			}
+		}
+		if !bytes.Equal(jsonl.Bytes(), wantJSONL.Bytes()) {
+			t.Errorf("%s: the JSONL streamed beside Chrome differs from WriteJSONL:\n got %s\nwant %s", tc.name, jsonl.Bytes(), wantJSONL.Bytes())
+		}
+		if both.Len() != len(tc.evs) || only.Len() != len(tc.evs) || len(both.Events)+len(only.Events) != 0 {
+			t.Errorf("%s: streaming tracers count %d and %d events and keep %d; want %d counted and none kept",
+				tc.name, both.Len(), only.Len(), len(both.Events)+len(only.Events), len(tc.evs))
+		}
 	}
 }
 
@@ -188,7 +307,8 @@ func (w *writeSizes) Write(p []byte) (int, error) {
 // the sink's buffer drains mid-run, exactly at the boundary between two
 // of its writes, or at the final flush; events and rows after the
 // failure are still counted but not written. A short write with no
-// error reports io.ErrShortWrite, as bufio.Writer does.
+// error reports io.ErrShortWrite, as bufio.Writer does. Both of a
+// tracer's destinations, JSONL and Chrome, fail this way.
 func TestStreamingSinksReportFirstWriteError(t *testing.T) {
 	evs := sampleEvents()
 	var want bytes.Buffer
@@ -201,7 +321,7 @@ func TestStreamingSinksReportFirstWriteError(t *testing.T) {
 	}
 	long := 400 * len(evs) // far above the sink's 64 KiB buffer
 	var sizes writeSizes
-	probe := NewTracerTo(&sizes)
+	probe := NewTracerTo(&sizes, nil)
 	for i := 0; i < long; i++ {
 		probe.Emit(evs[i%len(evs)])
 	}
@@ -211,7 +331,7 @@ func TestStreamingSinksReportFirstWriteError(t *testing.T) {
 	first := sizes[0] // the failure lands at the end of the first write
 	for _, k := range []int{0, 1, 100, want.Len() - 1, first - 1, first, first + 1} {
 		for _, n := range []int{len(evs), long} {
-			tr := NewTracerTo(&failAfter{k: k})
+			tr := NewTracerTo(&failAfter{k: k}, nil)
 			for i := 0; i < n; i++ {
 				tr.Emit(evs[i%len(evs)])
 			}
@@ -236,7 +356,7 @@ func TestStreamingSinksReportFirstWriteError(t *testing.T) {
 		}
 	}
 	// A writer with room for everything reports no error.
-	tr := NewTracerTo(&failAfter{k: want.Len()})
+	tr := NewTracerTo(&failAfter{k: want.Len()}, nil)
 	for _, e := range evs {
 		tr.Emit(e)
 	}
@@ -246,7 +366,7 @@ func TestStreamingSinksReportFirstWriteError(t *testing.T) {
 	// After a failed write the sink writes nothing more, even to a
 	// writer that would accept it.
 	once := &failOnce{}
-	tr = NewTracerTo(once)
+	tr = NewTracerTo(once, nil)
 	for i := 0; i < long; i++ {
 		tr.Emit(evs[i%len(evs)])
 	}
@@ -254,7 +374,7 @@ func TestStreamingSinksReportFirstWriteError(t *testing.T) {
 		t.Fatalf("after a failed first write: Flush = %v and %d bytes written, want %v and none", err, once.accepted, errFull)
 	}
 	// A short write fails the sink, and the error stays.
-	tr = NewTracerTo(shortWriter{})
+	tr = NewTracerTo(shortWriter{}, nil)
 	tr.Emit(evs[0])
 	for i := 0; i < 2; i++ {
 		if err := tr.Flush(); !errors.Is(err, io.ErrShortWrite) {
@@ -265,15 +385,70 @@ func TestStreamingSinksReportFirstWriteError(t *testing.T) {
 	if err := tl.Flush(); !errors.Is(err, io.ErrShortWrite) {
 		t.Fatalf("timeline Flush after a short write = %v, want %v", err, io.ErrShortWrite)
 	}
+
+	// A Chrome destination fails the same way, and Flush returns the
+	// first error of either destination, again at a second Flush.
+	var chromeWant bytes.Buffer
+	if err := ref.WriteChrome(&chromeWant); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{0, 1, 100, chromeWant.Len() - 1, first - 1, first, first + 1} {
+		for _, n := range []int{len(evs), long} {
+			for _, jsonlFails := range []bool{false, true} {
+				var jsonl, chrome io.Writer = io.Discard, &failAfter{k: k}
+				if jsonlFails {
+					jsonl, chrome = &failAfter{k: k}, io.Discard
+				}
+				tr := NewTracerTo(jsonl, chrome)
+				for i := 0; i < n; i++ {
+					tr.Emit(evs[i%len(evs)])
+				}
+				var wantErr error
+				if jsonlFails && k < n/len(evs)*want.Len() || !jsonlFails && k < n/len(evs)*chromeWant.Len() {
+					wantErr = errFull
+				}
+				for i := 0; i < 2; i++ {
+					if err := tr.Flush(); !errors.Is(err, wantErr) {
+						t.Fatalf("k=%d n=%d jsonlFails=%v: Flush %d = %v, want %v", k, n, jsonlFails, i+1, err, wantErr)
+					}
+				}
+				if tr.Len() != n {
+					t.Fatalf("k=%d n=%d: Len = %d after a failed write, want %d", k, n, tr.Len(), n)
+				}
+			}
+		}
+	}
+	tr = NewTracerTo(nil, &failAfter{k: chromeWant.Len()})
+	for _, e := range evs {
+		tr.Emit(e)
+	}
+	if err := tr.Flush(); err != nil {
+		t.Fatalf("Chrome Flush into a writer with exactly enough room = %v", err)
+	}
+	once = &failOnce{}
+	tr = NewTracerTo(nil, once)
+	for i := 0; i < long; i++ {
+		tr.Emit(evs[i%len(evs)])
+	}
+	if err := tr.Flush(); !errors.Is(err, errFull) || once.accepted != 0 {
+		t.Fatalf("Chrome after a failed first write: Flush = %v and %d bytes written, want %v and none", err, once.accepted, errFull)
+	}
+	tr = NewTracerTo(nil, shortWriter{})
+	for i := 0; i < 2; i++ {
+		if err := tr.Flush(); !errors.Is(err, io.ErrShortWrite) {
+			t.Fatalf("Chrome Flush %d after a short write = %v, want %v", i+1, err, io.ErrShortWrite)
+		}
+	}
 }
 
-// TestStreamingSinksWriteAfterFlush: a streaming tracer or timeline
-// that goes on after a Flush writes what follows at the next Flush, so
-// the output still equals the buffered writer's.
+// TestStreamingSinksWriteAfterFlush: a streaming tracer's JSONL or a
+// streaming timeline that goes on after a Flush writes what follows at
+// the next Flush, so the output still equals the buffered writer's; a
+// Chrome destination writes nothing after its first Flush.
 func TestStreamingSinksWriteAfterFlush(t *testing.T) {
 	evs := sampleEvents()
 	var streamed, want bytes.Buffer
-	st, buffered := NewTracerTo(&streamed), NewTracer()
+	st, buffered := NewTracerTo(&streamed, nil), NewTracer()
 	for i, e := range evs {
 		st.Emit(e)
 		buffered.Emit(e)
@@ -310,13 +485,49 @@ func TestStreamingSinksWriteAfterFlush(t *testing.T) {
 	if !bytes.Equal(streamed.Bytes(), want.Bytes()) {
 		t.Fatalf("rows emitted after a Flush:\n got %s\nwant %s", streamed.String(), want.String())
 	}
+
+	// A Chrome destination ends at its first Flush: what follows is not
+	// written to it, and a second Flush writes no second "]}", while the
+	// JSONL beside it goes on.
+	var jsonl, chrome, wantJSONL, wantChrome bytes.Buffer
+	st = NewTracerTo(&jsonl, &chrome)
+	head, all := NewTracer(), NewTracer()
+	for i, e := range evs {
+		st.Emit(e)
+		all.Emit(e)
+		if i <= len(evs)/2 {
+			head.Emit(e)
+		}
+		if i == len(evs)/2 {
+			if err := st.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if err := st.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := head.WriteChrome(&wantChrome); err != nil {
+		t.Fatal(err)
+	}
+	if err := all.WriteJSONL(&wantJSONL); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(chrome.Bytes(), wantChrome.Bytes()) {
+		t.Fatalf("Chrome trace after a Flush (%d bytes) differs from WriteChrome of the events before it (%d bytes)", chrome.Len(), wantChrome.Len())
+	}
+	if !bytes.Equal(jsonl.Bytes(), wantJSONL.Bytes()) || st.Len() != len(evs) {
+		t.Fatalf("the JSONL beside a flushed Chrome trace stopped: %d bytes, want %d; Len %d, want %d", jsonl.Len(), wantJSONL.Len(), st.Len(), len(evs))
+	}
 }
 
 // TestStreamingEmitZeroAlloc pins the streaming sinks' hot path: Emit
 // of any kind with every optional field set, and a streamed timeline
 // row of either column set, allocate nothing once the sink is warm.
 func TestStreamingEmitZeroAlloc(t *testing.T) {
-	tr := NewTracerTo(io.Discard)
+	tr := NewTracerTo(io.Discard, nil)
 	for i, k := range allKinds {
 		e := fullEvent(k, i)
 		if a := testing.AllocsPerRun(200, func() { tr.Emit(e) }); a != 0 {

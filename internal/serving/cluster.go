@@ -361,13 +361,12 @@ func (r *replicaSim) enqueue(req workload.Request, now float64, last bool) {
 		}
 		return
 	}
+	// Idle. A crash, restart, hedge or timeout at the completion instant
+	// counts as idle too: it ranks after the completion wake, which has
+	// already found (or, reserved, would have found) an empty queue.
+	// Such a late enqueue is never last, so it schedules a wake at now,
+	// which ranks before the late classes and fires next.
 	r.settle()
-	if r.busyUntil == now {
-		// A crash, restart, hedge or timeout at the completion instant
-		// ranks after the completion wake, which has already evaluated
-		// an empty queue: the request waits for the next enqueue.
-		return
-	}
 	if last && r.c.loop.NextAt() > now && (!r.c.has || r.c.next.ArrivalMS > now) {
 		// A wake at now would fire next, with nothing before it, so
 		// evaluate now. Nothing pending also means no wake at or before
@@ -739,7 +738,9 @@ func (c *clusterSim) pickAmong(eligible []int, now float64) int {
 }
 
 // closeWindow summarizes the elapsed signal window, feeds the scaler,
-// and applies any replica-count change to subsequent dispatch.
+// and records, traces and applies any replica-count change: a step of
+// the plan, a scale_up or scale_down event at the window's end, and the
+// active set for subsequent dispatch.
 func (c *clusterSim) closeWindow() {
 	eff := c.scaler.Config()
 	capacity := float64(c.scaler.Replicas())
@@ -770,6 +771,15 @@ func (c *clusterSim) closeWindow() {
 	}
 	if n, changed := c.scaler.Observe(c.winEnd, sig); changed {
 		c.plan.Steps = append(c.plan.Steps, autoscale.Step{AtMS: c.winEnd, Replicas: n})
+		if c.tr != nil {
+			kind := obs.KindScaleUp
+			if n < c.active {
+				kind = obs.KindScaleDown
+			}
+			e := obs.At(c.winEnd, kind)
+			e.Val = n
+			c.tr.Emit(e)
+		}
 		c.setActive(n)
 	}
 	c.winLat.Reset()
@@ -908,17 +918,6 @@ func runCluster(it *workload.Iter, makeHandler func(i int) Handler, opts Cluster
 	c.recCap = (it.Len() + width - 1) / width
 	if !opts.Faults.Empty() || opts.Retry.Enabled() {
 		c.fm = newFaultMode(c, opts.Faults, opts.Retry, opts.FaultSeed)
-	}
-	if c.scaler != nil && c.tr != nil {
-		c.scaler.OnDecision = func(atMS float64, from, to int) {
-			kind := obs.KindScaleUp
-			if to < from {
-				kind = obs.KindScaleDown
-			}
-			e := obs.At(atMS, kind)
-			e.Val = to
-			c.tr.Emit(e)
-		}
 	}
 	c.setActive(start)
 

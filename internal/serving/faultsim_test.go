@@ -4,8 +4,10 @@ import (
 	"testing"
 
 	"repro/internal/autoscale"
+	"repro/internal/exitsim"
 	"repro/internal/faults"
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -341,13 +343,15 @@ func TestFaultyRunsDeterministic(t *testing.T) {
 // replica crashes for a long window, the autoscaler (seeing
 // utilization forced to 1 and pessimistic latency samples) adds a
 // fresh replica, and that scale-up — not the eventual restart — must
-// flush the parked requests and close the unavailability window.
+// flush the parked requests and close the unavailability window. The
+// trace shows the scale_up before the outage_end it causes.
 func TestScaleUpEndsOutage(t *testing.T) {
 	m := model.ResNet50()
 	const down = 10000.0
 	s := workload.Video(0, 2000, 30, 81)
+	tr := obs.NewTracer()
 	cs := RunCluster(s, func(int) Handler { return &VanillaHandler{Model: m} }, ClusterOptions{
-		Options:   Options{Platform: Clockwork, SLOms: 60 * m.SLO()},
+		Options:   Options{Platform: Clockwork, SLOms: 60 * m.SLO(), Trace: tr},
 		Dispatch:  RoundRobin,
 		Autoscale: &autoscale.Config{Min: 1, Max: 2},
 		Faults:    mustFaults(t, "crash:r0@2000+10000"),
@@ -365,6 +369,15 @@ func TestScaleUpEndsOutage(t *testing.T) {
 	}
 	if cs.Faults.UnavailMS <= 0 {
 		t.Fatal("zero-live window never recorded before the scale-up")
+	}
+	var kinds []obs.Kind
+	for _, e := range tr.Events {
+		if e.Kind == obs.KindScaleUp || e.Kind == obs.KindOutageEnd {
+			kinds = append(kinds, e.Kind)
+		}
+	}
+	if len(kinds) < 2 || kinds[0] != obs.KindScaleUp || kinds[1] != obs.KindOutageEnd {
+		t.Fatalf("scale_up and outage_end events in trace order: %v, want the scale_up first", kinds)
 	}
 }
 
@@ -417,5 +430,32 @@ func TestGoodputUnderFaults(t *testing.T) {
 	if faulty.Merged.GoodputQPS >= base.Merged.GoodputQPS {
 		t.Fatalf("faulty goodput %g not below reliable %g",
 			faulty.Merged.GoodputQPS, base.Merged.GoodputQPS)
+	}
+}
+
+// TestRequeueAtCompletionInstantIsServed: a request requeued onto a
+// replica at the very instant that replica's batch completes is served,
+// not stranded. Replica 0 (speed 1, 6.5 ms per resnet18 batch of one)
+// finishes its second batch at exactly 13 ms with an empty queue, and
+// the crash of replica 1 (speed 0.25, still serving request 1) at 13 ms
+// requeues request 3 to it. No arrival follows, so unless the enqueue
+// schedules a wake, nothing serves request 3 and the run's end records
+// it lost.
+func TestRequeueAtCompletionInstantIsServed(t *testing.T) {
+	m := model.ResNet18()
+	reqs := []workload.Request{{ID: 0, ArrivalMS: 0}, {ID: 1, ArrivalMS: 0}, {ID: 2, ArrivalMS: 1}, {ID: 3, ArrivalMS: 1}}
+	cs := RunCluster(workload.FromSlice("requeue-at-completion", exitsim.KindVideo, reqs),
+		func(int) Handler { return &VanillaHandler{Model: m} }, ClusterOptions{
+			Options:  Options{Platform: Clockwork, SLOms: 1000},
+			Replicas: 2,
+			Dispatch: RoundRobin,
+			Speeds:   []float64{1, 0.25},
+			Faults:   mustFaults(t, "crash:r1@13+100"),
+		})
+	if cs.Faults.Crashes != 1 || cs.Faults.Retried == 0 {
+		t.Fatalf("%d crashes and %d requeues, want the crash to requeue a request", cs.Faults.Crashes, cs.Faults.Retried)
+	}
+	if cs.Merged.Delivered != 4 || cs.Faults.Lost != 0 {
+		t.Fatalf("%d delivered and %d lost, want all 4 delivered", cs.Merged.Delivered, cs.Faults.Lost)
 	}
 }

@@ -142,7 +142,7 @@ func runOne(sc core.Scenario, idx int, obsDir string) (out Result) {
 	if err != nil {
 		return Result{Result: core.Result{Scenario: sc}, Err: err.Error()}
 	}
-	res, _, err := core.RunScenarioTo(sc, traceW, timelineW)
+	res, _, err := core.RunScenarioTo(sc, traceW, nil, timelineW)
 	switch {
 	case res == nil:
 		return Result{Result: core.Result{Scenario: sc}, Err: err.Error()}

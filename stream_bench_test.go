@@ -128,8 +128,8 @@ func TestStreamingMillionBoundedMemory(t *testing.T) {
 }
 
 // byteCounter is an io.Writer that counts and discards: the traced
-// guard's JSONL runs to gigabytes at mem-smoke's 10M requests, so it
-// never touches a disk.
+// guard's JSONL and Chrome trace run to gigabytes each at mem-smoke's
+// 10M requests, so they never touch a disk.
 type byteCounter struct{ n int64 }
 
 func (c *byteCounter) Write(p []byte) (int, error) {
@@ -139,21 +139,22 @@ func (c *byteCounter) Write(p []byte) (int, error) {
 
 // TestStreamingTracedBoundedMemory is the traced twin of the memory
 // guard (make mem-smoke): the same scenario with the lifecycle trace
-// and the gauge timeline on, streamed through core.RunScenarioTo, must
-// hold the same live-heap ceiling — a traced run keeps no trace in
-// memory. A buffered tracer fails it at a few hundred thousand requests.
+// (as JSONL and as Chrome trace-event JSON) and the gauge timeline on,
+// streamed through core.RunScenarioTo, must hold the same live-heap
+// ceiling — a traced run keeps no trace in memory. A buffered tracer
+// fails it at a few hundred thousand requests.
 func TestStreamingTracedBoundedMemory(t *testing.T) {
 	if os.Getenv("APPARATE_MEM_GUARD") == "" {
 		t.Skip("set APPARATE_MEM_GUARD=1 to run the traced memory guard")
 	}
 	sc := memGuardScenario(t)
 	sc.Trace, sc.Timeline = true, true
-	var traceW, timelineW byteCounter
+	var traceW, chromeW, timelineW byteCounter
 	var res *core.Result
 	var od *core.ObsData
 	var err error
 	start := time.Now()
-	peak := peakHeapDuring(func() { res, od, err = core.RunScenarioTo(sc, &traceW, &timelineW) })
+	peak := peakHeapDuring(func() { res, od, err = core.RunScenarioTo(sc, &traceW, &chromeW, &timelineW) })
 	dur := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
@@ -161,12 +162,12 @@ func TestStreamingTracedBoundedMemory(t *testing.T) {
 	if res.Requests != sc.N {
 		t.Fatalf("served %d requests, want %d", res.Requests, sc.N)
 	}
-	if traceW.n == 0 || timelineW.n == 0 || od.Trace.Len() < sc.N {
-		t.Fatalf("traced run streamed %d trace bytes (%d events) and %d timeline bytes; want both non-empty and an event per request",
-			traceW.n, od.Trace.Len(), timelineW.n)
+	if traceW.n == 0 || chromeW.n == 0 || timelineW.n == 0 || od.Trace.Len() < sc.N {
+		t.Fatalf("traced run streamed %d trace bytes (%d events), %d Chrome bytes and %d timeline bytes; want all non-empty and an event per request",
+			traceW.n, od.Trace.Len(), chromeW.n, timelineW.n)
 	}
-	t.Logf("%d-request traced sketch scenario: %.1fs, %d events (%.1f MiB JSONL), %d timeline rows, peak live heap %.1f MiB",
-		sc.N, dur.Seconds(), od.Trace.Len(), float64(traceW.n)/(1<<20), od.Timeline.Len(), float64(peak)/(1<<20))
+	t.Logf("%d-request traced sketch scenario: %.1fs, %d events (%.1f MiB JSONL, %.1f MiB Chrome), %d timeline rows, peak live heap %.1f MiB",
+		sc.N, dur.Seconds(), od.Trace.Len(), float64(traceW.n)/(1<<20), float64(chromeW.n)/(1<<20), od.Timeline.Len(), float64(peak)/(1<<20))
 	if peak > memGuardLimit {
 		t.Fatalf("peak live heap %d bytes exceeds %d: the traced run is buffering its trace again", peak, memGuardLimit)
 	}
